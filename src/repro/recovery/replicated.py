@@ -20,7 +20,9 @@ store's fault-aware read path (degrading across replicas under
 ``dfs.block-read`` faults) and verifies the shipped byte stream; after
 :meth:`~repro.distributed.dfs.BlockStore.fail_node` plus
 :meth:`~repro.distributed.dfs.BlockStore.re_replicate`, the stream
-must still verify — the test suite pins that.
+must still verify — the test suite pins that.  :meth:`read_entries`
+does the same reads and checks, then returns the records' entry tuples
+kept at ship time instead of parsing the verified bytes back.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ class ReplicatedLog:
         self.shipped_bytes = 0
         #: Encoded bytes per segment, kept for read-back verification.
         self._expected: list[bytes] = []
+        #: Every shipped record's :attr:`LogRecord.entry`, in LSN order —
+        #: what the verified bytes decode to.
+        self._entries: list[tuple] = []
 
     def _segment_path(self, segment: int) -> str:
         return f"wal/{self.name}/{segment:08d}"
@@ -72,6 +77,7 @@ class ReplicatedLog:
         self.segments += 1
         self.shipped_bytes += len(payload)
         self._expected.append(payload)
+        self._entries.extend(record.entry for record in records)
 
     # ------------------------------------------------------------------
     def read_back(
@@ -95,3 +101,18 @@ class ReplicatedLog:
                 )
             payloads.append(payload)
         return payloads
+
+    def read_entries(
+        self,
+        reader: "ClusterNode",
+        counters: "PerfCounters | None" = None,
+    ) -> list[tuple]:
+        """Every shipped record's entry tuple, as *reader* would see it.
+
+        Performs exactly :meth:`read_back` — every segment is fetched,
+        charged and byte-verified — then returns the entries kept at
+        ship time, which equal the ``ast.literal_eval`` of each verified
+        line.
+        """
+        self.read_back(reader, counters)
+        return list(self._entries)

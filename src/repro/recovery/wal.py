@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -90,22 +91,39 @@ class LogRecord:
     payload: str = ""
     torn: bool = False
 
+    @property
+    def entry(self) -> tuple:
+        """The record's wire tuple, the one place its layout is spelled out.
+
+        ``(lsn, kind, txn_id, relation, attribute, position, before,
+        after, payload)`` with ``kind`` as its string value.
+        :meth:`encode` ships ``repr`` of exactly this tuple, so readers
+        of the replicated log see these values without parsing the
+        bytes.  ``torn`` is not part of it: a torn record never ships.
+        """
+        return (
+            self.lsn,
+            self.kind.value,
+            self.txn_id,
+            self.relation,
+            self.attribute,
+            self.position,
+            self.before,
+            self.after,
+            self.payload,
+        )
+
+    @functools.cached_property
+    def _encoded(self) -> bytes:
+        return repr(self.entry).encode()
+
     def encode(self) -> bytes:
-        """The record's serialized form (replication ships these bytes)."""
-        body = repr(
-            (
-                self.lsn,
-                self.kind.value,
-                self.txn_id,
-                self.relation,
-                self.attribute,
-                self.position,
-                self.before,
-                self.after,
-                self.payload,
-            )
-        ).encode()
-        return body
+        """The record's serialized form (replication ships these bytes).
+
+        Computed once per record: appending, flushing and shipping all
+        ask for it.
+        """
+        return self._encoded
 
     @property
     def nbytes(self) -> int:

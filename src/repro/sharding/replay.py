@@ -20,7 +20,6 @@ the coordinator's local durable prefix) into plain tuples, and
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,9 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["LogEntry", "load_entries", "replay_updates"]
 
-#: One durable log record as a plain tuple:
-#: ``(lsn, kind, txn_id, relation, attribute, position, before, after,
-#: payload)`` — the wire format the replicated log ships.
+#: One durable log record as a plain tuple, laid out by
+#: :attr:`~repro.recovery.wal.LogRecord.entry` (the tuple the replicated
+#: log ships the ``repr`` of).
 LogEntry = tuple
 
 
@@ -53,33 +52,15 @@ def load_entries(
     The volatile tail is forced out first (a log force — both failover
     and cutover need the committed prefix to be complete before it is
     replayed).  When *replicated* is given the entries come from its
-    DFS segments read from *reader*'s point of view (remote transfers
-    charged to *counters*); otherwise from the local durable prefix.
+    DFS segments read and byte-verified from *reader*'s point of view
+    (remote transfers charged to *counters*); otherwise from the local
+    durable prefix.
     """
     if wal.tail_records:
         wal.flush(ctx)
     if replicated is not None:
-        payloads = replicated.read_back(reader, counters)
-        return [
-            ast.literal_eval(line.decode())
-            for payload in payloads
-            for line in payload.split(b"\n")
-            if line
-        ]
-    return [
-        (
-            record.lsn,
-            record.kind.value,
-            record.txn_id,
-            record.relation,
-            record.attribute,
-            record.position,
-            record.before,
-            record.after,
-            record.payload,
-        )
-        for record in wal.durable_records()
-    ]
+        return replicated.read_entries(reader, counters)
+    return [record.entry for record in wal.durable_records()]
 
 
 def replay_updates(

@@ -1,14 +1,22 @@
-"""ReplicatedLog tests: segment shipping, lag-by-one, node-loss survival."""
+"""ReplicatedLog tests: segment shipping, lag-by-one, node-loss survival,
+decoded-entry read path, corruption detection."""
+
+import ast
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.cluster import Cluster
 from repro.distributed.dfs import BlockStore
-from repro.errors import EngineCrashed
+from repro.errors import DistributedError, EngineCrashed
 from repro.execution import ExecutionContext
-from repro.faults import SITE_WAL_TORN_WRITE, FaultInjector
+from repro.faults import SITE_DFS_READ, SITE_WAL_TORN_WRITE, FaultInjector
+from repro.hardware import Platform
+from repro.hardware.event import PerfCounters
 from repro.recovery.replicated import ReplicatedLog
-from repro.recovery.wal import WriteAheadLog
+from repro.recovery.wal import LogRecordKind, WriteAheadLog
+from repro.sharding.replay import load_entries
 
 
 @pytest.fixture
@@ -100,3 +108,110 @@ class TestES2Wiring:
         assert replicated.segments == 1
         assert "wal/item/00000000" in engine.dfs.paths()
         replicated.read_back(engine.coordinator)
+
+
+REBALANCE_MARKERS = (
+    LogRecordKind.REBALANCE_BEGIN,
+    LogRecordKind.REBALANCE_COPIED,
+    LogRecordKind.REBALANCE_COMMIT,
+    LogRecordKind.REBALANCE_ABORT,
+)
+REORG_MARKERS = (
+    LogRecordKind.REORG_BEGIN,
+    LogRecordKind.REORG_END,
+    LogRecordKind.REORG_ABORT,
+)
+
+images = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+labels = st.text(alphabet=list("ab'\"\\\n\t {}é"), max_size=10)
+operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("txn"),
+            st.lists(st.tuples(st.integers(0, 1000), images, images), max_size=3),
+            st.sampled_from(["commit", "abort"]),
+        ),
+        st.tuples(st.just("rebalance"), st.sampled_from(REBALANCE_MARKERS), labels),
+        st.tuples(st.just("reorg"), st.sampled_from(REORG_MARKERS), labels),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+MIXED_LOG = [
+    ("txn", [(3, -0.0, -2.5), (7, 1e300, -1e-300)], "commit"),
+    ("txn", [(4, 0.0, -0.0)], "abort"),
+    ("rebalance", LogRecordKind.REBALANCE_BEGIN, 'split "s1" ->\n\'s2\''),
+    ("reorg", LogRecordKind.REORG_BEGIN, "a\\nb\n"),
+    ("txn", [], "commit"),
+    ("rebalance", LogRecordKind.REBALANCE_COMMIT, ""),
+]
+
+
+def build_log(ops, group_commit, fault_seed):
+    """A replicated WAL holding *ops*, fully flushed; its DFS optionally
+    drawing ``dfs.block-read`` faults from a seeded injector."""
+    platform = Platform.paper_testbed()
+    ctx = ExecutionContext(platform)
+    dfs = BlockStore(Cluster(node_count=4), replication=3)
+    if fault_seed is not None:
+        dfs.injector = FaultInjector(seed=fault_seed).arm(SITE_DFS_READ, 0.3)
+    wal, replicated = replicated_wal(platform, dfs, group_commit)
+    for txn, op in enumerate(ops):
+        if op[0] == "txn":
+            _, updates, outcome = op
+            wal.log_begin(txn, ctx)
+            for position, before, after in updates:
+                wal.log_update(txn, "item", "i_price", position, before, after, ctx)
+            if outcome == "commit":
+                wal.log_commit(txn, ctx)
+            else:
+                wal.log_abort(txn, ctx)
+        else:
+            _, kind, label = op
+            log_marker = wal.log_rebalance if op[0] == "rebalance" else wal.log_reorg
+            log_marker(kind, label, ctx)
+    wal.flush(ctx)
+    return wal, replicated, ctx
+
+
+class TestDecodedEntries:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=operations,
+        group_commit=st.integers(1, 3),
+        fault_seed=st.one_of(st.none(), st.integers(0, 99)),
+    )
+    @example(ops=MIXED_LOG, group_commit=2, fault_seed=7)
+    @example(ops=MIXED_LOG, group_commit=1, fault_seed=None)
+    def test_read_entries_equals_the_shipped_bytes(self, ops, group_commit, fault_seed):
+        """The kept entries are what the verified bytes decode to, what
+        the local durable prefix holds, and cost exactly a read-back."""
+        wal, replicated, ctx = build_log(ops, group_commit, fault_seed)
+        _, twin, _ = build_log(ops, group_commit, fault_seed)
+        byte_counters, entry_counters = PerfCounters(), PerfCounters()
+        decoded = [
+            ast.literal_eval(line.decode())
+            for payload in twin.read_back(twin.dfs.cluster.nodes[1], byte_counters)
+            for line in payload.split(b"\n")
+        ]
+        entries = replicated.read_entries(replicated.dfs.cluster.nodes[1], entry_counters)
+        local = load_entries(wal, None, replicated.dfs.cluster.nodes[1], PerfCounters(), ctx)
+        assert entries == decoded == local
+        assert repr(entries) == repr(decoded) == repr(local)  # -0.0 stays -0.0
+        assert entry_counters == byte_counters
+
+
+class TestCorruption:
+    def test_corrupt_segment_surfaces_through_load_entries(self, platform, ctx, dfs):
+        """A replica whose bytes changed after shipping fails read-back
+        verification even though the decoded entries are kept in memory."""
+        wal, replicated = replicated_wal(platform, dfs)
+        commit_txns(wal, ctx, 4)
+        block = dfs.file("wal/item/00000001").blocks[0]
+        block.payload = block.payload.replace(b"commit", b"abort!")
+        with pytest.raises(DistributedError, match="segment 1 corrupt"):
+            load_entries(wal, replicated, dfs.cluster.nodes[0], PerfCounters(), ctx)

@@ -155,6 +155,17 @@ class TestEncoding:
         assert decoded[1] == LogRecordKind.UPDATE.value
         assert decoded[5] == 9
 
+    def test_encode_is_the_repr_of_entry_computed_once(self, platform, ctx):
+        import ast
+
+        wal = WriteAheadLog(platform)
+        record = wal.log_update(3, "item", "i_price", 9, -0.0, 2.5, ctx)
+        assert ast.literal_eval(record.encode().decode()) == record.entry
+        assert record.entry == (
+            record.lsn, "update", 3, "item", "i_price", 9, -0.0, 2.5, ""
+        )
+        assert record.encode() is record.encode()
+
     def test_nbytes_includes_header(self, platform, ctx):
         from repro.recovery.wal import RECORD_HEADER_BYTES
 
