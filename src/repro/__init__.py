@@ -89,7 +89,6 @@ from repro.serving import (
     ServingLoop,
     TenantSpec,
     WorkloadGenerator,
-    run_serving_verifier,
 )
 from repro.sharding import (
     FailureDetector,
@@ -169,5 +168,4 @@ __all__ = [
     "AdmissionQueue",
     "BatchPolicy",
     "ServingLoop",
-    "run_serving_verifier",
 ]

@@ -12,8 +12,9 @@ Declarative scan→filter→project→aggregate chains
 with the pre-fusion operator chain kept as the always-on,
 byte-identical correctness oracle (:mod:`repro.fusion.oracle`) and the
 pure route predictors (:mod:`repro.fusion.costs`) feeding CoGaDB's
-HyPE scheduler.  ``python -m repro.fusion`` gates the ≥3x end-to-end
-win and the byte-identity contract into ``BENCH_fusion.json``.
+HyPE scheduler.  ``python -m repro.verify fusion`` gates the ≥3x
+end-to-end win and the byte-identity contract into
+``BENCH_fusion.json``.
 """
 
 from repro.errors import FusionError, UnsupportedPipelineError

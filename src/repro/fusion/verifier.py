@@ -1,6 +1,6 @@
-"""Fusion verifier CLI: ``python -m repro.fusion``.
+"""The fusion plane: ``python -m repro.verify fusion``.
 
-Writes ``BENCH_fusion.json`` — the pipeline compiler's acceptance
+Builds ``BENCH_fusion.json`` — the pipeline compiler's acceptance
 record — and gates the tentpole claims:
 
 * the **speedup gate**: on the attribute-centric probe query
@@ -17,18 +17,20 @@ record — and gates the tentpole claims:
   including the low-selectivity cells where the unfused host path
   genuinely wins.
 
-The process exits non-zero when any gate fails, so CI's bench-smoke
-job blocks on all three.
+All three gate the record's ``ok``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Sequence
+from typing import Any
 
-from repro.cli import verifier_parser
+from repro.bench.ablations import SWEEPS, fusion_sweep
+from repro.obs.bench import make_bench_record
+from repro.obs.logging import get_logger
 
-__all__ = ["main"]
+__all__ = ["verify"]
+
+logger = get_logger(__name__)
 
 #: The gated selectivity cell: half the rows match — squarely in the
 #: regime the paper's hybrid workloads live in.
@@ -40,8 +42,6 @@ GATE_SPEEDUP = 3.0
 
 def _speedup_record(row_count: int) -> dict[str, Any]:
     """The gated cell, measured directly (not via the sweep grid)."""
-    from repro.bench.ablations import fusion_sweep
-
     (point,) = fusion_sweep(
         selectivities=(GATE_SELECTIVITY,), row_count=row_count
     )
@@ -61,19 +61,13 @@ def _speedup_record(row_count: int) -> dict[str, Any]:
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the fusion grid + gates; write the record; 0 iff gates pass."""
-    from repro.bench.ablations import SWEEPS, fusion_sweep
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """The ``fusion`` plane: the ablation grid plus the three gates.
 
-    parser = verifier_parser(
-        "python -m repro.fusion",
-        "Benchmark the pipeline compiler and gate its claims.",
-        default_seeds=None,
-        default_output="BENCH_fusion.json",
-    )
-    options = parser.parse_args(argv)
-
-    if options.smoke:
+    The plane is seedless and declares no fault sites; *seeds* and
+    *sites* are unused.
+    """
+    if smoke:
         grid_kwargs = dict(SWEEPS["fusion"].smoke_kwargs)
         gate_rows = 200_000
     else:
@@ -83,13 +77,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     points = fusion_sweep(**grid_kwargs)
     speedup = _speedup_record(gate_rows)
     identical = all(point.outcomes["identical"] == 1.0 for point in points)
+    identical = identical and speedup["identical"]
     ranked = all(point.outcomes["hype_rank_correct"] == 1.0 for point in points)
-    passed = speedup["passed"] and (identical and speedup["identical"]) and ranked
-    from repro.obs.bench import make_bench_record
-
-    record = make_bench_record(
+    logger.info(
+        "speedup gate (sel %s, %d rows): host %.2fx, device warm %.2fx (%s)",
+        GATE_SELECTIVITY,
+        gate_rows,
+        speedup["host_speedup"],
+        speedup["device_warm_speedup"],
+        "ok" if speedup["passed"] else f"FAILED: expected >= {GATE_SPEEDUP}x",
+    )
+    logger.info(
+        "byte-identity across the grid: %s", "ok" if identical else "FAILED"
+    )
+    logger.info(
+        "HyPE fused-vs-unfused ranking: %s (%d cells, both placements)",
+        "ok" if ranked else "FAILED",
+        len(points),
+    )
+    return make_bench_record(
         "fusion",
-        ok=passed,
+        ok=speedup["passed"] and identical and ranked,
         metrics={
             "host_speedup": speedup["host_speedup"],
             "device_warm_speedup": speedup["device_warm_speedup"],
@@ -98,35 +106,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "host_speedup": {"rel": 0.15, "direction": "higher_better"},
             "device_warm_speedup": {"rel": 0.15, "direction": "higher_better"},
         },
-        smoke=options.smoke,
+        smoke=smoke,
         grid=[
             {"selectivity": point.knob, **point.outcomes} for point in points
         ],
         speedup_gate=speedup,
-        byte_identity={"passed": identical and speedup["identical"]},
+        byte_identity={"passed": identical},
         hype_ranking={"passed": ranked},
     )
-    with open(options.output, "w", encoding="utf-8") as sink:
-        json.dump(record, sink, indent=2, sort_keys=True)
-
-    print(
-        f"speedup gate (sel {GATE_SELECTIVITY}, {gate_rows} rows): "
-        f"host {speedup['host_speedup']:.2f}x, "
-        f"device warm {speedup['device_warm_speedup']:.2f}x "
-        f"({'ok' if speedup['passed'] else f'FAILED: expected >= {GATE_SPEEDUP}x'})"
-    )
-    print(
-        "byte-identity across the grid: "
-        f"{'ok' if record['byte_identity']['passed'] else 'FAILED'}"
-    )
-    print(
-        "HyPE fused-vs-unfused ranking: "
-        f"{'ok' if ranked else 'FAILED'} "
-        f"({len(points)} cells, both placements)"
-    )
-    passed = speedup["passed"] and record["byte_identity"]["passed"] and ranked
-    return 0 if passed else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke
-    raise SystemExit(main())

@@ -28,9 +28,10 @@ with multi-window burn-rate alerting; and :mod:`repro.obs.bench` +
 :mod:`repro.obs.regress` define the unified ``BENCH_*.json`` schema and
 the cross-run regression diff CI runs.
 
-``python -m repro.obs`` runs a Figure-2 workload traced, emits
-``trace.json`` + the profile report, and gates the zero-observer and
-trace-schema checks (CI's obs-smoke job).  See docs/OBSERVABILITY.md.
+``python -m repro.verify obs`` (:mod:`repro.obs.verifier`) runs a
+Figure-2 workload traced, emits ``trace.json`` + the profile report,
+and gates the zero-observer and trace-schema checks.  See
+docs/OBSERVABILITY.md.
 """
 
 from repro.obs.bench import (

@@ -9,9 +9,9 @@ tracer's instant events become ``"ph": "i"`` markers, and each layer
 (operator, kernel, pcie, wal, staging, ...) gets its own named thread
 row so the stack reads top-to-bottom like the architecture diagram.
 
-:func:`validate_chrome_trace` is the minimal schema gate CI's obs-smoke
-job runs on the emitted file: required keys present on every event and
-timestamps monotonic per thread row.
+:func:`validate_chrome_trace` is the minimal schema gate the obs plane
+(``python -m repro.verify obs``) runs on the emitted file: required
+keys present on every event and timestamps monotonic per thread row.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ the stdlib :mod:`logging` tree under the ``"repro"`` root, which
 carries a :class:`~logging.NullHandler` — silent until a handler is
 attached.
 
-CLIs (``python -m repro.perf``, ``python -m repro.obs``) call
-:func:`configure_cli_logging` to attach a plain-message stream handler,
-restoring the human-readable progress output on the command line while
-keeping the library quiet everywhere else.
+``python -m repro.verify`` calls :func:`configure_cli_logging` to
+attach a plain-message stream handler, so every plane's per-cell lines
+reach the command line while the library stays quiet everywhere else.
 """
 
 from __future__ import annotations

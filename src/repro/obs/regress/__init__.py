@@ -19,7 +19,7 @@ problem and flags too: silently dropping a gated metric is how
 regressions hide.
 
 Exit status: 0 = within tolerance, 1 = regression or malformed
-artifact — which is what the CI ``obs-regress`` job keys off.  The
+artifact — which is what CI's ``verify`` job keys off.  The
 same CLI also schema-validates artifacts without a baseline via
 ``--validate``.
 """

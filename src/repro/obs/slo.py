@@ -19,7 +19,7 @@ burn over long windows).
 Everything runs on the simulated cycle timeline: evaluation strides
 are multiples of the fast window, so :class:`Alert` records carry
 deterministic cycle timestamps — identical seeds produce identical
-alert streams, which ``python -m repro.obs`` gates.  Alerts fire on
+alert streams, which ``python -m repro.verify obs`` gates.  Alerts fire on
 the *rising edge* of a violation (one alert per continuous episode per
 policy), and an episode that never clears never re-fires.
 """

@@ -1,12 +1,12 @@
-"""Observability smoke CLI: ``python -m repro.obs``.
+"""The obs plane: ``python -m repro.verify obs``.
 
 Runs a Figure-2-shaped probe workload — a cold device sum (staging
 miss + PCIe burst + kernel), a warm repeat (staging hit), a host column
 sum, and a batch of WAL-logged transactions with group commit — under a
 fault injector that forces exactly one retried PCIe transfer, then:
 
-* writes the Perfetto-loadable Chrome trace (``--trace``) and validates
-  it against the minimal schema gate
+* writes the Perfetto-loadable Chrome trace (:data:`TRACE_FILE`) and
+  validates it against the minimal schema gate
   (:func:`~repro.obs.export.validate_chrome_trace`);
 * re-runs the identical workload **untraced** and gates the
   zero-observer-effect contract: both runs' final
@@ -15,11 +15,11 @@ fault injector that forces exactly one retried PCIe transfer, then:
 * checks that spans from at least five distinct layers (query,
   operator, kernel, pcie, wal) plus staging/fault instant events were
   recorded, and that every span tree nests cleanly;
-* prints the :func:`~repro.obs.profile.explain` report and writes
-  ``BENCH_obs.json`` with the per-layer cycle attribution.
+* logs the :func:`~repro.obs.profile.explain` report and records the
+  per-layer cycle attribution in ``BENCH_obs.json``.
 
 On top of that, the telemetry-plane gates run a compact serving probe
-per ``--seeds`` seed:
+per seed (the first seed only under ``--smoke``):
 
 * **window closure** — every counter series' tumbling-window sums equal
   its running total and the by-metric totals equal the root
@@ -34,20 +34,23 @@ per ``--seeds`` seed:
 * **regression self-check** — :func:`repro.obs.regress.compare_records`
   flags a synthetic 25% regression and passes identical artifacts.
 
-The process exits non-zero when any gate fails, so CI's obs-smoke and
-obs-regress jobs can assert the whole observability contract in one
-command; ``BENCH_obs.json`` follows the unified
-:mod:`repro.obs.bench` schema.
+Every gate feeds the record's ``ok``, so one CI cell asserts the whole
+observability contract.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+from typing import Any
 
-from repro.cli import verifier_parser
+from repro.obs.logging import get_logger
 
-__all__ = ["run_figure2_workload", "run_windowed_probe", "main"]
+__all__ = ["run_figure2_workload", "run_windowed_probe", "verify"]
+
+logger = get_logger(__name__)
+
+#: Where the plane writes the probe's Chrome/Perfetto trace.
+TRACE_FILE = "trace.json"
 
 #: Span layers the probe workload must exercise (instants add
 #: ``staging`` and ``fault`` on top).
@@ -247,38 +250,17 @@ def _regress_self_check() -> dict[str, bool]:
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the traced + untraced probes; write artifacts; 0 iff gates pass."""
-    from repro.cli import parse_seeds
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """Run the traced + untraced probes and every gate; write the trace.
+
+    The plane declares no fault sites; *sites* is unused.
+    """
     from repro.obs.bench import make_bench_record
     from repro.obs.export import validate_chrome_trace, write_chrome_trace
-    from repro.obs.logging import configure_cli_logging, get_logger
     from repro.obs.profile import explain, layer_attribution
     from repro.obs.tracer import Tracer, nesting_violations
 
-    parser = verifier_parser(
-        "python -m repro.obs",
-        "Trace a Figure-2 probe workload and gate the observability "
-        "contracts (zero observer effect, trace schema, window "
-        "closure, SLO burn-rate alerting, regression detection).",
-        default_output="BENCH_obs.json",
-    )
-    parser.add_argument(
-        "--rows",
-        type=int,
-        default=None,
-        help="override the probe relation's row count",
-    )
-    parser.add_argument(
-        "--trace",
-        default="trace.json",
-        help="where to write the Chrome/Perfetto trace (default: trace.json)",
-    )
-    options = parser.parse_args(argv)
-    configure_cli_logging()
-    logger = get_logger(__name__)
-
-    rows = options.rows or (100_000 if options.smoke else 1_000_000)
+    rows = 100_000 if smoke else 1_000_000
     tracer = Tracer()
     traced = run_figure2_workload(rows=rows, tracer=tracer)
     untraced = run_figure2_workload(rows=rows, tracer=None)
@@ -291,7 +273,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Gate 2: the Chrome trace passes the schema validator.
     frequency = traced["platform"].cpu.frequency_hz
     events = write_chrome_trace(
-        options.trace, tracer, frequency, workload="figure2-probe", rows=rows
+        TRACE_FILE, tracer, frequency, workload="figure2-probe", rows=rows
     )
     trace_problems = validate_chrome_trace(events)
 
@@ -310,8 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Gates 5-8, per seed: the telemetry-plane contracts on a compact
     # serving probe (window closure, windowed zero observer, SLO
     # discrimination, SLO determinism).
-    seeds = parse_seeds(options.seeds)
-    if options.smoke:
+    if smoke:
         seeds = seeds[:1]
     per_seed: dict[str, Any] = {}
     windows_ok = True
@@ -378,10 +359,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if name.startswith("probe_makespan.")
             },
         },
-        smoke=options.smoke,
+        smoke=smoke,
         rows=rows,
         zero_observer_identical=identical,
-        trace_file=options.trace,
+        trace_file=TRACE_FILE,
         trace_events=len(events),
         trace_problems=trace_problems,
         nesting_violations=nesting,
@@ -394,9 +375,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         seeds=per_seed,
         regress_gates=regress_gates,
     )
-    with open(options.output, "w", encoding="utf-8") as sink:
-        json.dump(record, sink, indent=2, sort_keys=True)
-
     logger.info("%s", explain(traced["ctx"], tracer))
     logger.info("")
     logger.info("zero-observer: %s", "ok" if identical else "FAILED")
@@ -424,8 +402,4 @@ def main(argv: Sequence[str] | None = None) -> int:
         "regression self-check: %s",
         "ok" if all(regress_gates.values()) else f"FAILED {regress_gates}",
     )
-    return 0 if passed else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI obs-smoke
-    raise SystemExit(main())
+    return record

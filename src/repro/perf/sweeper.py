@@ -17,16 +17,15 @@ grid order.  This module fans them out:
   runs.  Results are therefore identical whatever the worker count,
   including ``workers=1`` which runs everything inline.
 
-``python -m repro.perf.sweeper --smoke --output BENCH_sweeps.json``
-runs the reduced CI grid and writes wall-clock and rows/s per sweep —
-the artifact CI's bench-smoke job tracks (docs/PERFORMANCE.md).
+:func:`verify` is the ``sweeps`` plane of ``python -m repro.verify``:
+``python -m repro.verify sweeps --smoke --output BENCH_sweeps.json``
+runs the reduced CI grid and records wall-clock and rows/s per sweep
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
 import random
 import time
@@ -34,7 +33,8 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.obs.logging import configure_cli_logging, get_logger
+from repro.obs.bench import make_bench_record
+from repro.obs.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.ablations import SweepPoint
@@ -44,8 +44,10 @@ __all__ = [
     "point_seed",
     "run_sweep",
     "run_sweeps",
-    "main",
+    "verify",
 ]
+
+logger = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -182,12 +184,20 @@ def run_sweep(
     wall = time.perf_counter() - started
     points = tuple(point for chunk in chunks for point in chunk)
     kwargs = _sweep_kwargs(name, smoke, overrides)
-    return SweepResult(
+    result = SweepResult(
         name=name,
         points=points,
         wall_seconds=wall,
         rows_processed=spec.rows_processed(kwargs, len(points)),
     )
+    logger.info(
+        "%s: %d points, %.2fs wall, %s rows/s",
+        name,
+        len(points),
+        wall,
+        f"{result.rows_per_second:,.0f}",
+    )
+    return result
 
 
 def run_sweeps(
@@ -203,43 +213,15 @@ def run_sweeps(
     return {name: run_sweep(name, workers=workers, smoke=smoke) for name in names}
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point: run sweeps and write the BENCH_sweeps.json record."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf.sweeper",
-        description="Run ablation sweeps across multiprocessing workers.",
-    )
-    parser.add_argument(
-        "--sweeps",
-        default=None,
-        help="comma-separated sweep names (default: all registered sweeps)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: CPU count; 1 = inline)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the reduced CI grid instead of the full one",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="write a JSON record (wall-clock and rows/s per sweep) here",
-    )
-    options = parser.parse_args(argv)
-    configure_cli_logging()
-    logger = get_logger(__name__)
-    names = options.sweeps.split(",") if options.sweeps else None
-    started = time.perf_counter()
-    results = run_sweeps(names, workers=options.workers, smoke=options.smoke)
-    total_wall = time.perf_counter() - started
-    from repro.obs.bench import make_bench_record
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """The ``sweeps`` plane: every registered sweep on all CPUs.
 
-    record = make_bench_record(
+    Each sweep's points are seeded per grid point (:func:`point_seed`),
+    so the plane ignores *seeds*; it declares no fault sites.
+    """
+    workers = os.cpu_count() or 1
+    results = run_sweeps(workers=workers, smoke=smoke)
+    return make_bench_record(
         "sweeps",
         ok=True,
         # Only deterministic figures are regression-comparable; the
@@ -248,27 +230,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"points.{name}": float(len(result.points))
             for name, result in results.items()
         },
-        smoke=options.smoke,
-        workers=options.workers or (os.cpu_count() or 1),
-        total_wall_seconds=total_wall,
+        smoke=smoke,
+        workers=workers,
         sweeps={name: result.as_record() for name, result in results.items()},
     )
-    if options.output:
-        with open(options.output, "w", encoding="utf-8") as sink:
-            json.dump(record, sink, indent=2, sort_keys=True)
-    for name, result in results.items():
-        logger.info(
-            "%s: %d points, %.2fs wall, %s rows/s",
-            name,
-            len(result.points),
-            result.wall_seconds,
-            f"{result.rows_per_second:,.0f}",
-        )
-    logger.info(
-        "total: %.2fs wall across %d sweeps", total_wall, len(results)
-    )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke
-    raise SystemExit(main())

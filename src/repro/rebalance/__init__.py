@@ -12,9 +12,9 @@ survives a coordinator crash at any phase boundary
 and the :class:`~repro.rebalance.driver.Rebalancer` loops the three —
 all while queries keep executing against the shard map.
 
-``python -m repro.rebalance`` chaos-verifies the whole stack against
-a single-node oracle and gates the measured load-balance win; see
-``docs/REBALANCING.md`` for the state machine and the crash-resume
+``python -m repro.verify rebalance`` chaos-verifies the whole stack
+against a single-node oracle and gates the measured load-balance win;
+see ``docs/REBALANCING.md`` for the state machine and the crash-resume
 matrix.
 """
 

@@ -18,27 +18,24 @@ replay is never vacuous.  After the final batch, a full-table sum and
 a full materialization must match the oracle byte-for-byte: the
 zero-loss / zero-duplication proof across every epoch bump.
 
-``python -m repro.rebalance`` runs this across a seed × fault-rate ×
-op-mix matrix (each cell twice — determinism gate) and writes
-``BENCH_rebalance.json`` with the load-balance win gate.
+The sharded stack, its oracle and its surfaced-fault retries come from
+:class:`~repro.sharding.verifier.ChaosRun`.  :func:`verify` is the
+``rebalance`` plane of ``python -m repro.verify``: a seed × fault-rate
+× op-mix matrix (each cell twice — the determinism gate) plus the
+load-balance win gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.distributed.cluster import Cluster
-from repro.distributed.dfs import BlockStore
-from repro.errors import ReproError
-from repro.execution.context import ExecutionContext
-from repro.faults.chaos import MAX_SURFACED_RETRIES
-from repro.faults.injector import FaultInjector
-from repro.hardware.platform import Platform
+from repro.obs.bench import make_bench_record
+from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.rebalance.driver import Rebalancer
+from repro.rebalance.driver import Rebalancer, RebalanceRound
 from repro.rebalance.migrator import (
     SITE_NET_DROP_CATCHUP,
     SITE_REBALANCE_CRASH_MID_COPY,
@@ -47,26 +44,20 @@ from repro.rebalance.migrator import (
 )
 from repro.rebalance.planner import RebalancePlanner
 from repro.rebalance.skew import SkewDetector
-from repro.recovery.replicated import ReplicatedLog
-from repro.recovery.wal import WriteAheadLog
-from repro.sharding.detector import FailureDetector
-from repro.sharding.executor import ShardedExecutor
-from repro.sharding.placement import ShardMap, ShardingScheme
-from repro.sharding.router import Router
-from repro.sharding.verifier import (
-    SingleNodeOracle,
-    build_columns,
-    encode_answer,
-)
+from repro.sharding.verifier import ChaosRun
 from repro.workload.queries import QueryShape, QuerySpec
 
 __all__ = [
     "REBALANCE_SITES",
+    "SITES",
     "OP_MIXES",
     "build_skewed_stream",
     "RebalanceRunResult",
     "run_rebalance_chaos",
+    "verify",
 ]
+
+logger = get_logger(__name__)
 
 #: The three fault sites this tier registers and exercises.
 REBALANCE_SITES: tuple[str, ...] = (
@@ -74,6 +65,9 @@ REBALANCE_SITES: tuple[str, ...] = (
     SITE_REBALANCE_CRASH_PRE_CUTOVER,
     SITE_NET_DROP_CATCHUP,
 )
+
+#: The sites ``python -m repro.verify rebalance --sites`` may name.
+SITES = REBALANCE_SITES
 
 #: Operation mixes the matrix sweeps: how much of each query's point
 #: traffic lands in the hot eighth of the rows.  ``split`` hammers one
@@ -90,6 +84,15 @@ POSITIONS_PER_QUERY = 24
 
 #: The hot region: the first eighth of the rows.
 HOT_DIVISOR = 8
+
+#: Fault rates the matrix sweeps (0 = protocol-only, no chaos).
+FAULT_RATES: tuple[float, ...] = (0.0, 0.1, 0.25)
+
+#: Bench gate: minimum imbalance the skewed stream must produce.
+GATE_RATIO_BEFORE = 3.0
+
+#: Bench gate: maximum post-rebalance imbalance.
+GATE_RATIO_AFTER = 1.25
 
 
 def build_skewed_stream(
@@ -199,41 +202,7 @@ class RebalanceRunResult:
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready record for ``BENCH_rebalance.json``."""
-        return {
-            "seed": self.seed,
-            "node_count": self.node_count,
-            "shard_count": self.shard_count,
-            "replication": self.replication,
-            "fault_rate": self.fault_rate,
-            "op_mix": self.op_mix,
-            "sites": list(self.sites),
-            "queries": self.queries,
-            "matched": self.matched,
-            "mismatched": self.mismatched,
-            "data_lost": self.data_lost,
-            "ratio_before": self.ratio_before,
-            "ratio_after": self.ratio_after,
-            "epoch": self.epoch,
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "cycles": self.cycles,
-            "rebalance_cycles": self.rebalance_cycles,
-            "resilience": self.resilience,
-            "migrator": self.migrator,
-            "accounting_ok": self.accounting_ok,
-            "final_checks_ok": self.final_checks_ok,
-            "ok": self.ok,
-        }
-
-
-def _repair(executor: ShardedExecutor, ctx: ExecutionContext) -> None:
-    """Restart crashed processes and re-establish replication."""
-    dfs = executor.dfs
-    for node_name in dfs.down_nodes:
-        dfs.restore_node(node_name)
-        executor.detector.revive(node_name)
-    if dfs.under_replicated():
-        dfs.re_replicate(ctx.counters)
+        return {**asdict(self), "sites": list(self.sites), "ok": self.ok}
 
 
 def run_rebalance_chaos(
@@ -265,52 +234,30 @@ def run_rebalance_chaos(
     gated balance figure needs a window wide enough to drown sampling
     noise (the default final batch is fine for verification but too
     narrow to gate on).  The result is a pure function of the
-    arguments; the CLI's determinism gate runs each cell twice and
-    requires identical resilience tallies and cycle totals.
+    arguments; the plane's determinism gate runs each cell twice and
+    requires identical records.
     """
     if op_mix not in OP_MIXES:
         raise ValueError(f"unknown op_mix {op_mix!r}; want one of {sorted(OP_MIXES)}")
-    platform = Platform()
-    injector = FaultInjector(seed=seed)
-    injector.install(platform)
-    for site in sites:
-        injector.arm(site, fault_rate)
-    cluster = Cluster(node_count)
-    dfs = BlockStore(
-        cluster, replication=replication, block_size=64 * 1024, injector=injector
+    metrics = MetricsRegistry()
+    chaos = ChaosRun(
+        seed, node_count, shard_count, replication, fault_rate, sites,
+        row_count, metrics=metrics,
     )
-    columns = build_columns(row_count)
-    shard_map = ShardMap(
-        "orders", columns, cluster, dfs, shard_count,
-        scheme=ShardingScheme.RANGE,
-    )
+    shard_map = chaos.shard_map
     if op_mix == "move":
         # Pathological placement: every shard but the first primaried on
         # one node.  The uniform stream keeps loads level, so the only
         # planned operations are placement moves.
-        crowded = cluster.nodes[1].name
+        crowded = chaos.cluster.nodes[1].name
         for shard in shard_map.shards[1:]:
             state = shard_map.state(shard.shard_id)
             assert state is not None
             shard_map.promote(shard.shard_id, crowded, state)
-    detector = FailureDetector()
-    replicated = ReplicatedLog(dfs, name="orders")
-    wal = WriteAheadLog(platform, group_commit=1, replicator=replicated.on_flush)
-    metrics = MetricsRegistry()
-    executor = ShardedExecutor(
-        Router(shard_map),
-        injector,
-        detector=detector,
-        wal=wal,
-        replicated=replicated,
-        metrics=metrics,
-    )
-    oracle = SingleNodeOracle(columns, executor.update_value)
-    ctx = ExecutionContext(platform=platform)
     skew = SkewDetector(metrics, shard_map, threshold=1.25)
     planner = RebalancePlanner(shard_map, target_ratio=1.15)
     migrator = LiveMigrator(
-        shard_map, wal, injector, replicated=replicated
+        shard_map, chaos.wal, chaos.injector, replicated=chaos.replicated
     )
     rebalancer = Rebalancer(skew, planner, migrator)
 
@@ -321,36 +268,24 @@ def run_rebalance_chaos(
             row_count, interleave_count, seed + 7919, hot_fraction
         )
     )
-    matched = mismatched = data_lost = 0
-
-    def run_verified(query: QuerySpec) -> None:
-        """Execute one query with surfaced-fault retries; byte-compare."""
-        nonlocal matched, mismatched, data_lost
-        expected = encode_answer(oracle.answer(query))
-        result = None
-        for attempt in range(MAX_SURFACED_RETRIES + 1):
-            try:
-                result = executor.run(query, ctx)
-                break
-            except ReproError as error:
-                if getattr(error, "injected", False):
-                    injector.report.record_surfaced()
-                else:
-                    data_lost += 1
-                _repair(executor, ctx)
-                if attempt == MAX_SURFACED_RETRIES:
-                    raise
-        assert result is not None
-        if result.encoded() == expected:
-            matched += 1
-        else:
-            mismatched += 1
 
     def interleave() -> None:
         """Two live queries between one migration's copy and cutover."""
         for _ in range(2):
             if pool:
-                run_verified(pool.pop(0))
+                chaos.run_verified(pool.pop(0))
+
+    def rebalance_round(attempt: int) -> RebalanceRound:
+        """One round planned from this batch's window.
+
+        A retry re-windows — the aborted round may have committed a
+        prefix of its plan — but only a retry: a snapshot advances the
+        window baseline.
+        """
+        report = window if attempt == 0 else skew.snapshot()
+        return rebalancer.rebalance_once(
+            chaos.ctx, report=report, interleave=interleave
+        )
 
     batches = rebalance_rounds + 1
     batch_size = max(1, query_count // batches)
@@ -364,38 +299,22 @@ def run_rebalance_chaos(
             else cursor + batch_size
         )
         for query in stream[cursor:upper]:
-            run_verified(query)
+            chaos.run_verified(query)
         cursor = upper
         window = skew.snapshot()
         if round_index == 0:
             ratio_before = window.ratio
         ratio_after = window.ratio
         if round_index < rebalance_rounds:
-            for attempt in range(MAX_SURFACED_RETRIES + 1):
-                try:
-                    outcome = rebalancer.rebalance_once(
-                        ctx, report=window, interleave=interleave
-                    )
-                    committed += outcome.committed
-                    aborted += outcome.aborted
-                    break
-                except ReproError as error:
-                    if getattr(error, "injected", False):
-                        injector.report.record_surfaced()
-                    else:
-                        data_lost += 1
-                    _repair(executor, ctx)
-                    if attempt == MAX_SURFACED_RETRIES:
-                        raise
-                    # Re-window: the aborted round may have committed a
-                    # prefix of its plan before the surfaced fault.
-                    window = skew.snapshot()
+            outcome = chaos.retry(rebalance_round)
+            committed += outcome.committed
+            aborted += outcome.aborted
 
     if measure_count:
         for query in build_skewed_stream(
             row_count, measure_count, seed + 104_729, hot_fraction
         ):
-            run_verified(query)
+            chaos.run_verified(query)
         ratio_after = skew.snapshot().ratio
 
     # Closing zero-loss / zero-duplication proof: full-table answers
@@ -409,10 +328,10 @@ def run_rebalance_chaos(
             tuple(range(row_count)),
         ),
     )
-    final_before = mismatched
+    final_before = chaos.mismatched
     for query in final_queries:
-        run_verified(query)
-    final_checks_ok = mismatched == final_before
+        chaos.run_verified(query)
+    final_checks_ok = chaos.mismatched == final_before
 
     return RebalanceRunResult(
         seed=seed,
@@ -422,19 +341,161 @@ def run_rebalance_chaos(
         fault_rate=fault_rate,
         op_mix=op_mix,
         sites=tuple(sites),
-        queries=matched + mismatched,
-        matched=matched,
-        mismatched=mismatched,
-        data_lost=data_lost,
         ratio_before=ratio_before,
         ratio_after=ratio_after,
         epoch=shard_map.epoch,
         committed=committed,
         aborted=aborted,
-        cycles=ctx.counters.cycles,
         rebalance_cycles=migrator.stats.cycles,
-        resilience=injector.report.snapshot(),
         migrator=migrator.stats.snapshot(),
-        accounting_ok=injector.report.unaccounted == 0,
         final_checks_ok=final_checks_ok,
+        **chaos.tallies(),
+    )
+
+
+def _cell(
+    seed: int, fault_rate: float, op_mix: str, sites: list[str], smoke: bool
+) -> dict[str, Any]:
+    """One matrix cell: two identical runs, all gates."""
+    from repro.verify import run_twice
+
+    first, deterministic = run_twice(
+        run_rebalance_chaos,
+        seed=seed,
+        fault_rate=fault_rate,
+        op_mix=op_mix,
+        sites=tuple(sites),
+        query_count=24 if smoke else 48,
+        row_count=512 if smoke else 2048,
+        interleave_count=24 if smoke else 48,
+    )
+    problems: list[str] = []
+    if first.mismatched:
+        problems.append(f"{first.mismatched} answers diverged from the oracle")
+    if not first.final_checks_ok:
+        problems.append("full-table zero-loss checks failed")
+    if not first.accounting_ok:
+        problems.append("fault accounting does not balance")
+    if not deterministic:
+        problems.append("identical runs produced different records")
+    if first.data_lost:
+        problems.append(f"data lost {first.data_lost}x at replication 2")
+    return {
+        **first.to_dict(),
+        "deterministic": deterministic,
+        "problems": problems,
+    }
+
+
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """The ``rebalance`` plane: chaos matrix plus the balance bench.
+
+    1. **Verification matrix** — seeds × fault rates × operation mixes,
+       with *sites* armed in every cell.  Each cell runs twice and must
+       be deterministic, byte-identical to the single-node oracle
+       (including the closing full-table zero-loss checks) and
+       balanced in its fault account.  Across the matrix every
+       selected site must have fired at least once (the coverage gate
+       — a chaos harness whose faults never fire gates nothing).
+    2. **Balance bench** — one unfaulted skewed run per seed: the
+       max/mean shard-load ratio must come down to <=
+       :data:`GATE_RATIO_AFTER` from a >= :data:`GATE_RATIO_BEFORE`
+       start, with the migration cycles charged and reported.
+    """
+    mixes = ["split"] if smoke else sorted(OP_MIXES)
+    rates = (0.0, 0.25) if smoke else FAULT_RATES
+    failures = 0
+    cells = []
+    injected_by_site: dict[str, float] = {site: 0.0 for site in sites}
+    for seed in seeds:
+        for fault_rate in rates:
+            for op_mix in mixes:
+                cell = _cell(seed, fault_rate, op_mix, sites, smoke)
+                failures += 1 if cell["problems"] else 0
+                cells.append(cell)
+                resilience = cell["resilience"]
+                for site in injected_by_site:
+                    injected_by_site[site] += resilience.get(
+                        f"injected[{site}]", 0
+                    )
+                logger.info(
+                    "seed=%3d rate=%.2f mix=%-5s epoch=%2d committed=%2d "
+                    "aborted=%2d injected=%4.0f matched=%d/%d det=%-5s %s",
+                    seed, fault_rate, op_mix, cell["epoch"],
+                    cell["committed"], cell["aborted"],
+                    resilience.get("injected", 0), cell["matched"],
+                    cell["queries"], cell["deterministic"],
+                    "FAIL: " + "; ".join(cell["problems"])
+                    if cell["problems"]
+                    else "ok",
+                )
+    coverage_gaps = [
+        site for site, count in injected_by_site.items() if count == 0
+    ]
+    if coverage_gaps:
+        failures += 1
+        logger.info(
+            "coverage FAIL: sites never fired: %s", ", ".join(coverage_gaps)
+        )
+
+    bench = []
+    for seed in seeds:
+        # The balance bench always runs at full size with wide windows:
+        # the smoke sizing (512 rows, 6-query windows) leaves per-shard
+        # load counts too sparsely sampled to measure a ratio against a
+        # 1.25 gate, and narrow *planning* windows can bait the planner
+        # into merging two healthy shards that merely sampled cold.
+        result = run_rebalance_chaos(
+            seed=seed,
+            fault_rate=0.0,
+            op_mix="split",
+            query_count=144,
+            measure_count=192,
+        )
+        ok = (
+            result.ok
+            and result.ratio_before >= GATE_RATIO_BEFORE
+            and result.ratio_after <= GATE_RATIO_AFTER
+        )
+        failures += 0 if ok else 1
+        entry = result.to_dict()
+        entry["gate"] = {
+            "ratio_before_min": GATE_RATIO_BEFORE,
+            "ratio_after_max": GATE_RATIO_AFTER,
+            "passed": ok,
+        }
+        bench.append(entry)
+        share = (
+            result.rebalance_cycles / result.cycles if result.cycles else 0.0
+        )
+        logger.info(
+            "bench seed=%3d ratio %.2f -> %.2f over %d epochs "
+            "(migration cycles %6.1f%% of total) %s",
+            seed, result.ratio_before, result.ratio_after, result.epoch,
+            share * 100, "ok" if ok else "FAIL",
+        )
+
+    metrics = {"failures": float(failures)}
+    tolerances: dict[str, dict[str, Any]] = {
+        "failures": {"rel": 0.0, "direction": "lower_better"},
+    }
+    for entry in bench:
+        name = f"ratio_after.s{entry['seed']}"
+        metrics[name] = float(entry["ratio_after"])
+        tolerances[name] = {"rel": 0.10, "direction": "lower_better"}
+    return make_bench_record(
+        "rebalance",
+        ok=failures == 0,
+        metrics=metrics,
+        tolerances=tolerances,
+        smoke=smoke,
+        seeds=seeds,
+        sites=sites,
+        fault_rates=list(rates),
+        op_mixes=mixes,
+        failures=failures,
+        matrix=cells,
+        # "bench" is the envelope's harness-name key, so the balance
+        # bench cells land under "balance_bench".
+        balance_bench=bench,
     )

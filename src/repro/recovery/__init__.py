@@ -18,9 +18,8 @@ cycle-charged and deterministic:
   ES²-style engines;
 * :mod:`repro.recovery.verifier` — the crash/recover harness: seeded
   HTAP workload, injector-chosen crash, recovery, committed-prefix
-  oracle comparison, resilience accounting.  ``python -m
-  repro.recovery`` runs it across the CI seed/site matrix and writes
-  ``BENCH_recovery.json``.
+  oracle comparison, resilience accounting.  ``python -m repro.verify
+  recovery`` runs it across the CI seed/site matrix.
 
 See ``docs/RECOVERY.md`` for the log format, the checkpoint protocol
 and the recovery invariants.

@@ -34,13 +34,16 @@ their ordinary read path and the value streams must match exactly.
 (Physical bytes may differ — L-Store's recovered tail chain is not the
 crashed run's tail chain — but the paper's Table 1 durability claims
 are about logical state, and so is the oracle.)
+
+:func:`verify` is the ``recovery`` plane of ``python -m repro.verify``:
+one crash/recover cycle per (seed, crash site).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import EngineCrashed, ReorganizationAborted
 from repro.execution.context import ExecutionContext
@@ -52,6 +55,8 @@ from repro.faults.injector import (
     FaultInjector,
 )
 from repro.hardware.platform import Platform
+from repro.obs.bench import make_bench_record
+from repro.obs.logging import get_logger
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.wal import LogRecordKind, WriteAheadLog
@@ -63,11 +68,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CRASH_SITES",
+    "SITES",
     "CrashRecoveryResult",
     "run_durable_stream",
     "run_crash_recover",
     "state_digest",
+    "verify",
 ]
+
+logger = get_logger(__name__)
 
 #: Harness keys -> (fault site, per-check probability).  Probabilities
 #: are tuned to the per-site check density so one fault fires well
@@ -79,6 +88,10 @@ CRASH_SITES: dict[str, tuple[str, float]] = {
     "post-commit": (SITE_CRASH_POST_COMMIT, 0.35),
     "during-reorg": (SITE_CRASH_REORG, 0.02),
 }
+
+#: The crash-site keys ``python -m repro.verify recovery --sites`` may
+#: name.
+SITES: tuple[str, ...] = tuple(sorted(CRASH_SITES))
 
 #: The relation every harness run drives.
 RELATION = "item"
@@ -120,7 +133,7 @@ class CrashRecoveryResult:
     resilience: dict[str, float]
 
     def to_dict(self) -> dict:
-        """JSON-ready form (the CLI's BENCH_recovery.json rows)."""
+        """JSON-ready form (the BENCH_recovery.json rows)."""
         return asdict(self)
 
 
@@ -351,4 +364,54 @@ def run_crash_recover(
         state_matches=state_matches,
         unaccounted_faults=report.unaccounted,
         resilience=report.snapshot(),
+    )
+
+
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """The ``recovery`` plane: one crash/recover cycle per (seed, site).
+
+    Each cell must crash, recover to exactly the committed-prefix
+    oracle's state, and leave no injected fault unaccounted.  Smoke
+    shrinks the table but keeps the full query stream: the crash sites
+    fire probabilistically per query, so cutting the stream would leave
+    some cells with no crash at all.
+    """
+    sizing = dict(rows=200) if smoke else {}
+    cells = []
+    failures = 0
+    for seed in seeds:
+        for site in sites:
+            result = run_crash_recover(seed, site, **sizing)
+            ok = result.crashed and result.state_matches and (
+                result.unaccounted_faults == 0
+            )
+            failures += 0 if ok else 1
+            cells.append(result.to_dict())
+            logger.info(
+                "seed=%3d site=%-13s crashed=%-5s match=%-5s replayed=%3d "
+                "recovery_cycles=%s %s",
+                seed, site, result.crashed, result.state_matches,
+                result.replayed_txns, f"{result.recovery_cycles:,.0f}",
+                "ok" if ok else "FAIL",
+            )
+    return make_bench_record(
+        "recovery",
+        ok=failures == 0,
+        metrics={
+            "failures": float(failures),
+            "replayed_txns": float(sum(cell["replayed_txns"] for cell in cells)),
+            "recovery_cycles": float(
+                sum(cell["recovery_cycles"] for cell in cells)
+            ),
+        },
+        tolerances={
+            "failures": {"rel": 0.0, "direction": "lower_better"},
+            "replayed_txns": {"rel": 0.10, "direction": "two_sided"},
+            "recovery_cycles": {"rel": 0.10, "direction": "lower_better"},
+        },
+        smoke=smoke,
+        seeds=seeds,
+        sites=sites,
+        failures=failures,
+        runs=cells,
     )

@@ -17,9 +17,9 @@ streams concurrently — on the simulated cycle timeline:
   together with per-query :class:`~repro.execution.CounterScope`
   accounting, write barriers for serial equivalence, and the
   rebalancer cadence trigger;
-* :mod:`repro.serving.verifier` — the gates ``python -m repro.serving``
-  runs (byte identity, >=2x batched throughput, bounded p99/p50,
-  exactly-once attribution).
+* :mod:`repro.serving.verifier` — the gates ``python -m repro.verify
+  serving`` runs (byte identity, >=2x batched throughput, bounded
+  p99/p50, exactly-once attribution).
 """
 
 from repro.serving.admission import SITE_QUEUE_OVERFLOW, AdmissionQueue
@@ -45,7 +45,6 @@ from repro.serving.server import (
     ShardedBackend,
     ShedQuery,
 )
-from repro.serving.verifier import run_serving_verifier
 
 __all__ = [
     "ArrivalProcess",
@@ -68,5 +67,4 @@ __all__ = [
     "ExecutedQuery",
     "ShedQuery",
     "RebalanceTick",
-    "run_serving_verifier",
 ]

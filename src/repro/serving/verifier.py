@@ -22,8 +22,8 @@ four gates, each run per chaos seed:
   accounted for (``report.unaccounted == 0``).
 
 Every cell is a pure function of its seed; the determinism gate runs
-one cell twice and requires identical records.  ``python -m
-repro.serving`` drives this module and writes ``BENCH_serving.json``.
+one cell twice and requires identical records.  :func:`verify` is the
+``serving`` plane of ``python -m repro.verify``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from repro.hardware.platform import Platform
 from repro.layout.fragment import Fragment, Region
 from repro.layout.layout import Layout
 from repro.obs.bench import make_bench_record
+from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.admission import SITE_QUEUE_OVERFLOW, AdmissionQueue
 from repro.serving.arrivals import (
@@ -70,8 +71,10 @@ __all__ = [
     "serve_once",
     "replay_serial",
     "identity_mismatches",
-    "run_serving_verifier",
+    "verify",
 ]
+
+logger = get_logger(__name__)
 
 #: The throughput gate: batched dispatch must clear the saturation
 #: workload at at least this multiple of serial dispatch.
@@ -297,16 +300,15 @@ def _cell_fingerprint(outcome: ServingOutcome) -> list[tuple[Any, ...]]:
     return record
 
 
-def run_serving_verifier(
-    seeds: list[int] | None = None, smoke: bool = False
-) -> dict[str, Any]:
-    """Run every gate for every seed; returns the BENCH record.
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """The ``serving`` plane: every gate for every seed.
 
     The record's ``ok`` is the conjunction of all gates across all
     seeds; per-seed detail lands under ``seeds`` so a CI failure says
-    *which* gate on *which* seed moved.
+    *which* gate on *which* seed moved.  The plane declares no fault
+    sites (its ``serving.queue-overflow`` cell is fixed), so *sites* is
+    empty.
     """
-    seeds = seeds if seeds is not None else [5, 23, 101]
     row_count = 20_000 if smoke else 60_000
     tenant_count = 4
     horizon = 3_000_000.0 if smoke else 6_000_000.0
@@ -405,6 +407,14 @@ def run_serving_verifier(
             "chaos_injected": report.injected,
             "chaos_unaccounted": report.unaccounted,
         }
+        logger.info(
+            "seed %s: speedup=%.2fx tail=%.1f %s",
+            seed, speedup, bounded_stats["tail_ratio"],
+            " ".join(
+                f"{name}={'ok' if passed else 'FAIL'}"
+                for name, passed in gates.items()
+            ),
+        )
     metrics: dict[str, float] = {}
     tolerances: dict[str, dict[str, Any]] = {}
     for seed_key, cell in per_seed.items():

@@ -8,8 +8,8 @@ that keeps merged answers byte-identical to a single-node run while
 workers crash mid-query, responses drop, and links go slow.  See
 ``docs/DISTRIBUTED.md`` for the design and the failover state machine.
 
-``python -m repro.sharding`` runs the chaos verification matrix and
-the nodes × shards × fault-rate sweep (CI's ``chaos-distributed`` job).
+``python -m repro.verify distributed`` runs the chaos verification
+matrix and the nodes × shards × fault-rate sweep.
 """
 
 from repro.sharding.detector import FailureDetector

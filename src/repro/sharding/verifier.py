@@ -18,15 +18,16 @@ fault is recorded, crashed processes are restarted
 (:meth:`~repro.distributed.dfs.BlockStore.restore_node` — fail-stop
 retains disks), and the query is re-issued.
 
-``python -m repro.sharding`` runs this across a seed × fault-site
-matrix plus a nodes × shards × fault-rate sweep and writes
-``BENCH_distributed.json``.
+Sharding and rebalancing build the same stack and verify the same
+way, so :class:`ChaosRun` owns it once.  :func:`verify` is the
+``distributed`` plane of ``python -m repro.verify``: a seed × fault-site
+matrix plus a nodes × shards × fault-rate sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from repro.execution.context import ExecutionContext
 from repro.faults.chaos import MAX_SURFACED_RETRIES
 from repro.faults.injector import FaultInjector
 from repro.hardware.platform import Platform
+from repro.obs.bench import make_bench_record
+from repro.obs.logging import get_logger
+from repro.obs.metrics import MetricsRegistry
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import WriteAheadLog
 from repro.sharding.detector import FailureDetector
@@ -52,19 +56,37 @@ from repro.workload.queries import QueryShape, QuerySpec, random_positions
 
 __all__ = [
     "CHAOS_SITES",
+    "SITES",
     "build_columns",
     "build_query_stream",
     "encode_answer",
     "SingleNodeOracle",
     "ShardedRunResult",
+    "ChaosRun",
     "run_chaos",
+    "verify",
 ]
+
+T = TypeVar("T")
+
+logger = get_logger(__name__)
 
 #: The three fault sites this tier registers and exercises.
 CHAOS_SITES: tuple[str, ...] = (
     SITE_SHARD_NODE_CRASH,
     SITE_NET_DROP_RESPONSE,
     SITE_NET_SLOW_LINK,
+)
+
+#: The sites ``python -m repro.verify distributed --sites`` may name.
+SITES = CHAOS_SITES
+
+#: The scale sweep's (node_count, shard_count, fault_rate) grid.
+SWEEP_GRID: tuple[tuple[int, int, float], ...] = (
+    (3, 6, 0.02),
+    (4, 8, 0.05),
+    (5, 10, 0.05),
+    (5, 15, 0.10),
 )
 
 #: Positions touched by each point/position query of the stream.
@@ -211,39 +233,124 @@ class ShardedRunResult:
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-ready record for ``BENCH_distributed.json``."""
+        return {**asdict(self), "sites": list(self.sites), "ok": self.ok}
+
+
+class ChaosRun:
+    """One seeded sharded stack under chaos, verified query by query.
+
+    Owns what every sharded chaos experiment shares: the platform,
+    injector, cluster, DFS, :class:`~repro.sharding.placement.ShardMap`,
+    replicated WAL and executor; the :class:`SingleNodeOracle` twin;
+    the surfaced-fault retry loop (:meth:`retry`) with its
+    :meth:`repair`; and the per-query byte comparison
+    (:meth:`run_verified`), tallied in ``matched`` / ``mismatched`` /
+    ``data_lost``.  *metrics* reaches the executor's per-shard load
+    counters (the rebalancer's skew detector reads them).
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        node_count: int,
+        shard_count: int,
+        replication: int,
+        fault_rate: float,
+        sites: Sequence[str],
+        row_count: int,
+        scheme: ShardingScheme = ShardingScheme.RANGE,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        platform = Platform()
+        self.injector = FaultInjector(seed=seed)
+        self.injector.install(platform)
+        for site in sites:
+            self.injector.arm(site, fault_rate)
+        self.cluster = Cluster(node_count)
+        dfs = BlockStore(
+            self.cluster,
+            replication=replication,
+            block_size=64 * 1024,
+            injector=self.injector,
+        )
+        columns = build_columns(row_count)
+        self.shard_map = ShardMap(
+            "orders", columns, self.cluster, dfs, shard_count, scheme=scheme
+        )
+        self.replicated = ReplicatedLog(dfs, name="orders")
+        self.wal = WriteAheadLog(
+            platform, group_commit=1, replicator=self.replicated.on_flush
+        )
+        self.executor = ShardedExecutor(
+            Router(self.shard_map),
+            self.injector,
+            detector=FailureDetector(),
+            wal=self.wal,
+            replicated=self.replicated,
+            metrics=metrics,
+        )
+        self.oracle = SingleNodeOracle(columns, self.executor.update_value)
+        self.ctx = ExecutionContext(platform=platform)
+        self.matched = self.mismatched = self.data_lost = 0
+
+    def repair(self) -> None:
+        """Restart crashed processes and re-establish the replication target.
+
+        Fail-stop crashes retain disks, so a restart brings the node's
+        replicas straight back; shard serving states rebuild lazily on
+        the next access (DFS base + committed WAL replay).
+        """
+        dfs = self.executor.dfs
+        for node_name in dfs.down_nodes:
+            dfs.restore_node(node_name)
+            self.executor.detector.revive(node_name)
+        if dfs.under_replicated():
+            dfs.re_replicate(self.ctx.counters)
+
+    def retry(self, operation: Callable[[int], T]) -> T:
+        """``operation(attempt)`` until it returns, absorbing surfaced faults.
+
+        A surfaced error is recorded — as *surfaced* when injected, as
+        data loss otherwise — crashed processes are repaired, and the
+        operation is re-issued with the next attempt number; after
+        :data:`~repro.faults.chaos.MAX_SURFACED_RETRIES` re-issues the
+        error propagates.
+        """
+        attempt = 0
+        while True:
+            try:
+                return operation(attempt)
+            except ReproError as error:
+                if getattr(error, "injected", False):
+                    self.injector.report.record_surfaced()
+                else:
+                    self.data_lost += 1
+                self.repair()
+                if attempt == MAX_SURFACED_RETRIES:
+                    raise
+                attempt += 1
+
+    def run_verified(self, query: QuerySpec) -> None:
+        """Execute *query* with retries; byte-compare it to the oracle."""
+        expected = encode_answer(self.oracle.answer(query))
+        result = self.retry(lambda attempt: self.executor.run(query, self.ctx))
+        if result.encoded() == expected:
+            self.matched += 1
+        else:
+            self.mismatched += 1
+
+    def tallies(self) -> dict[str, Any]:
+        """The outcome fields every chaos result records."""
+        report = self.injector.report
         return {
-            "seed": self.seed,
-            "node_count": self.node_count,
-            "shard_count": self.shard_count,
-            "replication": self.replication,
-            "fault_rate": self.fault_rate,
-            "sites": list(self.sites),
-            "queries": self.queries,
+            "queries": self.matched + self.mismatched,
             "matched": self.matched,
             "mismatched": self.mismatched,
             "data_lost": self.data_lost,
-            "cycles": self.cycles,
-            "resilience": self.resilience,
-            "detector": self.detector,
-            "executor": self.executor,
-            "accounting_ok": self.accounting_ok,
-            "ok": self.ok,
+            "cycles": self.ctx.counters.cycles,
+            "resilience": report.snapshot(),
+            "accounting_ok": report.unaccounted == 0,
         }
-
-
-def _repair(executor: ShardedExecutor, ctx: ExecutionContext) -> None:
-    """Restart crashed processes and re-establish the replication target.
-
-    Fail-stop crashes retain disks, so a restart brings the node's
-    replicas straight back; shard serving states rebuild lazily on the
-    next access (DFS base + committed WAL replay).
-    """
-    dfs = executor.dfs
-    for node_name in dfs.down_nodes:
-        dfs.restore_node(node_name)
-        executor.detector.revive(node_name)
-    if dfs.under_replicated():
-        dfs.re_replicate(ctx.counters)
 
 
 def run_chaos(
@@ -266,58 +373,18 @@ def run_chaos(
     Every *repair_every* queries (and after every surfaced fault)
     crashed processes are restarted, keeping fault sites live across
     the whole stream.  The result is a pure function of the arguments
-    — the CLI's determinism gate runs each cell twice and requires
-    identical resilience tallies and cycle totals.
+    — the plane's determinism gate runs each cell twice and requires
+    identical records.
     """
-    platform = Platform()
-    injector = FaultInjector(seed=seed)
-    injector.install(platform)
-    for site in sites:
-        injector.arm(site, fault_rate)
-    cluster = Cluster(node_count)
-    dfs = BlockStore(
-        cluster, replication=replication, block_size=64 * 1024, injector=injector
+    chaos = ChaosRun(
+        seed, node_count, shard_count, replication, fault_rate, sites,
+        row_count, scheme=scheme,
     )
-    columns = build_columns(row_count)
-    shard_map = ShardMap(
-        "orders", columns, cluster, dfs, shard_count, scheme=scheme
-    )
-    detector = FailureDetector()
-    replicated = ReplicatedLog(dfs, name="orders")
-    wal = WriteAheadLog(platform, group_commit=1, replicator=replicated.on_flush)
-    executor = ShardedExecutor(
-        Router(shard_map),
-        injector,
-        detector=detector,
-        wal=wal,
-        replicated=replicated,
-    )
-    oracle = SingleNodeOracle(columns, executor.update_value)
-    ctx = ExecutionContext(platform=platform)
     queries = build_query_stream(row_count, query_count, seed)
-    matched = mismatched = data_lost = 0
     for index, query in enumerate(queries):
-        expected = encode_answer(oracle.answer(query))
-        result = None
-        for attempt in range(MAX_SURFACED_RETRIES + 1):
-            try:
-                result = executor.run(query, ctx)
-                break
-            except ReproError as error:
-                if getattr(error, "injected", False):
-                    injector.report.record_surfaced()
-                else:
-                    data_lost += 1
-                _repair(executor, ctx)
-                if attempt == MAX_SURFACED_RETRIES:
-                    raise
-        assert result is not None
-        if result.encoded() == expected:
-            matched += 1
-        else:
-            mismatched += 1
+        chaos.run_verified(query)
         if repair_every and (index + 1) % repair_every == 0:
-            _repair(executor, ctx)
+            chaos.repair()
     return ShardedRunResult(
         seed=seed,
         node_count=node_count,
@@ -325,13 +392,110 @@ def run_chaos(
         replication=replication,
         fault_rate=fault_rate,
         sites=tuple(sites),
-        queries=len(queries),
-        matched=matched,
-        mismatched=mismatched,
-        data_lost=data_lost,
-        cycles=ctx.counters.cycles,
-        resilience=injector.report.snapshot(),
-        detector=detector.snapshot(),
-        executor=executor.stats.snapshot(),
-        accounting_ok=injector.report.unaccounted == 0,
+        detector=chaos.executor.detector.snapshot(),
+        executor=chaos.executor.stats.snapshot(),
+        **chaos.tallies(),
+    )
+
+
+def _cell(seed: int, site: str, smoke: bool) -> dict[str, Any]:
+    """One matrix cell: two identical runs, all gates."""
+    from repro.verify import run_twice
+
+    first, deterministic = run_twice(
+        run_chaos,
+        seed=seed,
+        sites=(site,),
+        query_count=16 if smoke else 48,
+        row_count=512 if smoke else 2048,
+    )
+    problems: list[str] = []
+    if first.mismatched:
+        problems.append(f"{first.mismatched} answers diverged from the oracle")
+    if not first.accounting_ok:
+        problems.append("fault accounting does not balance")
+    if not deterministic:
+        problems.append("identical runs produced different records")
+    if first.data_lost:
+        problems.append(f"data lost {first.data_lost}x at replication 2")
+    return {
+        **first.to_dict(),
+        "deterministic": deterministic,
+        "problems": problems,
+    }
+
+
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """The ``distributed`` plane: seed × site matrix plus the scale sweep.
+
+    1. **Verification matrix** — each (seed, site) cell runs twice and
+       must be deterministic, byte-identical to the single-node oracle,
+       balanced in its fault account and lossless.
+    2. **Scale sweep** (skipped under *smoke*) — nodes × shards ×
+       fault-rate at replication 2 with every site armed, gating that
+       **zero** faults surface past the failover machinery.
+    """
+    failures = 0
+    cells = []
+    for seed in seeds:
+        for site in sites:
+            cell = _cell(seed, site, smoke)
+            failures += 1 if cell["problems"] else 0
+            cells.append(cell)
+            resilience = cell["resilience"]
+            logger.info(
+                "seed=%3d site=%-21s injected=%4.0f surfaced=%3.0f "
+                "matched=%d/%d det=%-5s %s",
+                seed, site, resilience.get("injected", 0),
+                resilience.get("surfaced", 0), cell["matched"],
+                cell["queries"], cell["deterministic"],
+                "FAIL: " + "; ".join(cell["problems"])
+                if cell["problems"]
+                else "ok",
+            )
+
+    sweep = []
+    if not smoke:
+        for node_count, shard_count, fault_rate in SWEEP_GRID:
+            result = run_chaos(
+                seed=seeds[0],
+                node_count=node_count,
+                shard_count=shard_count,
+                replication=2,
+                fault_rate=fault_rate,
+                sites=CHAOS_SITES,
+            )
+            surfaced = result.resilience.get("surfaced", 0)
+            ok = result.ok and surfaced == 0 and result.data_lost == 0
+            failures += 0 if ok else 1
+            sweep.append(result.to_dict())
+            logger.info(
+                "sweep nodes=%d shards=%2d rate=%.2f injected=%4.0f "
+                "surfaced=%3.0f failovers=%3d %s",
+                node_count, shard_count, fault_rate,
+                result.resilience.get("injected", 0), surfaced,
+                result.executor["failovers"], "ok" if ok else "FAIL",
+            )
+
+    return make_bench_record(
+        "distributed",
+        ok=failures == 0,
+        metrics={
+            "failures": float(failures),
+            "matrix_cycles": float(sum(cell["cycles"] for cell in cells)),
+            "injected": float(
+                sum(cell["resilience"].get("injected", 0) for cell in cells)
+            ),
+        },
+        tolerances={
+            "failures": {"rel": 0.0, "direction": "lower_better"},
+            "matrix_cycles": {"rel": 0.10, "direction": "lower_better"},
+            "injected": {"rel": 0.10, "direction": "two_sided"},
+        },
+        smoke=smoke,
+        seeds=seeds,
+        sites=sites,
+        failures=failures,
+        matrix=cells,
+        sweep=sweep,
     )

@@ -1,6 +1,6 @@
-"""Staging-cache benchmark CLI: ``python -m repro.staging``.
+"""The staging plane: ``python -m repro.verify staging``.
 
-Writes ``BENCH_staging.json`` — the staging layer's acceptance record:
+Builds the staging layer's acceptance record (``BENCH_staging.json``):
 
 * the A9 ablation grid (cache capacity x OLTP share, whole-stream
   milliseconds / hit rates / PCIe megabytes per cell);
@@ -13,30 +13,49 @@ Writes ``BENCH_staging.json`` — the staging layer's acceptance record:
   charge *exactly* the cycles the pre-cache code charged — transfer +
   kernel + result copy, compared with ``==``, not a tolerance.
 
-Both checks are asserted: the process exits non-zero when either
-fails, so CI's bench-smoke job gates on them.
+Both checks gate the record's ``ok``.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Sequence
+from typing import Any
 
-from repro.cli import verifier_parser
+from repro.bench.ablations import (
+    SWEEPS,
+    _materialized_column_store,
+    staging_cache_sweep,
+)
+from repro.bench.figure2 import build_column_store
+from repro.execution.context import ExecutionContext
+from repro.execution.device import device_sum_column
+from repro.execution.operators import materialize_rows, update_field
+from repro.hardware.event import PerfCounters
+from repro.hardware.platform import Platform
+from repro.obs.bench import make_bench_record
+from repro.obs.logging import get_logger
+from repro.workload.htap import HTAPMix
+from repro.workload.queries import QueryShape
+from repro.workload.tpcc import item_relation
 
-__all__ = ["main"]
+__all__ = ["verify"]
+
+logger = get_logger(__name__)
 
 
-def _warm_cold_record(row_count: int, warm_queries: int = 3) -> dict[str, Any]:
-    """Cold staging query vs. warm repeats of the same column sum."""
-    from repro.bench.figure2 import build_column_store
-    from repro.execution.context import ExecutionContext
-    from repro.execution.device import device_sum_column
-    from repro.hardware.platform import Platform
-    from repro.workload.tpcc import item_relation
+def _cold_warm_records(
+    row_count: int, warm_queries: int = 3
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """One cold device sum, then warm repeats; the two check sections.
 
+    The cold sum is measured once and reported in both sections.  The
+    pre-cache path charged, in order: one PCIe transfer of the column,
+    the two-pass reduction, one result copy.  The staging path on a
+    cold cache must reproduce that float for float — the burst of one
+    transfer is the same expression as the old single transfer.
+    """
     platform = Platform.paper_testbed()
-    store = build_column_store(platform, item_relation(row_count))
+    relation = item_relation(row_count)
+    store = build_column_store(platform, relation)
     cold_ctx = ExecutionContext(platform)
     device_sum_column(store, "i_price", cold_ctx, charge_transfer=True)
     warm_ctx = ExecutionContext(platform)
@@ -44,7 +63,13 @@ def _warm_cold_record(row_count: int, warm_queries: int = 3) -> dict[str, Any]:
         device_sum_column(store, "i_price", warm_ctx, charge_transfer=True)
     warm_per_query = warm_ctx.cycles / warm_queries
     ratio = cold_ctx.cycles / warm_per_query if warm_per_query else float("inf")
-    return {
+
+    width = relation.schema.attribute("i_price").width
+    legacy = PerfCounters()
+    platform.interconnect.transfer_cost(row_count * width, legacy)
+    platform.gpu.reduction_cost(row_count, width, legacy)
+    platform.interconnect.transfer_cost(width, legacy)
+    warm_cold = {
         "row_count": row_count,
         "cold_cycles": cold_ctx.cycles,
         "warm_cycles_per_query": warm_per_query,
@@ -52,40 +77,13 @@ def _warm_cold_record(row_count: int, warm_queries: int = 3) -> dict[str, Any]:
         "speedup": ratio,
         "passed": ratio >= 3.0 and warm_ctx.counters.staging_hits == warm_queries,
     }
-
-
-def _cold_identity_record(row_count: int) -> dict[str, Any]:
-    """One cold device sum vs. the legacy charge sequence, compared exactly.
-
-    The pre-cache path charged, in order: one PCIe transfer of the
-    column, the two-pass reduction, one result copy.  The staging path
-    on a cold cache must reproduce that float for float — the burst of
-    one transfer is the same expression as the old single transfer.
-    """
-    from repro.bench.figure2 import build_column_store
-    from repro.execution.context import ExecutionContext
-    from repro.execution.device import device_sum_column
-    from repro.hardware.event import PerfCounters
-    from repro.hardware.platform import Platform
-    from repro.workload.tpcc import item_relation
-
-    platform = Platform.paper_testbed()
-    relation = item_relation(row_count)
-    store = build_column_store(platform, relation)
-    width = relation.schema.attribute("i_price").width
-    ctx = ExecutionContext(platform)
-    device_sum_column(store, "i_price", ctx, charge_transfer=True)
-
-    legacy = PerfCounters()
-    platform.interconnect.transfer_cost(row_count * width, legacy)
-    platform.gpu.reduction_cost(row_count, width, legacy)
-    platform.interconnect.transfer_cost(width, legacy)
-    return {
+    identity = {
         "row_count": row_count,
-        "staging_cycles": ctx.cycles,
+        "staging_cycles": cold_ctx.cycles,
         "legacy_cycles": legacy.cycles,
-        "passed": ctx.cycles == legacy.cycles,
+        "passed": cold_ctx.cycles == legacy.cycles,
     }
+    return warm_cold, identity
 
 
 def _trajectory_record(
@@ -95,14 +93,6 @@ def _trajectory_record(
     oltp_fraction: float = 0.25,
 ) -> dict[str, Any]:
     """Per-query cumulative hit rate + cycles over one HTAP stream."""
-    from repro.bench.ablations import _materialized_column_store
-    from repro.execution.context import ExecutionContext
-    from repro.execution.device import device_sum_column
-    from repro.execution.operators import materialize_rows, update_field
-    from repro.hardware.platform import Platform
-    from repro.workload.htap import HTAPMix
-    from repro.workload.queries import QueryShape
-
     platform = Platform.paper_testbed()
     store = _materialized_column_store(platform, row_count)
     working_set = sum(
@@ -146,19 +136,13 @@ def _trajectory_record(
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run the staging grid + checks; write the record; 0 iff checks pass."""
-    from repro.bench.ablations import SWEEPS, staging_cache_sweep
+def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
+    """The ``staging`` plane: the grid, the trajectory and both checks.
 
-    parser = verifier_parser(
-        "python -m repro.staging",
-        "Benchmark the device staging cache and gate its invariants.",
-        default_seeds=None,
-        default_output="BENCH_staging.json",
-    )
-    options = parser.parse_args(argv)
-
-    if options.smoke:
+    The plane is seedless and declares no fault sites; *seeds* and
+    *sites* are unused.
+    """
+    if smoke:
         grid_kwargs = dict(SWEEPS["staging_cache"].smoke_kwargs)
         row_count = 200_000
         trajectory_queries = 16
@@ -168,28 +152,41 @@ def main(argv: Sequence[str] | None = None) -> int:
         trajectory_queries = 32
 
     points = staging_cache_sweep(**grid_kwargs)
-    warm_cold = _warm_cold_record(row_count)
-    identity = _cold_identity_record(row_count)
+    warm_cold, identity = _cold_warm_records(row_count)
     trajectory = _trajectory_record(
         grid_kwargs.get("row_count", 200_000), trajectory_queries
     )
-    from repro.obs.bench import make_bench_record
-
-    passed = warm_cold["passed"] and identity["passed"]
-    record = make_bench_record(
+    final = trajectory["queries"][-1]
+    logger.info(
+        "warm-vs-cold: %.1fx (%s)",
+        warm_cold["speedup"],
+        "ok" if warm_cold["passed"] else "FAILED: expected >= 3x",
+    )
+    logger.info(
+        "cold byte-identity: %s (staging %r vs legacy %r)",
+        "ok" if identity["passed"] else "FAILED",
+        identity["staging_cycles"],
+        identity["legacy_cycles"],
+    )
+    logger.info(
+        "trajectory: %d queries, final hit rate %.2f",
+        len(trajectory["queries"]),
+        final["cumulative_hit_rate"],
+    )
+    return make_bench_record(
         "staging",
-        ok=passed,
+        ok=warm_cold["passed"] and identity["passed"],
         metrics={
             "warm_cold_speedup": warm_cold["speedup"],
             "cold_cycles": warm_cold["cold_cycles"],
-            "final_hit_rate": trajectory["queries"][-1]["cumulative_hit_rate"],
+            "final_hit_rate": final["cumulative_hit_rate"],
         },
         tolerances={
             "warm_cold_speedup": {"rel": 0.15, "direction": "higher_better"},
             "cold_cycles": {"rel": 0.05, "direction": "lower_better"},
             "final_hit_rate": {"rel": 0.10, "direction": "higher_better"},
         },
-        smoke=options.smoke,
+        smoke=smoke,
         grid=[
             {"capacity_fraction": point.knob, **point.outcomes} for point in points
         ],
@@ -197,26 +194,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         warm_vs_cold=warm_cold,
         cold_byte_identity=identity,
     )
-    with open(options.output, "w", encoding="utf-8") as sink:
-        json.dump(record, sink, indent=2, sort_keys=True)
-
-    print(
-        f"warm-vs-cold: {warm_cold['speedup']:.1f}x "
-        f"({'ok' if warm_cold['passed'] else 'FAILED: expected >= 3x'})"
-    )
-    print(
-        "cold byte-identity: "
-        f"{'ok' if identity['passed'] else 'FAILED'} "
-        f"(staging {identity['staging_cycles']!r} vs "
-        f"legacy {identity['legacy_cycles']!r})"
-    )
-    final = trajectory["queries"][-1]
-    print(
-        f"trajectory: {len(trajectory['queries'])} queries, final hit rate "
-        f"{final['cumulative_hit_rate']:.2f}"
-    )
-    return 0 if passed else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI bench-smoke
-    raise SystemExit(main())

@@ -55,28 +55,26 @@ class TestBenchSchema:
             assert needle in problems
 
     def test_all_checked_in_writers_use_the_schema(self):
-        """Every BENCH_* writer in the tree assembles its record through
-        make_bench_record — grep-level pin that nothing regressed to an
-        ad-hoc dict."""
+        """One module writes records, and every plane it runs assembles
+        its record through make_bench_record — grep-level pin that
+        nothing regressed to an ad-hoc dict or a private writer."""
+        import importlib
+        import inspect
         import pathlib
+
+        from repro.verify import PLANES
 
         root = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
         writers = [
-            path
+            path.relative_to(root).as_posix()
             for path in root.rglob("*.py")
-            if "BENCH_" in path.read_text(encoding="utf-8")
-            and path.name in ("__main__.py", "sweeper.py", "verifier.py")
-            and "json.dump" in path.read_text(encoding="utf-8")
+            if "json.dump(" in path.read_text(encoding="utf-8")
+            and "BENCH_" in path.read_text(encoding="utf-8")
         ]
-        assert len(writers) >= 8
-        for path in writers:
-            # The record may be assembled in a sibling module (the
-            # serving CLI dumps what its verifier built).
-            package = "\n".join(
-                sibling.read_text(encoding="utf-8")
-                for sibling in path.parent.glob("*.py")
-            )
-            assert "make_bench_record" in package, path
+        assert writers == ["verify.py"]
+        for module_name in PLANES.values():
+            source = inspect.getsource(importlib.import_module(module_name))
+            assert "make_bench_record(" in source, module_name
 
 
 class TestCompareRecords:

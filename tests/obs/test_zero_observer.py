@@ -13,7 +13,7 @@ from repro.obs.tracer import Tracer, nesting_violations
 
 class TestWorkloadIdentity:
     def test_probe_workload_snapshots_are_byte_identical(self):
-        from repro.obs.__main__ import run_figure2_workload
+        from repro.obs.verifier import run_figure2_workload
 
         tracer = Tracer()
         traced = run_figure2_workload(rows=50_000, tracer=tracer)
@@ -26,7 +26,7 @@ class TestWorkloadIdentity:
         assert tracer.roots and tracer.events
 
     def test_probe_workload_covers_all_required_layers(self):
-        from repro.obs.__main__ import REQUIRED_SPAN_LAYERS, run_figure2_workload
+        from repro.obs.verifier import REQUIRED_SPAN_LAYERS, run_figure2_workload
 
         tracer = Tracer()
         run_figure2_workload(rows=50_000, tracer=tracer)
@@ -38,7 +38,7 @@ class TestWorkloadIdentity:
             assert nesting_violations(root) == []
 
     def test_untraced_run_records_nothing(self):
-        from repro.obs.__main__ import run_figure2_workload
+        from repro.obs.verifier import run_figure2_workload
         from repro.obs.tracer import default_tracer
 
         before = default_tracer()

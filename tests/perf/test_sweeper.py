@@ -1,5 +1,5 @@
 """Sweep-runner guarantees: determinism across worker counts, seeding,
-grid splitting, and the BENCH_sweeps.json CLI record."""
+grid splitting, and the BENCH_sweeps.json record."""
 
 import json
 import logging
@@ -9,7 +9,6 @@ import pytest
 from repro.bench.ablations import SWEEPS
 from repro.perf.sweeper import (
     SweepResult,
-    main,
     point_seed,
     run_sweep,
     run_sweeps,
@@ -98,28 +97,20 @@ class TestSweepRegistry:
 
 class TestCli:
     def test_smoke_run_writes_bench_record(self, tmp_path, caplog):
+        from repro.verify import main
+
         output = tmp_path / "BENCH_sweeps.json"
-        with caplog.at_level(logging.INFO, logger="repro.perf.sweeper"):
-            code = main(
-                [
-                    "--sweeps",
-                    SPLITTABLE,
-                    "--workers",
-                    "1",
-                    "--smoke",
-                    "--output",
-                    str(output),
-                ]
-            )
+        with caplog.at_level(logging.INFO, logger="repro"):
+            code = main(["sweeps", "--smoke", "--output", str(output)])
         assert code == 0
         record = json.loads(output.read_text())
-        assert record["smoke"] is True
-        assert SPLITTABLE in record["sweeps"]
+        assert record["bench"] == "sweeps" and record["smoke"] is True
+        assert sorted(record["sweeps"]) == sorted(SWEEPS)
         sweep = record["sweeps"][SPLITTABLE]
         assert sweep["wall_seconds"] > 0.0
         assert sweep["rows_per_second"] > 0.0
         # Progress goes through the structured logger, not print().
-        assert SPLITTABLE in caplog.text
+        assert f"{SPLITTABLE}: " in caplog.text
 
 
 def test_run_sweeps_preserves_registry_order():

@@ -57,3 +57,23 @@ class TestChaosRun:
         assert record["seed"] == 5
         assert record["resilience"] == result.resilience
         assert record["ok"] == result.ok
+
+
+class TestPlane:
+    def test_matrix_arms_only_the_selected_sites(self):
+        from repro.rebalance.migrator import SITE_NET_DROP_CATCHUP
+        from repro.rebalance.verifier import verify
+
+        record = verify([5], [SITE_NET_DROP_CATCHUP], smoke=True)
+        assert record["ok"] is True
+        assert record["sites"] == [SITE_NET_DROP_CATCHUP]
+        injected = {
+            key
+            for cell in record["matrix"]
+            for key in cell["resilience"]
+            if key.startswith("injected[")
+        }
+        assert injected == {f"injected[{SITE_NET_DROP_CATCHUP}]"}
+        assert all(
+            cell["sites"] == [SITE_NET_DROP_CATCHUP] for cell in record["matrix"]
+        )
