@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import types
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -67,3 +70,24 @@ def loaded_item_engine_factory(small_items):
         return engine, platform
 
     return build
+
+
+@pytest.fixture
+def fake_plane(monkeypatch):
+    """Register a cheap ``repro.verify`` plane that records its arguments."""
+    from repro import verify
+    from repro.obs.bench import make_bench_record
+
+    module = types.ModuleType("fake_plane")
+    module.SITES = ("a", "b")
+    module.ok = True
+    module.calls = []
+
+    def run(seeds, sites, smoke):
+        module.calls.append((seeds, sites, smoke))
+        return make_bench_record("fake", ok=module.ok, metrics={}, smoke=smoke)
+
+    module.verify = run
+    monkeypatch.setitem(sys.modules, "fake_plane", module)
+    monkeypatch.setitem(verify.PLANES, "fake", "fake_plane")
+    return module

@@ -1,74 +1,60 @@
-"""The shared verifier flag vocabulary (`repro.cli`)."""
+"""The flags of the one verification CLI, ``python -m repro.verify``."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cli import DEFAULT_SEEDS, parse_csv, parse_seeds, verifier_parser
+from repro import verify as cli
 
 
 class TestVerifierParser:
-    def test_defaults_match_the_ci_matrix(self):
-        parser = verifier_parser("prog", "desc", default_sites="a,b")
-        options = parser.parse_args([])
-        assert parse_seeds(options.seeds) == [5, 23, 101]
-        assert parse_csv(options.sites) == ["a", "b"]
-        assert options.output is None
-        assert options.smoke is False
+    def test_unknown_plane_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["no-such-plane"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
 
-    def test_all_flags_parse(self):
-        parser = verifier_parser("prog", "desc", default_sites="a")
-        options = parser.parse_args(
-            ["--seeds", "1,2", "--sites", "x,y", "--output", "o.json",
-             "--smoke"]
-        )
-        assert parse_seeds(options.seeds) == [1, 2]
-        assert parse_csv(options.sites) == ["x", "y"]
-        assert options.output == "o.json"
-        assert options.smoke is True
+    def test_defaults_match_the_ci_matrix(self, fake_plane):
+        assert cli.main(["fake"]) == 0
+        assert fake_plane.calls == [([5, 23, 101], ["a", "b"], False)]
 
-    def test_seedless_harness_omits_the_seeds_flag(self):
-        parser = verifier_parser("prog", "desc", default_seeds=None)
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--seeds", "1"])
+    def test_all_flags_parse(self, fake_plane, tmp_path):
+        output = tmp_path / "record.json"
+        argv = ["fake", "--seeds", "1,2", "--sites", "b", "--smoke",
+                "--output", str(output)]
+        assert cli.main(argv) == 0
+        assert fake_plane.calls == [([1, 2], ["b"], True)]
+        assert output.exists()
 
-    def test_siteless_harness_omits_the_sites_flag(self):
-        parser = verifier_parser("prog", "desc")
-        with pytest.raises(SystemExit):
-            parser.parse_args(["--sites", "x"])
+    def test_undeclared_site_exits_2_before_running(self, fake_plane, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fake", "--sites", "a,z"])
+        assert exit_info.value.code == 2
+        assert fake_plane.calls == []
+        assert "'z'" in capsys.readouterr().err
 
-    def test_default_output_is_wired(self):
-        parser = verifier_parser(
-            "prog", "desc", default_output="BENCH_x.json"
-        )
-        assert parser.parse_args([]).output == "BENCH_x.json"
+    def test_siteless_harness_omits_the_sites_flag(self, fake_plane, capsys):
+        """A plane that declares no ``SITES`` refuses ``--sites``."""
+        del fake_plane.SITES
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fake", "--sites", "a"])
+        assert exit_info.value.code == 2
+        assert fake_plane.calls == []
+        capsys.readouterr()
+
+    def test_malformed_seeds_exit_2(self, fake_plane, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["fake", "--seeds", "5,x"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
 
 
 class TestParsers:
-    def test_parse_csv_strips_and_drops_empties(self):
-        assert parse_csv("a, b ,,c,") == ["a", "b", "c"]
+    def test_parse_csv_strips_and_drops_empties(self, fake_plane):
+        argv = ["fake", "--seeds", " 1, 2 ,,", "--sites", "b , a,"]
+        assert cli.main(argv) == 0
+        assert fake_plane.calls == [([1, 2], ["b", "a"], False)]
 
-    def test_parse_seeds_decodes_integers(self):
-        assert parse_seeds(DEFAULT_SEEDS) == [5, 23, 101]
-
-
-class TestHarnessesShareTheVocabulary:
-    """Every verifier CLI builds its parser from repro.cli."""
-
-    @pytest.mark.parametrize(
-        "module_name",
-        [
-            "repro.sharding.__main__",
-            "repro.recovery.__main__",
-            "repro.fusion.__main__",
-            "repro.rebalance.__main__",
-            "repro.staging.__main__",
-            "repro.obs.__main__",
-            "repro.serving.__main__",
-        ],
-    )
-    def test_verifier_mains_import_the_shared_parser(self, module_name):
-        import importlib
-
-        module = importlib.import_module(module_name)
-        assert module.verifier_parser is verifier_parser
+    def test_parse_seeds_decodes_integers(self, fake_plane):
+        assert cli.main(["fake", "--seeds", "7,011"]) == 0
+        assert fake_plane.calls[0][0] == [7, 11]
