@@ -43,11 +43,6 @@ class LayoutProposal:
     groups: tuple[GroupProposal, ...]
     estimated_cycles: float
 
-    @property
-    def attribute_groups(self) -> list[tuple[str, ...]]:
-        """Just the vertical grouping (for partitioners)."""
-        return [group.attributes for group in self.groups]
-
 
 class LayoutAdvisor:
     """Cost-based layout selection from a candidate pool.

@@ -211,15 +211,6 @@ def _overlapped_staging(
     counters.bytes_transferred += staged_bytes
     counters.pcie_bytes += staged_bytes
     counters.transfers += n
-    metrics = getattr(platform, "metrics", None)
-    if metrics is not None:
-        metrics.record(
-            "pcie.bytes", float(staged_bytes), cycle=counters.cycles,
-            layer="pcie",
-        )
-        metrics.record(
-            "pcie.transfers", float(n), cycle=counters.cycles, layer="pcie"
-        )
     counters.overlapped_cycles += savings
     counters.device_cycles += sum(part for _, part, _ in kernel_parts)
     counters.kernel_launches += sum(launches for _, _, launches in kernel_parts)

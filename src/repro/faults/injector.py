@@ -264,37 +264,12 @@ class FaultInjector:
         self.report.record_injected(site)
         if counters is not None:
             counters.faults_injected += 1
-            tracer = getattr(self.platform, "tracer", None)
+            # ``platform`` stays None until install(); the instant event
+            # is purely observational and changes nothing.
+            tracer = self.platform.tracer if self.platform is not None else None
             if tracer is not None:
-                # Purely observational: the instant event reads the
-                # current cycle count and changes nothing.
                 tracer.instant(f"fault({site})", "fault", counters, site=site)
-            metrics = getattr(self.platform, "metrics", None)
-            if metrics is not None:
-                # The per-site injection-rate series.  Stamped at the
-                # charging scope's current cycle position, so window
-                # sums close against ``PerfCounters.faults_injected``.
-                metrics.record(
-                    "fault.injected", 1.0, cycle=counters.cycles, fault_site=site
-                )
         return True
-
-    def sample_outcome(
-        self, site: str, outcome: str, counters: "PerfCounters | None" = None
-    ) -> None:
-        """Emit a windowed ``fault.<outcome>`` sample for *site*.
-
-        Recovery paths call this next to their
-        ``report.record_<outcome>`` bookkeeping so per-site recovery
-        *rates* are observable over time, not just as end-of-run
-        totals.  Purely observational: no-op without an attached
-        windowed registry, charges nothing, draws no randomness.
-        """
-        metrics = getattr(self.platform, "metrics", None)
-        if metrics is None:
-            return
-        cycle = counters.cycles if counters is not None else 0.0
-        metrics.record(f"fault.{outcome}", 1.0, cycle=cycle, fault_site=site)
 
     def check(self, site: str, counters: "PerfCounters | None" = None) -> None:
         """Raise the site's error if the site fires (else do nothing).

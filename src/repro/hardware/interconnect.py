@@ -9,7 +9,7 @@ which platform wins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.hardware.event import Cycles, PerfCounters
@@ -59,17 +59,6 @@ class InterconnectModel:
         if nbytes == 0:
             return 0.0
         return self.latency_s + nbytes / self.bandwidth
-
-    def burst_seconds(self, sizes: "Sequence[int]") -> float:
-        """Wall time of a coalesced same-direction DMA burst.
-
-        The burst pays one setup latency for all its payloads, so
-        ``burst_seconds(sizes) == transfer_seconds(sum(sizes))`` — the
-        coalescing identity the transfer scheduler's cost algebra (and
-        its property tests) rest on: N payloads cost N bandwidth terms
-        plus a single latency term, exactly.
-        """
-        return self.transfer_seconds(sum(sizes))
 
     def transfer_cost(self, nbytes: int, counters: PerfCounters | None = None) -> Cycles:
         """Host-cycle cost of one host->device (or device->host) copy.

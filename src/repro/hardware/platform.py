@@ -72,20 +72,15 @@ class Platform:
         process-wide default from :func:`repro.obs.tracing` when one is
         active, else ``None`` (tracing off — every instrumentation hook
         is a no-op, the zero-observer-effect contract).  Assign a
-        :class:`~repro.obs.Tracer` directly to trace one platform.
-
-        The windowed metrics registry (``platform.metrics``) follows the
-        identical pattern via :func:`repro.obs.windowed_metrics`: ``None``
-        by default, in which case every time-series emission hook is a
-        no-op.
+        :class:`~repro.obs.Tracer` directly to trace one platform.  The
+        attribute always exists, so hooks read ``platform.tracer``
+        directly.
         """
-        from repro.obs.timeseries import default_metrics
         from repro.obs.tracer import default_tracer
         from repro.staging.manager import StagingManager
 
         self.staging = StagingManager(self)
         self.tracer = default_tracer()
-        self.metrics = default_metrics()
 
     @classmethod
     def paper_testbed(

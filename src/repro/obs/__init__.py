@@ -21,8 +21,10 @@ to its hot paths if it can *see* them.  Three cooperating pieces:
 
 The time-series plane builds on the same contract:
 :class:`~repro.obs.timeseries.WindowedRegistry` adds ring-buffer
-dimensional series sampled on the cycle timeline with tumbling/sliding
-window aggregation and a counter-closure exactness gate;
+dimensional series sampled on the cycle timeline (the serving loop's
+``serving.*`` events, and ``platform.*`` series derived from the
+counter deltas it settles) with tumbling/sliding window aggregation
+and a counter-closure exactness gate;
 :mod:`repro.obs.slo` evaluates declarative :class:`SloSpec` objectives
 with multi-window burn-rate alerting; and :mod:`repro.obs.bench` +
 :mod:`repro.obs.regress` define the unified ``BENCH_*.json`` schema and
@@ -58,9 +60,6 @@ from repro.obs.timeseries import (
     TimeSeries,
     WindowAggregate,
     WindowedRegistry,
-    default_metrics,
-    set_default_metrics,
-    windowed_metrics,
 )
 from repro.obs.tracer import (
     LAYER_FUSED,
@@ -89,9 +88,6 @@ __all__ = [
     "TimeSeries",
     "WindowAggregate",
     "WindowedRegistry",
-    "default_metrics",
-    "set_default_metrics",
-    "windowed_metrics",
     "SloSpec",
     "BurnRatePolicy",
     "SloEvaluator",

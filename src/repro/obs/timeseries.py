@@ -11,16 +11,22 @@ plane the workload autopilot (ROADMAP item 4) and the SLO layer
 
 **Label vocabulary.**  Series carry dimensional labels from a fixed
 vocabulary — :data:`LABEL_KEYS` = ``tenant``, ``shard``, ``layer``,
-``engine``, ``fault_site`` — so every emitter across serving, sharding,
-staging and faults speaks the same dimensions and window queries can
-filter on any subset of them.  Unknown label keys are a hard error:
-an open vocabulary would silently fragment series.
+``engine``, ``fault_site`` — so every emitter speaks the same
+dimensions and window queries can filter on any subset of them.
+Unknown label keys are a hard error: an open vocabulary would silently
+fragment series.
+
+**Feeds.**  The serving loop records its ``serving.*`` series, and
+:meth:`WindowedRegistry.observe_query` lands every settled counter
+delta in the ``platform.*`` series, one per
+:class:`~repro.hardware.event.PerfCounters` field, so staging hits,
+PCIe bytes and fault tallies are windowed from the counters their
+charge sites keep.
 
 **Zero observer effect.**  Recording a sample only ever *reads* the
-simulated clock; it never charges a cycle, never draws randomness, and
-every emitter guards on the platform carrying a windowed registry
-(``platform.metrics``), exactly like the tracer hooks.  The serving
-property test pins a windowed run byte-identical to an unobserved one.
+simulated clock; it never charges a cycle and never draws randomness.
+The serving property test pins a windowed run byte-identical to an
+unobserved one.
 
 **Window closure.**  Counter series keep an eviction-safe running
 ``total`` next to the ring, and tumbling windows partition the
@@ -34,24 +40,18 @@ discipline :class:`~repro.execution.context.CounterScope` enforces).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 from repro.hardware.event import Cycles, PerfCounters
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "LABEL_KEYS",
-    "COUNTER_SERIES",
     "PLATFORM_SERIES_PREFIX",
     "TimeSeries",
     "WindowAggregate",
     "aggregate_windows",
     "WindowedRegistry",
-    "default_metrics",
-    "set_default_metrics",
-    "windowed_metrics",
 ]
 
 #: The closed label vocabulary every series dimension must come from.
@@ -61,17 +61,6 @@ LABEL_KEYS = frozenset({"tenant", "shard", "layer", "engine", "fault_site"})
 #: bytes) summed over windows; a ``gauge`` sample is a point-in-time
 #: *level* (a latency, a rate) averaged / percentiled over windows.
 SERIES_KINDS = ("counter", "gauge")
-
-#: Event-sourced counter series whose run total must close exactly
-#: against the named :class:`~repro.hardware.event.PerfCounters` field
-#: whenever a windowed registry observed the whole run.
-COUNTER_SERIES = {
-    "staging.hits": "staging_hits",
-    "staging.misses": "staging_misses",
-    "pcie.bytes": "pcie_bytes",
-    "pcie.transfers": "transfers",
-    "fault.injected": "faults_injected",
-}
 
 #: Prefix of the per-field counter series :meth:`sample_counters` feeds.
 PLATFORM_SERIES_PREFIX = "platform."
@@ -260,9 +249,9 @@ class WindowedRegistry(MetricsRegistry):
     histograms, per-query aggregation); on top, :meth:`record` lands
     labeled samples on the simulated cycle timeline and
     :meth:`windows` aggregates them over tumbling or sliding cycle
-    windows.  Attach one to ``platform.metrics`` (directly or via
-    :func:`windowed_metrics`) and the serving loop, sharded executor,
-    staging manager and fault injector emit their series into it.
+    windows.  Pass one as the serving loop's registry and the loop
+    emits its ``serving.*`` series into it, while every delta it
+    observes lands in the ``platform.*`` series.
 
     Parameters
     ----------
@@ -410,13 +399,10 @@ class WindowedRegistry(MetricsRegistry):
     def verify_closure(self, totals: PerfCounters) -> list[str]:
         """Check every counter series closes; returns the problems.
 
-        Three families are gated:
+        Two families are gated:
 
         * every ``platform.<field>`` series' tumbling-window sum must
           equal both its running total and the *totals* field;
-        * every event-sourced series in :data:`COUNTER_SERIES` must
-          close against its mapped *totals* field (summed across all
-          label sets);
         * every other counter series' windows must close against its
           own running total (no sample lost, none double-counted).
 
@@ -457,12 +443,10 @@ class WindowedRegistry(MetricsRegistry):
                 )
         expected = totals.snapshot()
         for metric, total in sorted(by_metric.items()):
-            field_name = None
-            if metric.startswith(PLATFORM_SERIES_PREFIX):
-                field_name = metric[len(PLATFORM_SERIES_PREFIX) :]
-            elif metric in COUNTER_SERIES:
-                field_name = COUNTER_SERIES[metric]
-            if field_name is None or field_name not in expected:
+            if not metric.startswith(PLATFORM_SERIES_PREFIX):
+                continue
+            field_name = metric[len(PLATFORM_SERIES_PREFIX) :]
+            if field_name not in expected:
                 continue
             if abs(total - expected[field_name]) > 1e-6 * max(
                 1.0, abs(expected[field_name])
@@ -492,42 +476,3 @@ class WindowedRegistry(MetricsRegistry):
             for (_name, _key), series in sorted(self._series.items())
         ]
         return out
-
-
-# ----------------------------------------------------------------------
-# Process-wide default (mirrors repro.obs.tracer's default tracer)
-# ----------------------------------------------------------------------
-_DEFAULT_METRICS: WindowedRegistry | None = None
-
-
-def default_metrics() -> WindowedRegistry | None:
-    """The registry new platforms attach at construction (None = off)."""
-    return _DEFAULT_METRICS
-
-
-def set_default_metrics(
-    registry: WindowedRegistry | None,
-) -> WindowedRegistry | None:
-    """Install the process-wide default; returns the previous one."""
-    global _DEFAULT_METRICS
-    previous = _DEFAULT_METRICS
-    _DEFAULT_METRICS = registry
-    return previous
-
-
-@contextmanager
-def windowed_metrics(
-    registry: WindowedRegistry | None = None,
-) -> Iterator[WindowedRegistry]:
-    """Attach a windowed registry to every platform built inside.
-
-    Yields the active registry (a fresh one when not given) and
-    restores the previous default on exit — the same composition shape
-    as :func:`repro.obs.tracing`.
-    """
-    active = registry if registry is not None else WindowedRegistry()
-    previous = set_default_metrics(active)
-    try:
-        yield active
-    finally:
-        set_default_metrics(previous)

@@ -279,7 +279,10 @@ class ServingLoop:
         The batch policy.
     registry:
         Metrics sink; every unit's scope delta is observed here, and
-        per-query latency lands in ``serving.latency_cycles``.
+        per-query latency lands in ``serving.latency_cycles``.  A
+        :class:`~repro.obs.timeseries.WindowedRegistry` also receives
+        the ``serving.*`` series and, from each observed delta, the
+        ``platform.*`` series.
     rebalancer / rebalance_interval_cycles:
         Optional cadence-polled rebalance trigger loop; every interval
         of simulated time the loop runs one detect-plan-migrate round,
@@ -345,11 +348,6 @@ class ServingLoop:
                     if injected and injector is not None:
                         injector.report.record_recovered()
                         self.ctx.counters.fault_recoveries += 1
-                        injector.sample_outcome(
-                            "serving.queue-overflow",
-                            "recovered",
-                            self.ctx.counters,
-                        )
                     self._report.shed.append(
                         ShedQuery(arrival.seq, arrival.tenant, self.now, injected)
                     )

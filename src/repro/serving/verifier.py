@@ -184,13 +184,11 @@ def serve_once(
 
     Pass a :class:`~repro.obs.timeseries.WindowedRegistry` as
     *registry* to run the identical cell with the time-series plane
-    active (the zero-observer-effect gate runs the cell both ways);
-    when given, it is also attached as ``platform.metrics`` so the
-    staging/PCIe/fault emission hooks feed the same registry.
+    active (the zero-observer-effect gate runs the cell both ways): the
+    loop records its ``serving.*`` series there, and the ``platform.*``
+    series from every delta it settles.
     """
     platform = Platform.paper_testbed()
-    if registry is not None:
-        platform.metrics = registry
     injector: FaultInjector | None = None
     if overflow_rate > 0.0:
         injector = FaultInjector(seed=seed).arm(SITE_QUEUE_OVERFLOW, overflow_rate)

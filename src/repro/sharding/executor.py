@@ -60,7 +60,6 @@ from repro.faults.injector import FaultInjector, register_fault_site
 from repro.faults.policy import RetryPolicy
 from repro.hardware.event import Cycles
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import WindowedRegistry
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import WriteAheadLog
 from repro.sharding.detector import FailureDetector
@@ -211,9 +210,11 @@ class ShardedExecutor:
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`: when
         given, every served sub-query increments a per-shard
-        ``shard-load.<id>`` row counter — the load window the rebalance
-        skew detector consumes.  Recording is read-only with respect to
-        the simulation (never charges a cycle).
+        ``shard-load.<id>`` row counter — the one load signal the
+        rebalance skew detector reads, whatever the registry's type —
+        and observes its cycles in a ``shard-latency.<id>`` histogram.
+        Recording is read-only with respect to the simulation (never
+        charges a cycle).
     """
 
     def __init__(
@@ -299,15 +300,6 @@ class ShardedExecutor:
                     self.metrics.histogram(
                         f"{SHARD_LATENCY_METRIC}.{shard_id}"
                     ).observe(ctx.counters.cycles - before)
-                    if isinstance(self.metrics, WindowedRegistry):
-                        # The per-shard load window the skew detector's
-                        # windowed constructor consumes.
-                        self.metrics.record(
-                            "shard.load",
-                            float(task.row_count),
-                            cycle=ctx.counters.cycles,
-                            shard=str(shard_id),
-                        )
             value = self._merge(query, plan, partials, ctx)
         return ShardedResult(
             query=query, value=value, served_by=served_by, fanout=plan.fanout

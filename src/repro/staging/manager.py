@@ -106,48 +106,26 @@ class StagingManager:
     # Serving
     # ------------------------------------------------------------------
     def lookup(
-        self,
-        fragment: "Fragment",
-        attribute: str,
-        counters: PerfCounters | None = None,
+        self, fragment: "Fragment", attribute: str, counters: PerfCounters
     ) -> StagedColumn | None:
         """Hit/miss probe for one query: returns the replica or None.
 
         Tallies ``staging_hits`` / ``staging_misses`` into *counters*
-        (when given) and refreshes the entry's LRU position on a hit.
+        and refreshes the entry's LRU position on a hit.
         """
         entry = self.cache.lookup(fragment, attribute)
-        if counters is not None:
-            tracer = getattr(self.platform, "tracer", None)
-            metrics = getattr(self.platform, "metrics", None)
-            if entry is None:
-                counters.staging_misses += 1
-                if tracer is not None:
-                    tracer.instant(
-                        "staging-miss",
-                        "staging",
-                        counters,
-                        column=f"{fragment.label}.{attribute}",
-                    )
-                if metrics is not None:
-                    metrics.record(
-                        "staging.misses", 1.0, cycle=counters.cycles,
-                        layer="staging",
-                    )
-            else:
-                counters.staging_hits += 1
-                if tracer is not None:
-                    tracer.instant(
-                        "staging-hit",
-                        "staging",
-                        counters,
-                        column=f"{fragment.label}.{attribute}",
-                    )
-                if metrics is not None:
-                    metrics.record(
-                        "staging.hits", 1.0, cycle=counters.cycles,
-                        layer="staging",
-                    )
+        if entry is None:
+            counters.staging_misses += 1
+        else:
+            counters.staging_hits += 1
+        tracer = self.platform.tracer
+        if tracer is not None:
+            tracer.instant(
+                "staging-miss" if entry is None else "staging-hit",
+                "staging",
+                counters,
+                column=f"{fragment.label}.{attribute}",
+            )
         return entry
 
     def acquire(
@@ -226,9 +204,6 @@ class StagingManager:
                 self.cache.evict_lru()
                 self._trace_eviction(ctx.counters, reason="device-oom")
                 injector.report.record_recovered()
-                injector.sample_outcome(
-                    SITE_DEVICE_ALLOC, "recovered", ctx.counters
-                )
                 ctx.counters.fault_recoveries += 1
 
         if not self._make_room(total, device, ctx.counters):
@@ -279,9 +254,7 @@ class StagingManager:
             entries.append(entry)
         return entries
 
-    def _make_room(
-        self, nbytes: int, device, counters: PerfCounters | None = None
-    ) -> bool:
+    def _make_room(self, nbytes: int, device, counters: PerfCounters) -> bool:
         """Evict LRU replicas until *nbytes* more fit; False if impossible."""
         cap = self.capacity_bytes
 
@@ -293,12 +266,10 @@ class StagingManager:
             self._trace_eviction(counters, reason="capacity")
         return device.fits(nbytes) and not over_cap()
 
-    def _trace_eviction(
-        self, counters: PerfCounters | None, reason: str
-    ) -> None:
+    def _trace_eviction(self, counters: PerfCounters, reason: str) -> None:
         """Record one replica eviction as an instant trace event."""
-        tracer = getattr(self.platform, "tracer", None)
-        if tracer is not None and counters is not None:
+        tracer = self.platform.tracer
+        if tracer is not None:
             tracer.instant("staging-evict", "staging", counters, reason=reason)
 
     # ------------------------------------------------------------------

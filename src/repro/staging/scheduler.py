@@ -66,11 +66,6 @@ class TransferScheduler:
         """
         return self._platform.interconnect.transfer_cost(nbytes)
 
-    def predicted_burst_cost(self, sizes: Sequence[int]) -> Cycles:
-        """Host-cycle cost of a coalesced burst, side-effect-free."""
-        interconnect = self._platform.interconnect
-        return interconnect.burst_seconds(sizes) * interconnect.host_frequency_hz
-
     # ------------------------------------------------------------------
     # Accounted transfers
     # ------------------------------------------------------------------
@@ -109,7 +104,7 @@ class TransferScheduler:
             # timeline — a retried burst therefore shows up once per
             # attempt, exactly like its cycles.  Tracing reads the
             # counters but never charges them (zero observer effect).
-            tracer = getattr(self._platform, "tracer", None)
+            tracer = self._platform.tracer
             span = (
                 tracer.begin(
                     "pcie-burst", "pcie", counters, bytes=total, chunks=len(sizes)
@@ -132,19 +127,6 @@ class TransferScheduler:
             counters.bytes_transferred += total
             counters.pcie_bytes += total
             counters.transfers += 1
-            metrics = getattr(self._platform, "metrics", None)
-            if metrics is not None:
-                # PCIe-utilization series, stamped after the burst
-                # survived so the window sums close against the
-                # ``pcie_bytes`` / ``transfers`` tallies exactly.
-                metrics.record(
-                    "pcie.bytes", float(total), cycle=counters.cycles,
-                    layer="pcie",
-                )
-                metrics.record(
-                    "pcie.transfers", 1.0, cycle=counters.cycles,
-                    layer="pcie",
-                )
         return cost
 
     # ------------------------------------------------------------------

@@ -5,13 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.event import PerfCounters
 from repro.obs.timeseries import (
-    COUNTER_SERIES,
     LABEL_KEYS,
     TimeSeries,
     WindowedRegistry,
     aggregate_windows,
-    default_metrics,
-    windowed_metrics,
 )
 
 
@@ -149,17 +146,6 @@ class TestClosure:
         problems = registry.verify_closure(totals)
         assert any("platform.pcie_bytes" in problem for problem in problems)
 
-    def test_event_sourced_series_close_via_counter_series_map(self):
-        registry = WindowedRegistry()
-        totals = PerfCounters(staging_hits=2, staging_misses=1, faults_injected=1)
-        registry.record("staging.hits", 1.0, cycle=10.0, layer="staging")
-        registry.record("staging.hits", 1.0, cycle=20.0, layer="staging")
-        registry.record("staging.misses", 1.0, cycle=5.0, layer="staging")
-        registry.record("fault.injected", 1.0, cycle=30.0, fault_site="x.y")
-        assert registry.verify_closure(totals) == []
-        totals.staging_hits += 1
-        assert registry.verify_closure(totals) != []
-
     def test_eviction_breaks_the_gate(self):
         registry = WindowedRegistry(ring_capacity=2)
         totals = PerfCounters(faults_injected=3)
@@ -167,10 +153,6 @@ class TestClosure:
             registry.record("fault.injected", 1.0, cycle=cycle)
         problems = registry.verify_closure(totals)
         assert any("ring evicted" in problem for problem in problems)
-
-    def test_counter_series_map_names_real_fields(self):
-        field_names = set(PerfCounters().snapshot())
-        assert set(COUNTER_SERIES.values()) <= field_names
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -215,15 +197,3 @@ class TestObserveQuery:
         (series,) = registry.matching("platform.pcie_bytes")
         assert series.samples() == [(500.0, 256.0)]
         assert registry.verify_closure(counters) == []
-
-
-class TestDefaultRegistry:
-    def test_windowed_metrics_installs_and_restores(self):
-        assert default_metrics() is None
-        with windowed_metrics() as registry:
-            assert default_metrics() is registry
-            from repro.hardware.platform import Platform
-
-            platform = Platform.paper_testbed()
-            assert platform.metrics is registry
-        assert default_metrics() is None

@@ -1,10 +1,10 @@
 """The time-series plane must not perturb a serving run byte-for-byte.
 
-The windowed registry hooks in the serving loop, staging manager,
-transfer scheduler and fault injector only ever *read* the simulated
-clock — they never charge a cycle and never draw randomness.  These
-tests run identical serving cells with the plane on and off and compare
-the full observable behaviour: answers, makespan, and every counter.
+The serving loop's windowed series and the ``platform.*`` series it
+derives from settled counters only ever *read* the simulated clock —
+they never charge a cycle and never draw randomness.  These tests run
+identical serving cells with the plane on and off and compare the full
+observable behaviour: answers, makespan, and every counter.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st

@@ -96,18 +96,18 @@ class TestCosts:
         assert executor.stats.failovers == 0
 
     def test_per_shard_metrics_and_cluster_latency(self, harness, platform):
-        from repro.obs.timeseries import WindowedRegistry
+        from repro.obs.metrics import MetricsRegistry
         from repro.sharding.executor import (
             SHARD_LATENCY_METRIC,
             SHARD_LOAD_METRIC,
         )
 
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         executor = harness(seed=3, metrics=registry)
         ctx = ExecutionContext(platform)
         executor.run(QuerySpec(QueryShape.FULL_SUM, "orders", ("v",)), ctx)
         shard_count = executor.shard_map.shard_count
-        # Legacy per-shard counters and latency histograms, one each.
+        # Per-shard load counters and latency histograms, one each.
         loads = [
             registry.counter(f"{SHARD_LOAD_METRIC}.{sid}").value
             for sid in range(shard_count)
@@ -118,9 +118,6 @@ class TestCosts:
         cluster = registry.merged_histogram(SHARD_LATENCY_METRIC, "cluster")
         assert len(cluster.values) == shard_count
         assert cluster.summary()["total"] > 0
-        # The dimensional series carries the same per-shard loads.
-        for sid in range(shard_count):
-            assert registry.total("shard.load", shard=str(sid)) == loads[sid]
 
     def test_fault_free_runs_are_cycle_deterministic(self, harness, platform):
         query = QuerySpec(QueryShape.FULL_SUM, "orders", ("v",))
