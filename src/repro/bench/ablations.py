@@ -137,7 +137,7 @@ def pcie_crossover_sweep(
         host = ExecutionContext(platform, threading=MULTI_THREADED_8)
         device = ExecutionContext(platform)
         sum_column(store, "i_price", host)
-        device_sum_column(store, "i_price", device, charge_transfer=True)
+        device_sum_column(store, "i_price", device)
         points.append(
             SweepPoint(
                 knob=bandwidth,
@@ -199,9 +199,7 @@ def fault_probability_sweep(
                 [
                     FallbackStep(
                         "device",
-                        lambda: device_sum_column(
-                            store, "i_price", device_ctx, charge_transfer=True
-                        ),
+                        lambda: device_sum_column(store, "i_price", device_ctx),
                     ),
                     FallbackStep(
                         "host", lambda: sum_column(store, "i_price", device_ctx)
@@ -551,9 +549,7 @@ def machine_era_sweep(row_count: int = 20_000_000) -> list[SweepPoint]:
             ),
             (
                 "device_transfer",
-                lambda ctx: device_sum_column(
-                    column_store, "i_price", ctx, charge_transfer=True
-                ),
+                lambda ctx: device_sum_column(column_store, "i_price", ctx),
             ),
         ):
             threading = multi if label in ("row", "col") else SINGLE_THREADED
@@ -631,9 +627,7 @@ def staging_cache_sweep(
             ctx = ExecutionContext(platform)
             for spec in mix.queries(queries):
                 if spec.shape is QueryShape.FULL_SUM:
-                    device_sum_column(
-                        store, spec.attributes[0], ctx, charge_transfer=True
-                    )
+                    device_sum_column(store, spec.attributes[0], ctx)
                 elif spec.shape is QueryShape.POINT_UPDATE:
                     position = spec.positions[0]
                     update_field(

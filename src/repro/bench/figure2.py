@@ -238,7 +238,7 @@ def panel3_sum_all_transfer_included(
         platform = Platform.paper_testbed()
         store = build_column_store(platform, relation)  # host-resident
         ctx = ExecutionContext(platform)
-        device_sum_column(store, "i_price", ctx, charge_transfer=True)
+        device_sum_column(store, "i_price", ctx)
         device_points.append(SeriesPoint(rows, ctx.cycles, ctx.seconds() * 1e3))
     series = dict(result.series)
     series["column-store / device"] = tuple(device_points)

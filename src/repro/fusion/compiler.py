@@ -2,17 +2,17 @@
 
 ``compile_pipeline`` validates a declarative spec against the fusable
 grammar once, up front, and freezes it into a :class:`FusedPipeline` —
-an immutable plan that knows its referenced attributes and carries the
-four executors:
+an immutable plan that knows its referenced attributes.  The four
+executors take the plan as their first argument:
 
-* :meth:`FusedPipeline.run_host` — ONE layout traversal, no
-  intermediate position list (:mod:`repro.fusion.host`);
-* :meth:`FusedPipeline.run_device` — ONE fused kernel launch, operands
-  staged in one burst (:mod:`repro.fusion.device`);
-* :meth:`FusedPipeline.run_unfused_host` /
-  :meth:`FusedPipeline.run_unfused_device` — the materializing operator
-  chains (:mod:`repro.fusion.oracle`), kept as the always-on
-  byte-identical correctness oracle.
+* :func:`~repro.fusion.host.run_fused_host` — ONE layout traversal, no
+  intermediate position list;
+* :func:`~repro.fusion.device.run_fused_device` — ONE fused kernel
+  launch, operands staged in one burst;
+* :func:`~repro.fusion.oracle.run_unfused_host` /
+  :func:`~repro.fusion.oracle.run_unfused_device` — the materializing
+  operator chains, kept as the always-on byte-identical correctness
+  oracle.
 
 Anything outside the grammar raises
 :class:`~repro.errors.UnsupportedPipelineError` here, never at run
@@ -22,7 +22,6 @@ time, so the fused path and the oracle always agree on plan meaning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
 
 from repro.errors import UnsupportedPipelineError
 from repro.execution.operators import (
@@ -31,10 +30,6 @@ from repro.execution.operators import (
     aggregate_reducer,
 )
 from repro.fusion.pipeline import FilterStage, Pipeline, ProjectStage
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.execution.context import ExecutionContext
-    from repro.layout.layout import Layout
 
 __all__ = ["FusedPipeline", "compile_pipeline"]
 
@@ -86,45 +81,6 @@ class FusedPipeline:
             parts.append(project.name)
         parts.append(f"{self.op}({self.aggregate_attribute})")
         return "|".join(parts)
-
-    # ------------------------------------------------------------------
-    # Executors (thin dispatch; the data/cost planes live in the
-    # sibling modules so the lint can hold host.py/device.py to the
-    # no-materializing-operators rule).
-    # ------------------------------------------------------------------
-    def run_host(self, layout: "Layout", ctx: "ExecutionContext") -> Any:
-        """Fused single-traversal host execution."""
-        from repro.fusion.host import run_fused_host
-
-        return run_fused_host(self, layout, ctx)
-
-    def run_device(
-        self,
-        layout: "Layout",
-        ctx: "ExecutionContext",
-        charge_transfer: bool = True,
-    ) -> Any:
-        """Fused single-kernel device execution."""
-        from repro.fusion.device import run_fused_device
-
-        return run_fused_device(self, layout, ctx, charge_transfer)
-
-    def run_unfused_host(self, layout: "Layout", ctx: "ExecutionContext") -> Any:
-        """The materializing host operator chain (the oracle)."""
-        from repro.fusion.oracle import run_unfused_host
-
-        return run_unfused_host(self, layout, ctx)
-
-    def run_unfused_device(
-        self,
-        layout: "Layout",
-        ctx: "ExecutionContext",
-        charge_transfer: bool = True,
-    ) -> Any:
-        """The per-operator device chain (the device oracle)."""
-        from repro.fusion.oracle import run_unfused_device
-
-        return run_unfused_device(self, layout, ctx, charge_transfer)
 
 
 def compile_pipeline(pipeline: Pipeline | FusedPipeline) -> FusedPipeline:

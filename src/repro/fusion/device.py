@@ -5,10 +5,10 @@ stage its input, two kernel launches (the two-pass reduction shape),
 and a device↔host round trip for the intermediate position list.  The
 fused plan makes the whole chain one cost event:
 
-* every missing operand column is staged through
-  :meth:`~repro.staging.manager.StagingManager.acquire_set` — one
-  coalesced DMA burst (one link latency) for the entire set, replicas
-  installed in the staging cache for the next query;
+* the whole operand set is served through
+  :meth:`~repro.staging.manager.StagingManager.stage`, which stages
+  every missing column in one coalesced DMA burst (one link latency)
+  and installs the replicas in the staging cache for the next query;
 * the chain runs as one grid-stride kernel
   (:meth:`~repro.hardware.gpu.GPUModel.fused_pipeline_cost`): one
   launch latency, intermediates in registers, no device buffers
@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.errors import CapacityError
-from repro.execution.device import is_device_resident
 from repro.fusion.host import fused_reduce
 from repro.obs.tracer import LAYER_FUSED
 
@@ -51,19 +50,16 @@ __all__ = ["run_fused_device"]
 
 
 def run_fused_device(
-    plan: "FusedPipeline",
-    layout: "Layout",
-    ctx: "ExecutionContext",
-    charge_transfer: bool = True,
+    plan: "FusedPipeline", layout: "Layout", ctx: "ExecutionContext"
 ) -> Any:
     """Execute *plan* on the device as one fused cost event.
 
-    Operand serving order per (attribute, fragment): device-resident
-    fragments serve directly, fresh staging-cache replicas serve with a
-    hit tally, and every miss across **all** attributes is collected
-    into a single :meth:`acquire_set` burst.  ``charge_transfer=False``
-    reproduces the panels-4 accounting (transfers excluded); the data
-    plane computes the true answer either way.
+    The operand set — every (attribute, fragment) the plan reads, in
+    that order — goes through one
+    :meth:`~repro.staging.manager.StagingManager.stage` call:
+    device-resident fragments serve directly, fresh staging-cache
+    replicas serve with a hit tally, and every miss across **all**
+    attributes is staged in a single burst.
 
     An empty relation returns the aggregate's identity and charges
     nothing — no burst, no launch (the zero-size contract).
@@ -82,45 +78,26 @@ def run_fused_device(
         rows=layout.relation.row_count,
         operands=len(plan.attributes),
     ):
-        served: dict[tuple[int, str], np.ndarray | None] = {}
-        misses: list[tuple["Fragment", str, int]] = []
-        count = 0
-        for attribute, width in zip(plan.attributes, widths):
-            for fragment in layout.fragments_for_attribute(attribute):
-                if attribute == plan.attributes[0]:
-                    count += fragment.filled
-                key = (id(fragment), attribute)
-                if is_device_resident(fragment):
-                    served[key] = (
-                        None if fragment.is_phantom else fragment.column(attribute)
-                    )
-                    continue
-                entry = (
-                    staging.lookup(fragment, attribute, ctx.counters)
-                    if charge_transfer
-                    else None
-                )
-                if entry is not None:
-                    # The replica serves the read: a stale entry here
-                    # would be a wrong answer (the invalidation tests
-                    # pin this), so values come from the cache, not the
-                    # host fragment.
-                    served[key] = entry.values
-                    continue
-                served[key] = (
-                    None if fragment.is_phantom else fragment.column(attribute)
-                )
-                misses.append((fragment, attribute, width))
-        if misses and charge_transfer:
-            entries = staging.acquire_set(misses, ctx)
-            if entries is None:
-                raise CapacityError(
-                    f"device memory cannot hold the fused operand set of "
-                    f"{plan.describe()} ({sum(f.filled * w for f, __, w in misses)}"
-                    " B); a fused kernel needs every operand resident at launch"
-                )
-            for entry in entries:
-                served[(id(entry.source), entry.attribute)] = entry.values
+        requests = [
+            (fragment, attribute, width)
+            for attribute, width in zip(plan.attributes, widths)
+            for fragment in layout.fragments_for_attribute(attribute)
+        ]
+        columns, misses, entries = staging.stage(requests, ctx)
+        if entries is None:
+            raise CapacityError(
+                f"device memory cannot hold the fused operand set of "
+                f"{plan.describe()} ({sum(f.filled * w for f, __, w in misses)}"
+                " B); a fused kernel needs every operand resident at launch"
+            )
+        served = {
+            (id(fragment), attribute): values
+            for (fragment, attribute, __), values in zip(requests, columns)
+        }
+        count = sum(
+            fragment.filled
+            for fragment in layout.fragments_for_attribute(plan.attributes[0])
+        )
         if count:
             with ctx.span(
                 f"gpu-fused({plan.describe()})",

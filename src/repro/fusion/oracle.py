@@ -10,8 +10,9 @@ filtered-sum shape, and the generalized
 ``run_unfused_device`` models the per-operator device tax the fused
 path removes:
 
-* one PCIe burst **per operator input** (scan column, then aggregate
-  column) instead of one burst for the set;
+* one :meth:`~repro.staging.manager.StagingManager.stage` call, and
+  so one PCIe burst, **per operator input** (scan column, then
+  aggregate column) instead of one burst for the set;
 * a two-launch selection kernel that writes a position buffer, then a
   gather kernel plus the two-pass reduction — five launches where the
   fused plan pays one;
@@ -40,13 +41,11 @@ from repro.execution.operators import (
     sum_at_positions,
 )
 from repro.hardware.event import Cycles
-from repro.staging.manager import StagingManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.context import ExecutionContext
     from repro.fusion.compiler import FusedPipeline
     from repro.hardware.gpu import GPUModel
-    from repro.layout.fragment import Fragment
     from repro.layout.layout import Layout
 
 __all__ = [
@@ -177,58 +176,29 @@ def gather_kernel_cycles(gpu: "GPUModel", matches: int, n_projects: int) -> Cycl
 
 
 def _serve_column(
-    layout: "Layout",
-    attribute: str,
-    width: int,
-    ctx: "ExecutionContext",
-    charge_transfer: bool,
-    staging: StagingManager,
+    layout: "Layout", attribute: str, width: int, ctx: "ExecutionContext"
 ) -> dict[int, np.ndarray | None]:
-    """Serve ONE operator's input column: per-attribute lookup + burst.
+    """Serve ONE operator's input column: its own stage call and burst.
 
     This is the per-step staging discipline of the unfused plan — each
-    operator acquires its own input with its own burst (one link
-    latency *per operator*), which is exactly the overhead
-    ``acquire_set`` removes for fused plans.  When the replicas cannot
-    be cached, the burst is charged uncached (the
-    ``device_count_where`` fallback shape).
+    operator stages its own input with its own burst (one link latency
+    *per operator*), which is exactly the overhead one operand set
+    removes for fused plans.  When the replicas cannot be cached, the
+    burst is charged uncached (the ``device_count_where`` fallback
+    shape).
     """
-    from repro.execution.device import _staging_transfer, is_device_resident
-
-    served: dict[int, np.ndarray | None] = {}
-    misses: list["Fragment"] = []
-    for fragment in layout.fragments_for_attribute(attribute):
-        served[id(fragment)] = (
-            None if fragment.is_phantom else fragment.column(attribute)
-        )
-        if is_device_resident(fragment):
-            continue
-        entry = (
-            staging.lookup(fragment, attribute, ctx.counters)
-            if charge_transfer
-            else None
-        )
-        if entry is not None:
-            served[id(fragment)] = entry.values
-            continue
-        misses.append(fragment)
-    staged_bytes = sum(fragment.filled * width for fragment in misses)
-    if staged_bytes and charge_transfer:
-        entries = staging.acquire(misses, attribute, width, ctx)
-        if entries is None:
-            cost = _staging_transfer(attribute, staged_bytes, ctx)
-            ctx.note("pcie-transfer", cost)
-        else:
-            for entry in entries:
-                served[id(entry.source)] = entry.values
-    return served
+    staging = ctx.platform.staging
+    fragments = layout.fragments_for_attribute(attribute)
+    columns, misses, entries = staging.stage(
+        [(fragment, attribute, width) for fragment in fragments], ctx
+    )
+    if entries is None:
+        staging.transfer_uncached(misses, ctx)
+    return {id(fragment): values for fragment, values in zip(fragments, columns)}
 
 
 def run_unfused_device(
-    plan: "FusedPipeline",
-    layout: "Layout",
-    ctx: "ExecutionContext",
-    charge_transfer: bool = True,
+    plan: "FusedPipeline", layout: "Layout", ctx: "ExecutionContext"
 ) -> Any:
     """The per-operator device chain for *plan* (the device oracle)."""
     from repro.execution.device import device_sum_column
@@ -237,30 +207,22 @@ def run_unfused_device(
         return aggregate_reducer(plan.op)[1]
     if plan.filter is None and plan.op == "sum" and not plan.projects:
         # The exact legacy path, bounce-buffer streaming included.
-        return device_sum_column(
-            layout, plan.aggregate_attribute, ctx, charge_transfer
-        )
+        return device_sum_column(layout, plan.aggregate_attribute, ctx)
     if plan.filter is None:
-        return _device_aggregate_unfiltered(plan, layout, ctx, charge_transfer)
-    return _device_filtered(plan, layout, ctx, charge_transfer)
+        return _device_aggregate_unfiltered(plan, layout, ctx)
+    return _device_filtered(plan, layout, ctx)
 
 
 def _device_aggregate_unfiltered(
-    plan: "FusedPipeline",
-    layout: "Layout",
-    ctx: "ExecutionContext",
-    charge_transfer: bool,
+    plan: "FusedPipeline", layout: "Layout", ctx: "ExecutionContext"
 ) -> Any:
     """Stage + two-pass reduction for a filterless non-sum aggregate."""
     gpu = ctx.platform.gpu
-    staging = ctx.platform.staging
     attribute = plan.aggregate_attribute
     width = layout.relation.schema.attribute(attribute).width
     reducer, identity = aggregate_reducer(plan.op)
     with ctx.span(f"device-{plan.op}({attribute})", "operator"):
-        served = _serve_column(
-            layout, attribute, width, ctx, charge_transfer, staging
-        )
+        served = _serve_column(layout, attribute, width, ctx)
         partials: list[Any] = []
         counts: list[int] = []
         count = 0
@@ -277,7 +239,9 @@ def _device_aggregate_unfiltered(
             ):
                 kernel_cost = gpu.reduction_cost(count, width, ctx.counters)
                 ctx.note(f"gpu-reduce({attribute})", kernel_cost)
-        result_cost = staging.scheduler.transfer(POSITION_WIDTH, ctx.counters)
+        result_cost = ctx.platform.staging.scheduler.transfer(
+            POSITION_WIDTH, ctx.counters
+        )
         ctx.note("result-copy", result_cost)
     if not partials:
         return identity
@@ -285,10 +249,7 @@ def _device_aggregate_unfiltered(
 
 
 def _device_filtered(
-    plan: "FusedPipeline",
-    layout: "Layout",
-    ctx: "ExecutionContext",
-    charge_transfer: bool,
+    plan: "FusedPipeline", layout: "Layout", ctx: "ExecutionContext"
 ) -> Any:
     """Selection kernel → position round trip → gather + reduction.
 
@@ -297,8 +258,7 @@ def _device_filtered(
     intermediate position list is materialized across the bus twice.
     """
     gpu = ctx.platform.gpu
-    staging = ctx.platform.staging
-    scheduler = staging.scheduler
+    scheduler = ctx.platform.staging.scheduler
     schema = layout.relation.schema
     scan_width = schema.attribute(plan.scan_attribute).width
     agg_width = schema.attribute(plan.aggregate_attribute).width
@@ -309,10 +269,7 @@ def _device_filtered(
     ):
         # Operator 1: selection. Stages the scan column (its own burst),
         # evaluates the predicate, compacts matching positions on-device.
-        scan_served = _serve_column(
-            layout, plan.scan_attribute, scan_width, ctx, charge_transfer,
-            staging,
-        )
+        scan_served = _serve_column(layout, plan.scan_attribute, scan_width, ctx)
         mask_parts: list[tuple[int, np.ndarray]] = []
         rows = 0
         for fragment in layout.fragments_for_attribute(plan.scan_attribute):
@@ -354,8 +311,7 @@ def _device_filtered(
         # column with a SECOND burst, gathers at scattered offsets, then
         # runs the two-pass reduction over the gathered buffer.
         agg_served = _serve_column(
-            layout, plan.aggregate_attribute, agg_width, ctx, charge_transfer,
-            staging,
+            layout, plan.aggregate_attribute, agg_width, ctx
         )
         if matches:
             with ctx.span(

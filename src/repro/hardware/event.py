@@ -43,7 +43,6 @@ class PerfCounters:
     transfers: int = 0  # DMA bursts issued (coalesced transfers count once)
     staging_hits: int = 0  # column reads served from the device staging cache
     staging_misses: int = 0  # column reads that had to re-stage over PCIe
-    overlapped_cycles: Cycles = 0.0  # cycles hidden by transfer/compute overlap
     threads_spawned: int = 0
     kernel_launches: int = 0
     device_cycles: Cycles = 0.0

@@ -290,32 +290,3 @@ class GPUModel:
             if self.injector is not None:
                 self.injector.check(_SITE_KERNEL_LAUNCH, counters)
         return cost
-
-    def chunk_reduction_costs(
-        self, count: int, per_chunk: int, element_width: int
-    ) -> list[tuple[Cycles, float, int]]:
-        """Per-chunk reduction costs of a chunked staging loop (pure).
-
-        Splits *count* elements into ``ceil(count / per_chunk)`` chunks
-        (full chunks plus at most one remainder) and returns one
-        ``(host_cycles, device_cycles, launches)`` triple per chunk,
-        each priced exactly as :meth:`reduction_cost` would price that
-        chunk.  Side-effect-free — no counters, no fault draws — so the
-        transfer scheduler's double-buffering model can line chunk
-        kernels up against chunk transfers without perturbing the
-        accounted kernel sequence.
-        """
-        if per_chunk <= 0:
-            raise ExecutionError(f"per_chunk must be positive, got {per_chunk}")
-        if count < 0:
-            raise ExecutionError(f"count must be >= 0, got {count}")
-        n_full, remainder = divmod(count, per_chunk)
-        chunks = [per_chunk] * n_full + ([remainder] if remainder else [])
-        out: list[tuple[Cycles, float, int]] = []
-        for chunk in chunks:
-            # No counters: a counters-carrying call would draw from the
-            # fault injector, and this is a planning computation.
-            cost = self.reduction_cost(chunk, element_width)
-            seconds = cost / self.host_frequency_hz
-            out.append((cost, seconds * self.clock_hz, 2))
-        return out

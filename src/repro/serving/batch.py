@@ -8,8 +8,8 @@ them **per batch**:
 
 * every distinct operand column is probed in the staging cache once,
   and all misses ship in ONE coalesced PCIe burst
-  (:meth:`~repro.staging.StagingManager.acquire_set` — one link
-  latency for the whole operand set);
+  (:meth:`~repro.staging.StagingManager.stage` — one link latency for
+  the whole operand set);
 * the reductions launch as ONE batched two-pass grid
   (:meth:`~repro.hardware.gpu.GPUModel.batched_reduction_cost` — two
   launch latencies total, streaming charged per distinct column);
@@ -29,8 +29,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.execution.device import is_device_resident
-from repro.hardware.event import Cycles
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 
@@ -93,36 +91,15 @@ def run_device_batch(
             if not fragments:
                 continue
             width = fragments[0].schema.attribute(attribute).width
-            count = 0
-            for fragment in fragments:
-                count += fragment.filled
-                if is_device_resident(fragment):
-                    continue
-                entry = staging.lookup(fragment, attribute, ctx.counters)
-                if entry is None:
-                    requests.append((fragment, attribute, width))
-            shapes.append((count, width))
+            requests += [(fragment, attribute, width) for fragment in fragments]
+            shapes.append((sum(fragment.filled for fragment in fragments), width))
             result_width += width * attributes.count(attribute)
-        if requests:
-            entries = staging.acquire_set(requests, ctx)
-            if entries is None:
-                # The operand set cannot be cached even after eviction:
-                # ship the same bytes in one uncached burst (same wire
-                # time, no replicas installed for the next batch).
-                sizes = [
-                    fragment.filled * width
-                    for fragment, __, width in requests
-                    if fragment.filled * width > 0
-                ]
-
-                def attempt() -> Cycles:
-                    return staging.scheduler.burst(sizes, ctx.counters)
-
-                if ctx.retry is not None:
-                    cost = ctx.retry.run("pcie-transfer(batch)", attempt, ctx)
-                else:
-                    cost = attempt()
-                ctx.note("pcie-transfer", cost)
+        __, misses, entries = staging.stage(requests, ctx)
+        if entries is None:
+            # The operand set cannot be cached even after eviction: ship
+            # the same bytes uncached (same wire time, no replicas
+            # installed for the next batch).
+            staging.transfer_uncached(misses, ctx)
         if shapes:
             with ctx.span(
                 "gpu-batch-reduce", "kernel", columns=len(shapes)

@@ -10,18 +10,20 @@ that qualitative "keep it resident" advice into machinery:
   queries over the same column pay the transfer once
   (:doc:`docs/STAGING.md <../../docs/STAGING>` describes the policy);
 * :class:`TransferScheduler` — the single choke point for PCIe cost
-  accounting: coalesced DMA bursts (one latency charge per burst) and
-  the pinned-memory double-buffering (overlap) cost model;
+  accounting: coalesced DMA bursts (one latency charge per burst);
 * :class:`StagingManager` — the per-:class:`~repro.hardware.Platform`
-  façade (``platform.staging``) gluing the two together: residency
-  checks for HyPE's predictions, capacity-pressure eviction, and the
-  invalidation hooks fired by ``update_field``, the re-organizer and
+  façade (``platform.staging``) gluing the two together:
+  :meth:`~StagingManager.stage`, the one path by which every device
+  operator's operand set reaches the device, residency checks for
+  HyPE's predictions, capacity-pressure eviction, and the invalidation
+  hooks fired by ``update_field``, the re-organizer and
   :class:`~repro.recovery.RecoveryManager`.
 
 Every module that moves fragment payloads across the link routes
-through this package; ``tests/staging/test_lint_transfer_sites.py``
+through this package: ``tests/staging/test_lint_transfer_sites.py``
 enforces that no other module calls ``interconnect.transfer_cost``
-directly.
+directly, and ``tests/staging/test_lint_staging_calls.py`` that none
+calls the manager's ``lookup``/``acquire_set`` around ``stage``.
 """
 
 from repro.staging.cache import StagedColumn, StagingCache

@@ -8,17 +8,19 @@ three ways:
 * **residency** — :meth:`is_staged` / :meth:`predicted_transfer_cost`
   let HyPE's cost predictions see that a column already has a device
   replica (predicted transfer cost 0) without perturbing cache state;
-* **serving** — :meth:`lookup` (per-query hit/miss accounting into the
-  query's counters), :meth:`acquire` (stage the missing columns of one
-  attribute in one coalesced burst, evicting LRU replicas under
-  capacity pressure) and :meth:`acquire_set` (the fused-pipeline form:
-  a whole multi-attribute operand set in one burst);
+* **serving** — :meth:`stage`, the one path every device operator
+  takes: it serves resident fragments in place, probes the rest with
+  :meth:`lookup` (per-query hit/miss accounting into the query's
+  counters) and stages every miss with one :meth:`acquire_set` (a
+  whole operand set in one coalesced burst, evicting LRU replicas
+  under capacity pressure); :meth:`transfer_uncached` charges the same
+  bytes when the set cannot be cached;
 * **invalidation** — :meth:`invalidate_fragment` / :meth:`invalidate_all`,
   fired by ``update_field``, the re-organizer and the recovery manager
   so a stale replica never serves a read.
 
 OOM resilience: an injected ``device.alloc`` fault during
-:meth:`acquire` is absorbed by evicting the LRU replica (recorded as a
+:meth:`acquire_set` is absorbed by evicting the LRU replica (recorded as a
 *recovered* fault — the discard itself is free, the cost resurfaces as
 a re-transfer on that column's next miss); the fault only surfaces —
 engaging the caller's fallback chain — when the cache has nothing left
@@ -34,6 +36,7 @@ import numpy as np
 from repro.errors import DeviceError
 from repro.faults.injector import SITE_DEVICE_ALLOC
 from repro.hardware.event import Cycles, PerfCounters
+from repro.hardware.memory import MemoryKind
 from repro.staging.cache import StagedColumn, StagingCache
 from repro.staging.scheduler import TransferScheduler
 
@@ -41,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.context import ExecutionContext
     from repro.hardware.platform import Platform
     from repro.layout.fragment import Fragment
+
+    #: One operand an operator reads: ``(fragment, attribute, width)``.
+    Request = tuple[Fragment, str, int]
 
 __all__ = ["StagingManager"]
 
@@ -56,12 +62,6 @@ class StagingManager:
     scheduler:
         The :class:`~repro.staging.scheduler.TransferScheduler` all
         fragment-payload transfers route through.
-    overlap:
-        When True, chunked staging in
-        :func:`~repro.execution.device.device_sum_column` is charged
-        with the double-buffered pipeline model instead of serially.
-        Off by default so the cold path stays byte-identical to the
-        historical costs.
     capacity_bytes:
         Optional cap on the cache's resident bytes (on top of the
         device space's physical capacity) — the ablation knob the
@@ -72,7 +72,6 @@ class StagingManager:
         self.platform = platform
         self.cache = StagingCache()
         self.scheduler = TransferScheduler(platform)
-        self.overlap = False
         self.capacity_bytes: int | None = None
 
     # ------------------------------------------------------------------
@@ -128,27 +127,45 @@ class StagingManager:
             )
         return entry
 
-    def acquire(
-        self,
-        fragments: Sequence["Fragment"],
-        attribute: str,
-        width: int,
-        ctx: "ExecutionContext",
-    ) -> list[StagedColumn] | None:
-        """Stage the missing columns of *fragments* in one coalesced burst.
+    def stage(
+        self, requests: Sequence["Request"], ctx: "ExecutionContext"
+    ) -> "tuple[list[np.ndarray | None], list[Request], list[StagedColumn] | None]":
+        """Serve one operator's operand set, staging its misses in one burst.
 
-        Single-attribute convenience over :meth:`acquire_set`; the
-        charge sequence (one alloc-fault draw, one retry-wrapped burst,
-        per-fragment replica installs) is exactly the historical one.
+        *requests* are the ``(fragment, attribute, width)`` triples the
+        operator reads, in its own order.  A device-resident fragment
+        serves itself; every other one is probed with :meth:`lookup`,
+        and all misses go to one :meth:`acquire_set` call.
+
+        Returns ``(values, misses, entries)``: per request, the array
+        the kernel reads (the replica on a hit, the fragment's own
+        column otherwise, ``None`` for a phantom); the missed requests;
+        and what :meth:`acquire_set` returned — ``None`` when the misses
+        cannot be cached, in which case each operator gives its own
+        answer (streaming, an uncached burst, or a refusal).
         """
-        return self.acquire_set(
-            [(fragment, attribute, width) for fragment in fragments], ctx
-        )
+        values: list[np.ndarray | None] = []
+        misses: list[Request] = []
+        for fragment, attribute, width in requests:
+            entry = None
+            if fragment.space.kind is not MemoryKind.DEVICE:
+                entry = self.lookup(fragment, attribute, ctx.counters)
+                if entry is None:
+                    misses.append((fragment, attribute, width))
+            if entry is not None:
+                # The replica serves the read: a stale entry here would
+                # be a wrong answer, which is what the invalidation
+                # regression tests check for.
+                values.append(entry.values)
+            elif fragment.is_phantom:
+                values.append(None)
+            else:
+                values.append(fragment.column(attribute))
+        entries = self.acquire_set(misses, ctx) if misses else []
+        return values, misses, entries
 
     def acquire_set(
-        self,
-        requests: Sequence["tuple[Fragment, str, int]"],
-        ctx: "ExecutionContext",
+        self, requests: Sequence["Request"], ctx: "ExecutionContext"
     ) -> list[StagedColumn] | None:
         """Stage a whole operand set — ``(fragment, attribute, width)``
         triples, possibly spanning several attributes — in **one**
@@ -168,9 +185,9 @@ class StagingManager:
         Returns the staged entries, or ``None`` when device memory
         cannot hold the columns even after evicting every cached
         replica — the caller then falls back (bounce-buffer streaming
-        for the unfused path, host execution for fused pipelines).
-        This method never raises :class:`~repro.errors.CapacityError`
-        itself.
+        or :meth:`transfer_uncached` for the unfused operators, host
+        execution for fused pipelines).  This method never raises
+        :class:`~repro.errors.CapacityError` itself.
 
         An injected ``device.alloc`` fault is recovered in place by
         evicting the LRU replica (free discard); it is re-raised only
@@ -187,9 +204,6 @@ class StagingManager:
         sizes = [fragment.filled * width for fragment, __, width in staged]
         total = sum(sizes)
         device = self.platform.device_memory
-        label = ",".join(
-            dict.fromkeys(attribute for __, attribute, __ in staged)
-        )
 
         injector = self.platform.injector
         if injector is not None:
@@ -223,14 +237,8 @@ class StagingManager:
                 return None
             allocations.append(allocation)
 
-        def attempt() -> Cycles:
-            return self.scheduler.burst(sizes, ctx.counters)
-
         try:
-            if ctx.retry is not None:
-                cost = ctx.retry.run(f"pcie-transfer({label})", attempt, ctx)
-            else:
-                cost = attempt()
+            self._burst(staged, sizes, ctx)
         except BaseException:
             # A surfaced transfer fault must not leak device memory or
             # leave half-staged entries: residency state stays exactly
@@ -238,7 +246,6 @@ class StagingManager:
             for reserved in allocations:
                 device.free(reserved)
             raise
-        ctx.note("pcie-transfer", cost)
 
         entries: list[StagedColumn] = []
         for (fragment, attribute, __), allocation in zip(staged, allocations):
@@ -253,6 +260,40 @@ class StagingManager:
             self.cache.insert(entry)
             entries.append(entry)
         return entries
+
+    def transfer_uncached(
+        self, misses: Sequence["Request"], ctx: "ExecutionContext"
+    ) -> Cycles:
+        """Charge *misses* as one transfer that installs no replica.
+
+        The fallback when :meth:`acquire_set` returns ``None``: the same
+        bytes cross the link with the same wire time and fault site as
+        the burst that would have cached them, but the next query
+        misses again.
+        """
+        total = sum(fragment.filled * width for fragment, __, width in misses)
+        return self._burst(misses, (total,), ctx)
+
+    def _burst(
+        self,
+        requests: Sequence["Request"],
+        sizes: Sequence[int],
+        ctx: "ExecutionContext",
+    ) -> Cycles:
+        """One retry-wrapped DMA burst of *sizes* for *requests*' columns."""
+        label = ",".join(
+            dict.fromkeys(attribute for __, attribute, __ in requests)
+        )
+
+        def attempt() -> Cycles:
+            return self.scheduler.burst(sizes, ctx.counters)
+
+        if ctx.retry is not None:
+            cost = ctx.retry.run(f"pcie-transfer({label})", attempt, ctx)
+        else:
+            cost = attempt()
+        ctx.note("pcie-transfer", cost)
+        return cost
 
     def _make_room(self, nbytes: int, device, counters: PerfCounters) -> bool:
         """Evict LRU replicas until *nbytes* more fit; False if impossible."""

@@ -2,20 +2,15 @@
 
 Every fragment-payload transfer in the simulation routes through a
 :class:`TransferScheduler` (the lint test under ``tests/staging/``
-enforces it), which buys two cost-model refinements over raw
-per-fragment :meth:`~repro.hardware.interconnect.InterconnectModel.transfer_cost`
-calls:
-
-* **Coalescing** — small same-direction transfers issued together are
-  charged as one DMA burst: one link latency for the whole burst plus
-  the bandwidth term of the summed payload.  Because
-  ``transfer_seconds(a + b) == latency + (a + b) / bandwidth``, a burst
-  of one is float-for-float identical to the historical single-transfer
-  charge — the cold-path byte-identity the acceptance criteria pin.
-* **Overlap** — pinned-memory double buffering of a chunked staging
-  loop: while chunk *i* computes, chunk *i+1* is in flight, so the
-  steady-state charge is ``max(transfer, compute)`` per chunk instead
-  of the sum (:meth:`TransferScheduler.pipeline_cost`).
+enforces it), which refines raw per-fragment
+:meth:`~repro.hardware.interconnect.InterconnectModel.transfer_cost`
+calls by **coalescing**: small same-direction transfers issued
+together are charged as one DMA burst — one link latency for the whole
+burst plus the bandwidth term of the summed payload.  Because
+``transfer_seconds(a + b) == latency + (a + b) / bandwidth``, a burst
+of one is float-for-float identical to the historical single-transfer
+charge — the cold-path byte-identity the staging plane's
+``cold_byte_identity`` gate pins.
 
 Fault semantics: an accounted burst charges its wire time, then checks
 the ``pcie.transfer`` fault site, and only counts its bytes once the
@@ -38,12 +33,12 @@ __all__ = ["TransferScheduler"]
 
 
 class TransferScheduler:
-    """Charges coalesced, optionally overlapped PCIe transfers.
+    """Charges coalesced PCIe transfers.
 
     Stateless apart from its platform reference: all accumulation goes
     into the :class:`~repro.hardware.event.PerfCounters` the caller
-    passes (``pcie_bytes``, ``transfers``, ``overlapped_cycles``), so
-    forked contexts and the cost cache see exactly what they charge.
+    passes (``pcie_bytes``, ``transfers``), so forked contexts and the
+    cost cache see exactly what they charge.
     """
 
     def __init__(self, platform: "Platform") -> None:
@@ -128,41 +123,3 @@ class TransferScheduler:
             counters.pcie_bytes += total
             counters.transfers += 1
         return cost
-
-    # ------------------------------------------------------------------
-    # Double-buffered overlap model
-    # ------------------------------------------------------------------
-    def pipeline_cost(
-        self,
-        transfer_parts: Sequence[Cycles],
-        compute_parts: Sequence[Cycles],
-    ) -> tuple[Cycles, Cycles]:
-        """Cost of a double-buffered transfer/compute pipeline (pure).
-
-        With pinned-memory double buffering, chunk *i*'s kernel runs
-        while chunk *i+1* is in flight on the link, so the critical path
-        is::
-
-            t[0] + sum(max(t[i], c[i-1]) for i in 1..n-1) + c[n-1]
-
-        — the first transfer and the last kernel cannot be hidden, and
-        every interior step advances at the pace of its slower half.
-        Returns ``(pipelined_total, savings)`` where ``savings`` is the
-        serial total minus the pipelined total.  The pipelined total is
-        always >= ``max(sum(t), sum(c))`` (each term of either sum
-        appears in some ``max``), which is the lower bound the property
-        tests pin.
-        """
-        if len(transfer_parts) != len(compute_parts):
-            raise ExecutionError(
-                f"pipeline needs matched chunk lists, got "
-                f"{len(transfer_parts)} transfers / {len(compute_parts)} kernels"
-            )
-        if not transfer_parts:
-            return 0.0, 0.0
-        total = transfer_parts[0]
-        for i in range(1, len(transfer_parts)):
-            total += max(transfer_parts[i], compute_parts[i - 1])
-        total += compute_parts[-1]
-        serial = sum(transfer_parts) + sum(compute_parts)
-        return total, serial - total

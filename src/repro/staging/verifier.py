@@ -57,10 +57,10 @@ def _cold_warm_records(
     relation = item_relation(row_count)
     store = build_column_store(platform, relation)
     cold_ctx = ExecutionContext(platform)
-    device_sum_column(store, "i_price", cold_ctx, charge_transfer=True)
+    device_sum_column(store, "i_price", cold_ctx)
     warm_ctx = ExecutionContext(platform)
     for __ in range(warm_queries):
-        device_sum_column(store, "i_price", warm_ctx, charge_transfer=True)
+        device_sum_column(store, "i_price", warm_ctx)
     warm_per_query = warm_ctx.cycles / warm_queries
     ratio = cold_ctx.cycles / warm_per_query if warm_per_query else float("inf")
 
@@ -109,7 +109,7 @@ def _trajectory_record(
     trajectory = []
     for index, spec in enumerate(mix.queries(queries)):
         if spec.shape is QueryShape.FULL_SUM:
-            device_sum_column(store, spec.attributes[0], ctx, charge_transfer=True)
+            device_sum_column(store, spec.attributes[0], ctx)
         elif spec.shape is QueryShape.POINT_UPDATE:
             position = spec.positions[0]
             update_field(store, position, spec.attributes[0], position % 97, ctx)

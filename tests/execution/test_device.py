@@ -66,19 +66,6 @@ class TestDeviceSum:
         # Only the scalar result crosses the bus for the resident case.
         assert resident_ctx.counters.bytes_transferred == 8
 
-    def test_charge_transfer_false_reproduces_panel4_accounting(
-        self, relation, platform
-    ):
-        values = np.arange(1000, dtype=np.float64)
-        fragment = host_column(relation, platform, values)
-        layout = Layout("h", relation, [fragment])
-        included = ExecutionContext(platform)
-        excluded = ExecutionContext(platform)
-        total_inc = device_sum_column(layout, "price", included, charge_transfer=True)
-        total_exc = device_sum_column(layout, "price", excluded, charge_transfer=False)
-        assert total_inc == total_exc  # data plane identical
-        assert excluded.cycles < included.cycles
-
     def test_kernel_launches_counted(self, relation, platform, ctx):
         fragment = host_column(relation, platform, np.ones(1000))
         device_sum_column(Layout("c", relation, [fragment]), "price", ctx)

@@ -29,7 +29,7 @@ def host_column(relation, platform, values, label="col"):
 
 def stage(platform, fragment, ctx):
     """Stage one fragment's column through the manager; return the entry."""
-    entries = platform.staging.acquire([fragment], "price", 8, ctx)
+    entries = platform.staging.acquire_set([(fragment, "price", 8)], ctx)
     assert entries is not None and len(entries) == 1
     return entries[0]
 
@@ -110,7 +110,7 @@ class TestEviction:
         platform = Platform.paper_testbed(device_capacity=100)
         ctx = ExecutionContext(platform)
         fragment = host_column(relation, platform, np.ones(100))
-        assert platform.staging.acquire([fragment], "price", 8, ctx) is None
+        assert platform.staging.acquire_set([(fragment, "price", 8)], ctx) is None
         assert len(platform.staging.cache) == 0
         assert platform.device_memory.used == 0
 

@@ -1,4 +1,4 @@
-"""TransferScheduler properties: coalescing, overlap bounds, byte-identity."""
+"""TransferScheduler properties: coalescing and cold-path byte-identity."""
 
 import numpy as np
 import pytest
@@ -17,14 +17,6 @@ from repro.model.relation import Relation
 from repro.model.schema import Schema
 
 SIZES = st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=8)
-CHUNK_PAIRS = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-    ),
-    min_size=1,
-    max_size=10,
-)
 
 
 class TestCoalescing:
@@ -85,39 +77,6 @@ class TestCoalescing:
             platform.staging.scheduler.burst((8, -1))
 
 
-class TestPipeline:
-    @given(pairs=CHUNK_PAIRS)
-    def test_pipelined_total_is_bounded(self, pairs):
-        # Double buffering can hide transfer behind compute but never
-        # beat either stream running alone, and never lose to serial.
-        platform = Platform.paper_testbed()
-        transfers = [pair[0] for pair in pairs]
-        computes = [pair[1] for pair in pairs]
-        total, savings = platform.staging.scheduler.pipeline_cost(
-            transfers, computes
-        )
-        lower = max(sum(transfers), sum(computes))
-        serial = sum(transfers) + sum(computes)
-        assert total >= lower or total == pytest.approx(lower)
-        assert total <= serial or total == pytest.approx(serial)
-        assert savings == pytest.approx(serial - total)
-
-    def test_single_chunk_cannot_overlap(self):
-        platform = Platform.paper_testbed()
-        total, savings = platform.staging.scheduler.pipeline_cost([10.0], [4.0])
-        assert total == 14.0
-        assert savings == 0.0
-
-    def test_empty_pipeline(self):
-        platform = Platform.paper_testbed()
-        assert platform.staging.scheduler.pipeline_cost([], []) == (0.0, 0.0)
-
-    def test_mismatched_chunk_lists_rejected(self):
-        platform = Platform.paper_testbed()
-        with pytest.raises(ExecutionError):
-            platform.staging.scheduler.pipeline_cost([1.0, 2.0], [1.0])
-
-
 class TestColdByteIdentity:
     def test_cold_device_sum_matches_legacy_charge_sequence(self):
         # A cold staging cache must reproduce the pre-cache costs float
@@ -131,45 +90,10 @@ class TestColdByteIdentity:
         )
         fragment.append_columns({"price": np.arange(rows, dtype=np.float64)})
         ctx = ExecutionContext(platform)
-        device_sum_column(
-            Layout("c", relation, [fragment]), "price", ctx, charge_transfer=True
-        )
+        device_sum_column(Layout("c", relation, [fragment]), "price", ctx)
         legacy = PerfCounters()
         platform.interconnect.transfer_cost(rows * 8, legacy)
         platform.gpu.reduction_cost(rows, 8, legacy)
         platform.interconnect.transfer_cost(8, legacy)
         assert ctx.counters.cycles == legacy.cycles
         assert ctx.counters.bytes_transferred == legacy.bytes_transferred
-
-
-class TestOverlappedStaging:
-    def test_chunked_staging_overlaps_when_enabled(self):
-        rows = 1000
-        relation = Relation("prices", Schema.of(("price", FLOAT64)), rows)
-
-        def run(overlap):
-            # Free device memory holds a quarter of the column: 4 chunks.
-            platform = Platform.paper_testbed(device_capacity=2000)
-            platform.staging.overlap = overlap
-            fragment = Fragment(
-                Region.full(relation), relation.schema, None, platform.host_memory
-            )
-            fragment.append_columns({"price": np.arange(rows, dtype=np.float64)})
-            ctx = ExecutionContext(platform)
-            total = device_sum_column(
-                Layout("c", relation, [fragment]), "price", ctx
-            )
-            assert total == pytest.approx(float(np.sum(np.arange(rows))))
-            return ctx
-
-        serial = run(False)
-        overlapped = run(True)
-        assert serial.counters.overlapped_cycles == 0.0
-        assert overlapped.counters.overlapped_cycles > 0.0
-        # Same traffic either way; the pipeline only reshapes the time.
-        assert (
-            overlapped.counters.pcie_bytes
-            == serial.counters.pcie_bytes
-            == rows * 8 + 8
-        )
-        assert overlapped.counters.kernel_launches == serial.counters.kernel_launches
