@@ -42,7 +42,6 @@ from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 from repro.layout.linearization import LinearizationKind
 from repro.layout.region import Region
-from repro.perf.cost_cache import invalidate_cost_cache
 
 __all__ = ["build_fragments_for_proposal", "reorganize_layout"]
 
@@ -195,9 +194,7 @@ def reorganize_layout(
             wal.log_reorg(LogRecordKind.REORG_END, layout.name, ctx)
         if span is not None:
             span.attrs["outcome"] = "completed"
-    # The swap changed fragment geometry in place: memoized costings
-    # keyed on the old fingerprints must not serve the new layout, and
-    # device replicas staged from the old fragments must not serve reads.
-    invalidate_cost_cache()
+    # The swap changed fragment geometry in place: device replicas
+    # staged from the old fragments must not serve reads.
     if ctx is not None:
         ctx.platform.staging.invalidate_all()

@@ -36,6 +36,7 @@ A9 — staging cache: device-cycle totals and hit rates for an HTAP mix
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -733,43 +734,26 @@ def fusion_sweep(
 class SweepSpec:
     """A registry entry describing one ablation sweep to the sweep runner.
 
-    ``grid_kwarg`` names the keyword argument holding the sweep's grid
-    when the sweep is splittable — each grid value is then an
-    independent measurement the runner can fan out to a worker by
-    calling ``func`` with a single-element grid.  ``None`` marks sweeps
-    whose points share state (A7 shares loaded engines, A8 compares
-    eras) and must run as one unit.  ``smoke_kwargs`` shrink the sweep
-    for the ``sweeps`` plane's smoke tier without changing its shape.
+    ``func`` runs the whole sweep and returns its points in grid order;
+    ``smoke_kwargs`` shrink the sweep for the ``sweeps`` plane's smoke
+    tier without changing its shape.
     """
 
     name: str
     func: Callable[..., list[SweepPoint]]
-    grid_kwarg: str | None = None
     smoke_kwargs: dict[str, Any] = field(default_factory=dict)
 
-    def grid(self, kwargs: dict[str, Any]) -> tuple | None:
-        """The effective grid under *kwargs* (None when not splittable)."""
-        if self.grid_kwarg is None:
-            return None
-        if self.grid_kwarg in kwargs:
-            return tuple(kwargs[self.grid_kwarg])
-        import inspect
-
-        return tuple(
-            inspect.signature(self.func).parameters[self.grid_kwarg].default
-        )
-
     def rows_processed(self, kwargs: dict[str, Any], point_count: int) -> int:
-        """Simulated rows the sweep's data plane covers (for rows/s)."""
-        import inspect
+        """Simulated rows the sweep's data plane covers (for rows/s).
 
+        The sum of ``row_counts`` for a sweep over relation sizes, else
+        ``row_count`` once per point.
+        """
         parameters = inspect.signature(self.func).parameters
-        if self.grid_kwarg == "row_counts":
-            return sum(self.grid(kwargs) or ())
-        if "row_count" in parameters:
-            row_count = kwargs.get("row_count", parameters["row_count"].default)
-            return int(row_count) * max(point_count, 1)
-        return point_count
+        if "row_counts" in parameters:
+            return sum(kwargs.get("row_counts", parameters["row_counts"].default))
+        row_count = kwargs.get("row_count", parameters["row_count"].default)
+        return int(row_count) * max(point_count, 1)
 
 
 #: Every ablation sweep, in DESIGN.md order, as the sweep runner sees it.
@@ -779,7 +763,6 @@ SWEEPS: dict[str, SweepSpec] = {
         SweepSpec(
             "threading_crossover",
             threading_crossover_sweep,
-            grid_kwarg="spawn_cycles_values",
             smoke_kwargs={
                 "spawn_cycles_values": (10_000.0, 400_000.0),
                 "row_count": 200_000,
@@ -788,13 +771,11 @@ SWEEPS: dict[str, SweepSpec] = {
         SweepSpec(
             "pcie_crossover",
             pcie_crossover_sweep,
-            grid_kwarg="bandwidths",
             smoke_kwargs={"bandwidths": (6e9, 32e9), "row_count": 2_000_000},
         ),
         SweepSpec(
             "fault_probability",
             fault_probability_sweep,
-            grid_kwarg="probabilities",
             smoke_kwargs={
                 "probabilities": (0.0, 0.4),
                 "row_count": 2_000_000,
@@ -804,7 +785,6 @@ SWEEPS: dict[str, SweepSpec] = {
         SweepSpec(
             "pdsm_mixed_workload",
             pdsm_mixed_workload_sweep,
-            grid_kwarg="oltp_shares",
             smoke_kwargs={
                 "oltp_shares": (0.0, 1.0),
                 "row_count": 500_000,
@@ -814,19 +794,16 @@ SWEEPS: dict[str, SweepSpec] = {
         SweepSpec(
             "gputx_bulk_size",
             gputx_bulk_size_sweep,
-            grid_kwarg="bulk_sizes",
             smoke_kwargs={"bulk_sizes": (1, 512), "row_count": 20_000},
         ),
         SweepSpec(
             "processing_model",
             processing_model_sweep,
-            grid_kwarg="row_counts",
             smoke_kwargs={"row_counts": (1_000, 10_000)},
         ),
         SweepSpec(
             "snapshot_isolation",
             snapshot_isolation_sweep,
-            grid_kwarg="updates_between_queries",
             smoke_kwargs={
                 "updates_between_queries": (0, 1_000),
                 "row_count": 200_000,
@@ -846,7 +823,6 @@ SWEEPS: dict[str, SweepSpec] = {
         SweepSpec(
             "staging_cache",
             staging_cache_sweep,
-            grid_kwarg="capacity_fractions",
             smoke_kwargs={
                 "capacity_fractions": (0.0, 2.0),
                 "oltp_fractions": (0.0, 0.5),
@@ -857,7 +833,6 @@ SWEEPS: dict[str, SweepSpec] = {
         SweepSpec(
             "fusion",
             fusion_sweep,
-            grid_kwarg="selectivities",
             smoke_kwargs={"selectivities": (0.1, 0.9), "row_count": 50_000},
         ),
     )

@@ -28,12 +28,6 @@ from repro.hardware.event import Cycles
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 from repro.layout.linearization import LinearizationKind
-from repro.perf.cost_cache import (
-    active_cost_cache,
-    cache_usable,
-    fragment_fingerprint,
-    platform_fingerprint,
-)
 
 __all__ = [
     "sum_column",
@@ -73,24 +67,10 @@ def column_scan_cost(fragment: Fragment, attribute: str, ctx: ExecutionContext) 
     is exactly the paper's misplacement penalty (ii): "unnecessary
     loading of additional data into the cache").
 
-    The result is a pure function of the platform's model parameters
-    and the fragment's geometry, so it is memoized in the process-wide
-    :class:`~repro.perf.cost_cache.CostCache` — except while a fault
-    injector is armed, when every costing recomputes (see
-    docs/PERFORMANCE.md).
+    The result is a pure function of the platform's frozen model
+    parameters and the fragment's geometry; it is cheap enough to
+    recompute on every call (docs/PERFORMANCE.md).
     """
-    cache = active_cost_cache()
-    key = None
-    if cache is not None and cache_usable(ctx.platform):
-        key = (
-            "column-scan",
-            platform_fingerprint(ctx.platform),
-            fragment_fingerprint(fragment),
-            attribute,
-        )
-        memoized = cache.get(key)
-        if memoized is not None:
-            return memoized
     model = ctx.platform.memory_model
     width = fragment.schema.attribute(attribute).width
     count = fragment.filled
@@ -111,8 +91,6 @@ def column_scan_cost(fragment: Fragment, attribute: str, ctx: ExecutionContext) 
     compute = count * ADD_CYCLES_PER_VALUE
     if fragment.is_compressed and fragment.compression is not None:
         compute += count * fragment.compression.codec.decode_cycles_per_value
-    if key is not None:
-        cache.put(key, (memory, compute))
     return memory, compute
 
 

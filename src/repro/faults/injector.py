@@ -294,19 +294,6 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     @property
-    def armed(self) -> bool:
-        """Whether any site can still fire (probability > 0, cap not hit).
-
-        Memoized costings must be bypassed while this is True: a faulted
-        run has to re-execute its operators so the injector actually
-        sees every check (see :mod:`repro.perf.cost_cache`).
-        """
-        return any(
-            spec.probability > 0.0 and not spec.exhausted
-            for spec in self.specs.values()
-        )
-
-    @property
     def total_injected(self) -> int:
         """Faults fired so far across all sites."""
         return sum(spec.fired for spec in self.specs.values())

@@ -68,13 +68,13 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
     *sites* are unused.
     """
     if smoke:
-        grid_kwargs = dict(SWEEPS["fusion"].smoke_kwargs)
+        sweep_kwargs = dict(SWEEPS["fusion"].smoke_kwargs)
         gate_rows = 200_000
     else:
-        grid_kwargs = {}
+        sweep_kwargs = {}
         gate_rows = 2_000_000
 
-    points = fusion_sweep(**grid_kwargs)
+    points = fusion_sweep(**sweep_kwargs)
     speedup = _speedup_record(gate_rows)
     identical = all(point.outcomes["identical"] == 1.0 for point in points)
     identical = identical and speedup["identical"]

@@ -1,41 +1,10 @@
-"""Performance infrastructure: memoized costings and parallel sweeps.
+"""Performance infrastructure: the ablation sweep runner.
 
-The cost plane is deterministic — the cycles charged for scanning a
-column are a pure function of the platform's model parameters and the
-fragment's geometry — so sweeps that re-cost the same (platform,
-fragment, access shape) thousands of times can reuse the closed-form
-result.  :mod:`repro.perf.cost_cache` provides that memoization (with
-the fault-injection bypass that keeps chaos runs honest), and
-:mod:`repro.perf.sweeper` fans independent ablation grid points across
-``multiprocessing`` workers.  See docs/PERFORMANCE.md.
+:mod:`repro.perf.sweeper` runs the registered ablation sweeps inline,
+times them, and is the ``sweeps`` plane of ``python -m repro.verify``.
+See docs/PERFORMANCE.md.
 """
 
-from repro.perf.cost_cache import (
-    CostCache,
-    active_cost_cache,
-    cache_usable,
-    cost_cache_disabled,
-    fragment_fingerprint,
-    platform_fingerprint,
-    set_cost_cache,
-)
-from repro.perf.sweeper import (
-    SweepResult,
-    point_seed,
-    run_sweep,
-    run_sweeps,
-)
+from repro.perf.sweeper import SweepResult, run_sweep, run_sweeps
 
-__all__ = [
-    "CostCache",
-    "active_cost_cache",
-    "set_cost_cache",
-    "cost_cache_disabled",
-    "cache_usable",
-    "platform_fingerprint",
-    "fragment_fingerprint",
-    "SweepResult",
-    "point_seed",
-    "run_sweep",
-    "run_sweeps",
-]
+__all__ = ["SweepResult", "run_sweep", "run_sweeps"]

@@ -12,7 +12,7 @@ cycle-charged and deterministic:
   so an incomplete checkpoint is silently ignored;
 * :mod:`repro.recovery.manager` — ARIES-lite restart (analysis, redo
   by repeating history, undo of losers by before-image), ending in the
-  engine's ``on_recovered`` hook and a cost-cache invalidation;
+  engine's ``on_recovered`` hook and a staging-cache invalidation;
 * :mod:`repro.recovery.replicated` — a WAL replicator shipping flushed
   segments into the :class:`~repro.distributed.dfs.BlockStore` for
   ES²-style engines;

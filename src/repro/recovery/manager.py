@@ -22,9 +22,9 @@ records:
 
 Afterwards the engine's :meth:`~repro.engines.base.StorageEngine.on_recovered`
 hook runs (L-Store merges replayed tails through its lineage, HyPer
-compacts the redo-touched hot tail) and the process-wide
-:class:`~repro.perf.CostCache` is invalidated — a recovered layout
-must not serve cost entries memoized against pre-crash geometry.
+compacts the redo-touched hot tail) and every staged device replica is
+invalidated — a recovered layout must not serve reads from replicas
+staged against pre-crash state.
 
 Everything is cycle-charged on the *recovering* machine's context:
 log scan and checkpoint image as sequential disk reads, replay through
@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.errors import RecoveryError
-from repro.perf.cost_cache import invalidate_cost_cache
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.wal import LogRecord, LogRecordKind, WriteAheadLog
 
@@ -208,7 +207,6 @@ class RecoveryManager:
 
             # ---- engine-specific epilogue + cache hygiene ------------
             engine.on_recovered(name, ctx)
-            invalidate_cost_cache()
             # Staged device replicas captured pre-crash state (including
             # loser-transaction writes that undo just rolled back): drop
             # them all so post-restart reads re-stage from the recovered

@@ -37,8 +37,8 @@ class TransferScheduler:
 
     Stateless apart from its platform reference: all accumulation goes
     into the :class:`~repro.hardware.event.PerfCounters` the caller
-    passes (``pcie_bytes``, ``transfers``), so forked contexts and the
-    cost cache see exactly what they charge.
+    passes (``pcie_bytes``, ``transfers``), so forked contexts see
+    exactly what they charge.
     """
 
     def __init__(self, platform: "Platform") -> None:

@@ -143,18 +143,18 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
     *sites* are unused.
     """
     if smoke:
-        grid_kwargs = dict(SWEEPS["staging_cache"].smoke_kwargs)
+        sweep_kwargs = dict(SWEEPS["staging_cache"].smoke_kwargs)
         row_count = 200_000
         trajectory_queries = 16
     else:
-        grid_kwargs = {}
+        sweep_kwargs = {}
         row_count = 2_000_000
         trajectory_queries = 32
 
-    points = staging_cache_sweep(**grid_kwargs)
+    points = staging_cache_sweep(**sweep_kwargs)
     warm_cold, identity = _cold_warm_records(row_count)
     trajectory = _trajectory_record(
-        grid_kwargs.get("row_count", 200_000), trajectory_queries
+        sweep_kwargs.get("row_count", 200_000), trajectory_queries
     )
     final = trajectory["queries"][-1]
     logger.info(

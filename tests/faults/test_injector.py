@@ -122,7 +122,7 @@ class TestInjection:
     def test_disarm_then_rearm(self):
         injector = FaultInjector(seed=1).arm(SITE_PCIE_TRANSFER, 0.3)
         injector.disarm(SITE_PCIE_TRANSFER)
-        assert not injector.armed
+        assert SITE_PCIE_TRANSFER not in injector.specs
         injector.arm(SITE_PCIE_TRANSFER, 0.9)
         assert injector.specs[SITE_PCIE_TRANSFER].probability == 0.9
 

@@ -6,26 +6,14 @@ to replaying the same trace through the scalar :meth:`access` loop.
 These tests pin that on every access shape the operators generate
 (sequential, strided, random), plus warm replays, mixed sizes, and the
 spillover state (``_last_line``/``_stream_run``) that couples batches.
-
-Also here: the :class:`CostCache` hit-exactness contract — a memoized
-costing hands back the exact cycles of the cold computation.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.execution.context import ExecutionContext
-from repro.execution.operators import column_scan_cost
 from repro.hardware.event import PerfCounters
 from repro.hardware.platform import Platform
-from repro.layout.fragment import Fragment
-from repro.layout.linearization import LinearizationKind
-from repro.layout.region import Region
-from repro.model.datatypes import FLOAT64, INT64
-from repro.model.relation import Relation
-from repro.model.schema import Schema
-from repro.perf.cost_cache import CostCache, set_cost_cache
 
 
 def hierarchy_state(hierarchy):
@@ -152,36 +140,3 @@ class TestBatchContract:
         assert delta == 0.0
         assert counters.snapshot() == PerfCounters().snapshot()
 
-
-class TestCostCacheExactness:
-    """A cache hit is the cold costing, bit for bit."""
-
-    def fragment(self, platform, kind):
-        relation = Relation(
-            "t", Schema.of(("id", INT64), ("price", FLOAT64)), 4096
-        )
-        rows = [(i, float(i) / 2) for i in range(4096)]
-        return Fragment.from_rows(
-            Region.full(relation),
-            relation.schema,
-            kind,
-            platform.host_memory,
-            rows,
-        )
-
-    @pytest.mark.parametrize(
-        "kind", [LinearizationKind.NSM, LinearizationKind.DSM]
-    )
-    def test_hit_returns_exact_cold_cycles(self, platform, kind):
-        fragment = self.fragment(platform, kind)
-        ctx = ExecutionContext(platform)
-        cache = CostCache()
-        previous = set_cost_cache(cache)
-        try:
-            cold = column_scan_cost(fragment, "price", ctx)
-            warm = column_scan_cost(fragment, "price", ctx)
-        finally:
-            set_cost_cache(previous)
-        assert warm == cold  # exact float equality, not approx
-        assert cache.hits == 1
-        assert cache.misses == 1

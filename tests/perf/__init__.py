@@ -1,1 +1,1 @@
-"""Tests for the perf package: cost cache and parallel sweep runner."""
+"""Tests for the perf package: the ablation sweep runner."""

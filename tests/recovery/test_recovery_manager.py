@@ -16,7 +16,6 @@ from repro.errors import RecoveryError
 from repro.execution import ExecutionContext
 from repro.faults.report import ResilienceReport
 from repro.hardware import Platform
-from repro.perf import active_cost_cache
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.wal import WriteAheadLog
@@ -97,19 +96,6 @@ class TestRecover:
             results.append(result)
         # Same durable artifacts -> identical replay, identical charge.
         assert results[0] == results[1]
-
-    def test_recovery_invalidates_cost_cache(self, platform):
-        # Satellite: memoized costings keyed on pre-crash geometry must
-        # not survive a replay that rebuilt the layouts.
-        wal, store, _ = crashed_artifacts(platform)
-        cache = active_cost_cache()
-        assert cache is not None, "tier-1 runs with the default cache installed"
-        before = cache.invalidations
-        rebooted = Platform.paper_testbed()
-        RecoveryManager(wal, store).recover(
-            lambda: build_engine(rebooted), "item", ExecutionContext(rebooted)
-        )
-        assert cache.invalidations > before
 
     def test_recovery_tallies_into_resilience_report(self, platform):
         wal, store, _ = crashed_artifacts(platform)
