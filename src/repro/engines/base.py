@@ -35,7 +35,6 @@ from repro.execution.operators import (
     sum_column,
     update_field,
 )
-from repro.hardware.memory import MemorySpace
 from repro.hardware.platform import Platform
 from repro.layout.layout import Layout
 from repro.layout.fragment import Fragment
@@ -252,18 +251,6 @@ class StorageEngine(abc.ABC):
     def delegation_policy(self, name: str) -> DelegationPolicy | None:
         """The delegation mechanism, if the engine has one."""
         return None
-
-    def storage_media(self, name: str) -> list["MemorySpace"]:
-        """Every distinct memory space the engine's mechanisms use.
-
-        Defaults to the spaces holding fragments; engines with extra
-        machinery (PAX's buffer pool, ES2's DFS disks) override to add
-        those spaces, since they are part of the data-location story.
-        """
-        seen: dict[int, "MemorySpace"] = {}
-        for fragment in self.fragment_population(name):
-            seen.setdefault(id(fragment.space), fragment.space)
-        return list(seen.values())
 
     @property
     def is_responsive(self) -> bool:

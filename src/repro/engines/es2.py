@@ -39,7 +39,6 @@ from repro.execution.access import AccessKind
 from repro.execution.context import ExecutionContext
 from repro.execution.index import SecondaryIndex
 from repro.execution.operators import materialize_rows, sum_at_positions, sum_column
-from repro.hardware.memory import MemorySpace
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 from repro.layout.linearization import LinearizationKind
@@ -247,11 +246,6 @@ class ES2Engine(StorageEngine):
                 )
                 ctx.note("es2-network", cost)
         return tuple(sorted(positions))
-
-    def storage_media(self, name: str) -> list[MemorySpace]:
-        media: list[MemorySpace] = [node.memory for node in self.cluster.nodes]
-        media.extend(node.disk for node in self.cluster.nodes)
-        return media
 
     # ------------------------------------------------------------------
     # Distributed query paths (network costs from the coordinator)

@@ -103,10 +103,6 @@ class FracturedMirrorsEngine(StorageEngine):
             )
         return layouts
 
-    def storage_media(self, name: str) -> list[MemorySpace]:
-        # Both spindles, plus the host memory the working set lives in.
-        return [*self.disks, self.platform.host_memory]
-
     # ------------------------------------------------------------------
     # Shape-based mirror routing
     # ------------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro.errors import EngineError, TransactionError
 from repro.execution.access import AccessKind
 from repro.execution.context import ExecutionContext
 from repro.execution.device import device_sum_column
-from repro.hardware.memory import MemorySpace
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 from repro.layout.partitioning import one_region_per_attribute
@@ -116,12 +115,6 @@ class GpuTxEngine(StorageEngine):
             fill_fragment(fragment, columns)
             fragments.append(fragment)
         return [Layout(f"{relation.name}/device-columns", relation, fragments)]
-
-    def storage_media(self, name: str) -> list[MemorySpace]:
-        # Relations live exclusively on the device; the host result pool
-        # is a delivery buffer, not a tuplet location (Table 1 keys the
-        # location off where tuplets are stored: Dev. + Dev.).
-        return [self.platform.device_memory]
 
     # ------------------------------------------------------------------
     # Bulk transaction execution (the K-set kernel)

@@ -177,10 +177,6 @@ class PaxEngine(StorageEngine):
             fragments.append(fragment)
         return [Layout(f"{relation.name}/pax", relation, fragments)]
 
-    def storage_media(self, name: str) -> list[MemorySpace]:
-        # Pages on disk, working set in the host buffer pool.
-        return [self.platform.disk, self.platform.host_memory]
-
     # ------------------------------------------------------------------
     # Buffer-managed query paths
     # ------------------------------------------------------------------

@@ -20,15 +20,14 @@ to its hot paths if it can *see* them.  Three cooperating pieces:
   structured logger (:mod:`repro.obs.logging`).
 
 The time-series plane builds on the same contract:
-:class:`~repro.obs.timeseries.WindowedRegistry` adds ring-buffer
-dimensional series sampled on the cycle timeline (the serving loop's
-``serving.*`` events, and ``platform.*`` series derived from the
-counter deltas it settles) with tumbling/sliding window aggregation
-and a counter-closure exactness gate;
-:mod:`repro.obs.slo` evaluates declarative :class:`SloSpec` objectives
-with multi-window burn-rate alerting; and :mod:`repro.obs.bench` +
-:mod:`repro.obs.regress` define the unified ``BENCH_*.json`` schema and
-the cross-run regression diff CI runs.
+:class:`~repro.obs.timeseries.WindowedRegistry` adds dimensional series
+sampled on the cycle timeline (the serving loop's ``serving.*`` events,
+and ``platform.*`` series of the counter deltas it settles), one
+half-open window reader and a counter-closure exactness gate;
+:func:`~repro.obs.slo.evaluate_slos` evaluates declarative
+:class:`SloSpec` objectives with multi-window burn-rate alerting; and
+:mod:`repro.obs.bench` + :mod:`repro.obs.regress` define the unified
+``BENCH_*.json`` schema and the cross-run regression diff CI runs.
 
 ``python -m repro.verify obs`` (:mod:`repro.obs.verifier`) runs a
 Figure-2 workload traced, emits ``trace.json`` + the profile report,
@@ -52,15 +51,10 @@ from repro.obs.profile import explain, layer_attribution, render_span_tree
 from repro.obs.slo import (
     Alert,
     BurnRatePolicy,
-    SloEvaluator,
     SloSpec,
     evaluate_slos,
 )
-from repro.obs.timeseries import (
-    TimeSeries,
-    WindowAggregate,
-    WindowedRegistry,
-)
+from repro.obs.timeseries import TimeSeries, WindowedRegistry
 from repro.obs.tracer import (
     LAYER_FUSED,
     InstantEvent,
@@ -86,11 +80,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "TimeSeries",
-    "WindowAggregate",
     "WindowedRegistry",
     "SloSpec",
     "BurnRatePolicy",
-    "SloEvaluator",
     "Alert",
     "evaluate_slos",
     "BENCH_SCHEMA",

@@ -71,18 +71,6 @@ class Histogram:
         """Record one observation."""
         self.values.append(float(value))
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold *other*'s observations into this histogram (chainable).
-
-        Because observations are kept exactly (no buckets), merging is
-        plain concatenation and the merged percentiles equal the
-        percentiles of the concatenated sample lists — this is how
-        per-shard latency histograms aggregate into the cluster-level
-        distribution without approximation error.
-        """
-        self.values.extend(other.values)
-        return self
-
     def percentile(self, q: float) -> float:
         """The *q*-th percentile (``0 <= q <= 100``) of the observations.
 
@@ -171,20 +159,6 @@ class MetricsRegistry:
             for name, histogram in sorted(self._histograms.items())
             if name.startswith(dotted)
         }
-
-    def merged_histogram(self, prefix: str, name: str) -> Histogram:
-        """A fresh histogram merging every ``{prefix}.*`` member.
-
-        The cluster-level aggregation: e.g.
-        ``merged_histogram("shard-latency", "cluster.shard_latency")``
-        folds each per-shard latency histogram into one distribution
-        whose percentiles are exact over the concatenated samples.  The
-        result is **not** registered (it is a read-out, not a sink).
-        """
-        merged = Histogram(name)
-        for histogram in self.histograms_with_prefix(prefix).values():
-            merged.merge(histogram)
-        return merged
 
     # ------------------------------------------------------------------
     # PerfCounters aggregation

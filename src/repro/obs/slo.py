@@ -5,9 +5,10 @@ An :class:`SloSpec` states an objective over one of the windowed series
 "at least 99% of latency samples are ≤ N", "error rate ≤ x" is
 "at least 1-x of outcomes are good", "staging hit rate ≥ y" is already
 in that shape — so every spec reduces to a **good-event fraction** per
-window and an **error budget** ``1 - objective``.
+window, read through :meth:`~repro.obs.timeseries.WindowedRegistry.values`,
+and an **error budget** ``1 - objective``.
 
-The evaluator applies the standard multi-window burn-rate method: the
+:func:`evaluate_slos` applies the standard multi-window burn-rate method: the
 *burn rate* of a window is ``bad_fraction / budget`` (1.0 = spending
 the budget exactly at the sustainable rate), and an alert fires only
 when **both** a fast and a slow window exceed a policy's threshold —
@@ -39,7 +40,6 @@ __all__ = [
     "TICKET",
     "DEFAULT_POLICIES",
     "Alert",
-    "SloEvaluator",
     "evaluate_slos",
 ]
 
@@ -98,30 +98,15 @@ class SloSpec:
     ) -> float:
         """The bad-event fraction inside ``[start, end)`` (0 when idle)."""
         if self.kind == "latency":
-            samples = [
-                value
-                for series in registry.matching(self.metric, **self.labels)
-                for cycle, value in series.samples()
-                if start <= cycle < end
-            ]
+            samples = registry.values(self.metric, start, end, **self.labels)
             if not samples:
                 return 0.0
             bad = sum(1 for value in samples if value > self.threshold)
             return bad / len(samples)
-        good = self._window_sum(registry, self.metric, start, end)
-        bad = self._window_sum(registry, self.bad_metric, start, end)
+        good = sum(registry.values(self.metric, start, end, **self.labels))
+        bad = sum(registry.values(self.bad_metric, start, end, **self.labels))
         total = good + bad
         return bad / total if total > 0 else 0.0
-
-    def _window_sum(
-        self, registry: WindowedRegistry, metric: str, start: Cycles, end: Cycles
-    ) -> float:
-        return sum(
-            value
-            for series in registry.matching(metric, **self.labels)
-            for cycle, value in series.samples()
-            if start <= cycle < end
-        )
 
 
 @dataclass(frozen=True)
@@ -187,84 +172,55 @@ class Alert:
         )
 
 
-class SloEvaluator:
-    """Evaluate SLO specs over one windowed registry.
-
-    Parameters
-    ----------
-    registry:
-        The :class:`~repro.obs.timeseries.WindowedRegistry` holding the
-        run's series.
-    specs:
-        The objectives to watch.
-    policies:
-        Burn-rate rules; defaults to :data:`DEFAULT_POLICIES`.
-    """
-
-    def __init__(
-        self,
-        registry: WindowedRegistry,
-        specs: Iterable[SloSpec],
-        policies: Iterable[BurnRatePolicy] = DEFAULT_POLICIES,
-    ) -> None:
-        self.registry = registry
-        self.specs = tuple(specs)
-        self.policies = tuple(policies)
-
-    def evaluate(self, horizon: Cycles) -> list[Alert]:
-        """Every alert fired on ``[0, horizon]``, in cycle order.
-
-        The evaluator walks stride boundaries (one fast window per
-        stride), computes the fast and slow trailing-window burn rates
-        at each, and emits one alert per (spec, policy) rising edge.
-        Evaluation is read-only and charges nothing.
-        """
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
-        alerts: list[Alert] = []
-        for spec in self.specs:
-            for policy in self.policies:
-                fast = horizon * policy.fast_fraction
-                slow = horizon * policy.slow_fraction
-                violating = False
-                boundary = fast
-                while boundary <= horizon + 1e-9:
-                    burn_fast = (
-                        spec.bad_fraction(
-                            self.registry, boundary - fast, boundary
-                        )
-                        / spec.budget
-                    )
-                    burn_slow = (
-                        spec.bad_fraction(
-                            self.registry, max(0.0, boundary - slow), boundary
-                        )
-                        / spec.budget
-                    )
-                    firing = burn_fast >= policy.burn and burn_slow >= policy.burn
-                    if firing and not violating:
-                        alerts.append(
-                            Alert(
-                                slo=spec.name,
-                                severity=policy.severity,
-                                cycle=boundary,
-                                burn_fast=burn_fast,
-                                burn_slow=burn_slow,
-                                budget=spec.budget,
-                                threshold_burn=policy.burn,
-                            )
-                        )
-                    violating = firing
-                    boundary += fast
-        alerts.sort(key=lambda alert: (alert.cycle, alert.slo, alert.severity))
-        return alerts
-
-
 def evaluate_slos(
     registry: WindowedRegistry,
     specs: Iterable[SloSpec],
     horizon: Cycles,
     policies: Iterable[BurnRatePolicy] = DEFAULT_POLICIES,
 ) -> list[Alert]:
-    """One-shot convenience wrapper around :class:`SloEvaluator`."""
-    return SloEvaluator(registry, specs, policies).evaluate(horizon)
+    """Every alert *specs* fire over *registry* on ``[0, horizon]``.
+
+    Walks stride boundaries (one fast window per stride) for each
+    (spec, policy) pair, computes the fast and slow trailing-window
+    burn rates at each, and emits one alert per rising edge; *policies*
+    defaults to :data:`DEFAULT_POLICIES`.  The alerts come back in
+    cycle order.  Evaluation is read-only and charges nothing.
+    """
+    if horizon <= 0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
+    policies = tuple(policies)
+    alerts: list[Alert] = []
+    for spec in specs:
+        for policy in policies:
+            fast = horizon * policy.fast_fraction
+            slow = horizon * policy.slow_fraction
+            violating = False
+            boundary = fast
+            while boundary <= horizon + 1e-9:
+                burn_fast = (
+                    spec.bad_fraction(registry, boundary - fast, boundary)
+                    / spec.budget
+                )
+                burn_slow = (
+                    spec.bad_fraction(
+                        registry, max(0.0, boundary - slow), boundary
+                    )
+                    / spec.budget
+                )
+                firing = burn_fast >= policy.burn and burn_slow >= policy.burn
+                if firing and not violating:
+                    alerts.append(
+                        Alert(
+                            slo=spec.name,
+                            severity=policy.severity,
+                            cycle=boundary,
+                            burn_fast=burn_fast,
+                            burn_slow=burn_slow,
+                            budget=spec.budget,
+                            threshold_burn=policy.burn,
+                        )
+                    )
+                violating = firing
+                boundary += fast
+    alerts.sort(key=lambda alert: (alert.cycle, alert.slo, alert.severity))
+    return alerts

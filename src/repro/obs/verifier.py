@@ -21,9 +21,10 @@ fault injector that forces exactly one retried PCIe transfer, then:
 On top of that, the telemetry-plane gates run a compact serving probe
 per seed (the first seed only under ``--smoke``):
 
-* **window closure** — every counter series' tumbling-window sums equal
-  its running total and the by-metric totals equal the root
-  :class:`~repro.hardware.event.PerfCounters` fields;
+* **window closure** — every root
+  :class:`~repro.hardware.event.PerfCounters` field equals its
+  ``platform.<field>`` series total
+  (:meth:`~repro.obs.timeseries.WindowedRegistry.verify_closure`);
 * **windowed zero observer** — the probe with a
   :class:`~repro.obs.timeseries.WindowedRegistry` active is
   byte-identical (answers, makespan, counter totals) to the same seed

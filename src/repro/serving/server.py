@@ -45,7 +45,7 @@ from repro.execution.operators import (
     sum_column,
     update_field,
 )
-from repro.hardware.event import Cycles
+from repro.hardware.event import Cycles, PerfCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import WindowedRegistry
 from repro.serving.admission import AdmissionQueue
@@ -279,9 +279,11 @@ class ServingLoop:
         The batch policy.
     registry:
         Metrics sink; every unit's scope delta is observed here, and
-        per-query latency lands in ``serving.latency_cycles``.  A
+        per-query latency lands in ``serving.latency_cycles`` and
+        ``serving.latency_cycles.tenant.<name>``.  A
         :class:`~repro.obs.timeseries.WindowedRegistry` also receives
-        the ``serving.*`` series and, from each observed delta, the
+        the per-tenant ``serving.latency``/``served``/``shed`` series
+        and, from each observed delta sampled at the loop's *now*, the
         ``platform.*`` series.
     rebalancer / rebalance_interval_cycles:
         Optional cadence-polled rebalance trigger loop; every interval
@@ -367,6 +369,12 @@ class ServingLoop:
                 "serving.shed", 1.0, cycle=self.now, tenant=tenant
             )
 
+    def _observe(self, name: str, delta: PerfCounters) -> None:
+        """Observe one settled scope delta, sampled at *now* when windowed."""
+        self.registry.observe_query(name, delta)
+        if self._windowed is not None:
+            self._windowed.sample_counters(delta, self.now)
+
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -439,29 +447,22 @@ class ServingLoop:
             else:
                 answers = [self.backend.run(head.spec, self.ctx)]
         delta = self.ctx.settle(scope)
-        self.registry.observe_query(name, delta)
+        self._observe(name, delta)
         start = self.now
         finish = start + delta.cycles
         for entry, answer in zip(unit, answers):
             latency = finish - entry.cycle
             self.registry.histogram("serving.latency_cycles").observe(latency)
             self.registry.histogram(
-                f"serving.latency_cycles.p{entry.priority}"
-            ).observe(latency)
-            self.registry.histogram(
                 f"serving.latency_cycles.tenant.{entry.tenant}"
             ).observe(latency)
             if self._windowed is not None:
-                # Per-tenant end-to-end latency and admission wait on
-                # the cycle timeline, plus a served-event counter (the
-                # good half of the shed/served error-ratio SLOs).
+                # Per-tenant end-to-end latency on the cycle timeline,
+                # plus a served-event counter (the good half of the
+                # shed/served error-ratio SLOs).
                 self._windowed.record(
                     "serving.latency", latency, cycle=finish,
                     kind="gauge", tenant=entry.tenant,
-                )
-                self._windowed.record(
-                    "serving.admission_wait", start - entry.cycle,
-                    cycle=start, kind="gauge", tenant=entry.tenant,
                 )
                 self._windowed.record(
                     "serving.served", 1.0, cycle=finish, tenant=entry.tenant
@@ -482,8 +483,6 @@ class ServingLoop:
                 )
             )
         self.now = finish
-        if self._windowed is not None:
-            self._windowed.advance_clock(self.now)
         self._report.units += 1
         if batched:
             self._report.batches += 1
@@ -516,10 +515,8 @@ class ServingLoop:
                 self.ctx, interleave=interleave
             )
         delta = self.ctx.settle(scope)
-        self.registry.observe_query(scope.name, delta)
+        self._observe(scope.name, delta)
         self.now += delta.cycles
-        if self._windowed is not None:
-            self._windowed.advance_clock(self.now)
         self._last_rebalance = self.now
         self._report.rebalances.append(
             RebalanceTick(
@@ -550,13 +547,11 @@ class ServingLoop:
                     break
                 # Idle: jump the clock to the next arrival.
                 self.now = max(self.now, arrivals[cursor].cycle)
-                if self._windowed is not None:
-                    self._windowed.advance_clock(self.now)
                 continue
             self._dispatch_unit()
             self._maybe_rebalance()
         delta = self.ctx.settle(self._admission_scope)
-        self.registry.observe_query("admission", delta)
+        self._observe("admission", delta)
         self._report.makespan_cycles = self.now
         return self._report
 

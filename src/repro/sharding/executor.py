@@ -73,7 +73,7 @@ __all__ = [
     "SITE_NET_DROP_RESPONSE",
     "SITE_NET_SLOW_LINK",
     "SHARD_LOAD_METRIC",
-    "SHARD_LATENCY_METRIC",
+    "encode_answer",
     "ShardedResult",
     "ExecutorStats",
     "ShardedExecutor",
@@ -83,12 +83,6 @@ __all__ = [
 #: optional metrics registry (``{prefix}.{shard_id}``, in rows served).
 #: The rebalance skew detector reads these to find hot shards.
 SHARD_LOAD_METRIC = "shard-load"
-
-#: Prefix of the per-shard sub-query latency histograms
-#: (``{prefix}.{shard_id}``, in cycles charged by the sub-query
-#: including failover/rebuild/response costs).  Merged into the
-#: cluster-level view via :meth:`~repro.obs.metrics.Histogram.merge`.
-SHARD_LATENCY_METRIC = "shard-latency"
 
 #: A worker dies while serving a shard sub-query; the failover state
 #: machine re-runs the sub-query on a surviving DFS replica.
@@ -113,6 +107,15 @@ SITE_NET_SLOW_LINK = register_fault_site(
 )
 
 _FLOAT = np.dtype(np.float64).itemsize
+
+
+def encode_answer(value: Any) -> bytes:
+    """A canonical byte encoding of an answer for oracle comparison."""
+    if isinstance(value, dict):
+        return repr(sorted(value.items())).encode()
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    return repr(value).encode()
 
 
 @dataclass(frozen=True)
@@ -142,11 +145,7 @@ class ShardedResult:
 
     def encoded(self) -> bytes:
         """A canonical byte encoding of *value* for oracle comparison."""
-        if isinstance(self.value, dict):
-            return repr(sorted(self.value.items())).encode()
-        if isinstance(self.value, np.ndarray):
-            return self.value.tobytes()
-        return repr(self.value).encode()
+        return encode_answer(self.value)
 
 
 @dataclass
@@ -211,8 +210,7 @@ class ShardedExecutor:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`: when
         given, every served sub-query increments a per-shard
         ``shard-load.<id>`` row counter — the one load signal the
-        rebalance skew detector reads, whatever the registry's type —
-        and observes its cycles in a ``shard-latency.<id>`` histogram.
+        rebalance skew detector reads, whatever the registry's type.
         Recording is read-only with respect to the simulation (never
         charges a cycle).
     """
@@ -288,18 +286,13 @@ class ShardedExecutor:
             "scatter-gather", "sharding", shape=query.shape.value, fanout=plan.fanout
         ):
             for task in plan.tasks:
-                before = ctx.counters.cycles
                 partial, node_name = self._run_shard(task, query, ctx)
                 served_by[task.shard.shard_id] = node_name
                 partials.append(partial)
                 if self.metrics is not None:
-                    shard_id = task.shard.shard_id
                     self.metrics.counter(
-                        f"{SHARD_LOAD_METRIC}.{shard_id}"
+                        f"{SHARD_LOAD_METRIC}.{task.shard.shard_id}"
                     ).inc(task.row_count)
-                    self.metrics.histogram(
-                        f"{SHARD_LATENCY_METRIC}.{shard_id}"
-                    ).observe(ctx.counters.cycles - before)
             value = self._merge(query, plan, partials, ctx)
         return ShardedResult(
             query=query, value=value, served_by=served_by, fanout=plan.fanout

@@ -302,13 +302,6 @@ class ShardMap:
         ]
         return tuple(sorted(holders)) + tuple(sorted(rest))
 
-    def primaries(self) -> dict[str, list[int]]:
-        """node name -> shard ids currently primaried there."""
-        assignment: dict[str, list[int]] = {}
-        for shard in self.shards:
-            assignment.setdefault(shard.primary, []).append(shard.shard_id)
-        return assignment
-
     # ------------------------------------------------------------------
     # Live migration: epoch-bumped cutovers (repro.rebalance)
     # ------------------------------------------------------------------

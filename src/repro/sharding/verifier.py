@@ -49,6 +49,7 @@ from repro.sharding.executor import (
     SITE_NET_SLOW_LINK,
     SITE_SHARD_NODE_CRASH,
     ShardedExecutor,
+    encode_answer,
 )
 from repro.sharding.placement import ShardMap, ShardingScheme
 from repro.sharding.router import Router
@@ -133,15 +134,6 @@ def build_query_stream(
         )
         queries.append(QuerySpec(shape, "orders", attributes, positions))
     return tuple(queries)
-
-
-def encode_answer(value: Any) -> bytes:
-    """The canonical byte encoding shared with ``ShardedResult.encoded``."""
-    if isinstance(value, dict):
-        return repr(sorted(value.items())).encode()
-    if isinstance(value, np.ndarray):
-        return value.tobytes()
-    return repr(value).encode()
 
 
 class SingleNodeOracle:

@@ -80,49 +80,6 @@ class TestInstruments:
 
 
 class TestHistogramMerge:
-    def test_merge_is_exact_concatenation(self):
-        left = Histogram("left")
-        right = Histogram("right")
-        for value in (1.0, 5.0, 9.0):
-            left.observe(value)
-        for value in (2.0, 4.0):
-            right.observe(value)
-        assert left.merge(right) is left  # chainable
-        assert left.values == [1.0, 5.0, 9.0, 2.0, 4.0]
-        assert right.values == [2.0, 4.0]  # source untouched
-
-    def test_merged_percentiles_match_numpy_over_concatenation(self):
-        import numpy as np
-
-        shards = [
-            [float((value * 31 + shard * 7) % 97) for value in range(17)]
-            for shard in range(4)
-        ]
-        merged = Histogram("cluster")
-        for samples in shards:
-            part = Histogram("part")
-            for value in samples:
-                part.observe(value)
-            merged.merge(part)
-        flat = [value for samples in shards for value in samples]
-        for q in (50.0, 95.0, 99.0):
-            assert merged.percentile(q) == pytest.approx(
-                float(np.percentile(flat, q))
-            )
-
-    def test_registry_cluster_aggregation(self):
-        registry = MetricsRegistry()
-        registry.histogram("shard-latency.0").observe(10.0)
-        registry.histogram("shard-latency.0").observe(30.0)
-        registry.histogram("shard-latency.1").observe(20.0)
-        registry.histogram("unrelated").observe(99.0)
-        by_prefix = registry.histograms_with_prefix("shard-latency")
-        assert list(by_prefix) == ["shard-latency.0", "shard-latency.1"]
-        cluster = registry.merged_histogram("shard-latency", "cluster")
-        assert sorted(cluster.values) == [10.0, 20.0, 30.0]
-        # A read-out, not a sink: never registered.
-        assert "cluster" not in registry.dump()["histograms"]
-
     def test_prefix_filter_requires_the_dot(self):
         registry = MetricsRegistry()
         registry.histogram("shard-latency.0").observe(1.0)

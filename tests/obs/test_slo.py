@@ -8,7 +8,6 @@ from repro.obs.slo import (
     TICKET,
     Alert,
     BurnRatePolicy,
-    SloEvaluator,
     SloSpec,
     evaluate_slos,
 )
@@ -171,9 +170,8 @@ class TestEvaluator:
         assert evaluate_slos(registry, [unscoped], horizon=10_000.0)
 
     def test_bad_horizon_rejected(self):
-        evaluator = SloEvaluator(WindowedRegistry(), [latency_spec()])
         with pytest.raises(ValueError):
-            evaluator.evaluate(0.0)
+            evaluate_slos(WindowedRegistry(), [latency_spec()], horizon=0.0)
 
     def test_alert_key_rounds_burns(self):
         alert = Alert(
@@ -182,3 +180,46 @@ class TestEvaluator:
             budget=0.05, threshold_burn=10.0,
         )
         assert alert.key() == ("s", "page", 10.0, 1.234567890, 2.0)
+
+
+#: The obs probe's overload alert stream (``Alert.key()``) per seed, as
+#: ``python -m repro.verify obs`` evaluates it; the record gates only
+#: the counts, so this pins the cycles and burn rates.
+PROBE_OVERLOAD_ALERTS = {
+    5: [
+        ("shed-rate", "ticket", 103786.29922747212, 10.0, 10.0),
+        ("shed-rate", "page", 249087.11814593308, 16.666666667, 11.515151515),
+        ("shed-rate", "page", 581203.2756738437, 13.333333333, 13.333333333),
+    ],
+    23: [
+        ("shed-rate", "page", 94147.24873644869, 17.142857143, 17.142857143),
+        ("shed-rate", "ticket", 117684.06092056085, 17.142857143, 17.142857143),
+        ("shed-rate", "page", 235368.12184112173, 13.846153846, 13.846153846),
+        ("shed-rate", "page", 329515.3705775704, 11.578947368, 11.578947368),
+        ("shed-rate", "page", 423662.6193140191, 14.736842105, 14.736842105),
+        ("shed-rate", "page", 517809.8680504678, 11.578947368, 11.578947368),
+        ("shed-rate", "page", 659030.7411551407, 11.428571429, 15.0),
+        ("p99-latency", "ticket", 823788.426443926, 5.714285714, 3.333333333),
+        ("p99-latency", "page", 894398.8629962621, 20.0, 20.0),
+    ],
+    101: [
+        ("shed-rate", "page", 128756.55928380197, 15.0, 15.0),
+        ("shed-rate", "ticket", 214594.26547300327, 15.0, 12.0),
+        ("shed-rate", "page", 257513.11856760396, 11.578947368, 11.578947368),
+        ("shed-rate", "page", 472107.38404060726, 13.333333333, 13.333333333),
+        ("shed-rate", "page", 600863.9433244092, 14.444444444, 14.444444444),
+        ("shed-rate", "page", 686701.6495136104, 10.909090909, 10.909090909),
+    ],
+}
+
+
+class TestProbeAlerts:
+    @pytest.mark.parametrize("seed", sorted(PROBE_OVERLOAD_ALERTS))
+    def test_probe_alert_streams_are_pinned(self, seed):
+        from repro.obs.verifier import run_windowed_probe
+
+        overload = run_windowed_probe(seed, overload=True)
+        assert [alert.key() for alert in overload["alerts"]] == (
+            PROBE_OVERLOAD_ALERTS[seed]
+        )
+        assert run_windowed_probe(seed, overload=False)["alerts"] == []

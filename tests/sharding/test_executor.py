@@ -97,27 +97,17 @@ class TestCosts:
 
     def test_per_shard_metrics_and_cluster_latency(self, harness, platform):
         from repro.obs.metrics import MetricsRegistry
-        from repro.sharding.executor import (
-            SHARD_LATENCY_METRIC,
-            SHARD_LOAD_METRIC,
-        )
+        from repro.sharding.executor import SHARD_LOAD_METRIC
 
         registry = MetricsRegistry()
         executor = harness(seed=3, metrics=registry)
         ctx = ExecutionContext(platform)
         executor.run(QuerySpec(QueryShape.FULL_SUM, "orders", ("v",)), ctx)
         shard_count = executor.shard_map.shard_count
-        # Per-shard load counters and latency histograms, one each.
-        loads = [
-            registry.counter(f"{SHARD_LOAD_METRIC}.{sid}").value
-            for sid in range(shard_count)
-        ]
-        assert sum(loads) == 128.0
-        latencies = registry.histograms_with_prefix(SHARD_LATENCY_METRIC)
-        assert len(latencies) == shard_count
-        cluster = registry.merged_histogram(SHARD_LATENCY_METRIC, "cluster")
-        assert len(cluster.values) == shard_count
-        assert cluster.summary()["total"] > 0
+        # One load counter per shard, summing to the rows served.
+        names = [f"{SHARD_LOAD_METRIC}.{sid}" for sid in range(shard_count)]
+        assert sorted(registry.dump()["counters"]) == sorted(names)
+        assert sum(registry.counter(name).value for name in names) == 128.0
 
     def test_fault_free_runs_are_cycle_deterministic(self, harness, platform):
         query = QuerySpec(QueryShape.FULL_SUM, "orders", ("v",))
