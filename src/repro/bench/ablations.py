@@ -54,6 +54,7 @@ from repro.layout.layout import Layout
 from repro.layout.linearization import LinearizationKind
 from repro.layout.region import Region
 from repro.model.relation import Relation
+from repro.serving.verifier import build_item_store
 from repro.workload.queries import random_positions
 from repro.workload.tpcc import generate_items, item_relation, item_schema
 
@@ -568,24 +569,6 @@ def machine_era_sweep(row_count: int = 20_000_000) -> list[SweepPoint]:
     return points
 
 
-def _materialized_column_store(platform: Platform, row_count: int) -> Layout:
-    """A filled (non-phantom) item column store — point updates need payload."""
-    relation = item_relation(row_count)
-    columns = generate_items(row_count)
-    fragments = []
-    for name in relation.schema.names:
-        fragment = Fragment(
-            Region(relation.rows, (name,)),
-            relation.schema,
-            None,
-            platform.host_memory,
-            label=f"item/{name}",
-        )
-        fragment.append_columns({name: columns[name]})
-        fragments.append(fragment)
-    return Layout("item/column-store", relation, fragments)
-
-
 def staging_cache_sweep(
     capacity_fractions: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0),
     oltp_fractions: tuple[float, ...] = (0.0, 0.25, 0.5),
@@ -614,7 +597,7 @@ def staging_cache_sweep(
         outcomes: dict[str, float] = {}
         for oltp_fraction in oltp_fractions:
             platform = Platform.paper_testbed()
-            store = _materialized_column_store(platform, row_count)
+            store = build_item_store(platform, row_count)
             relation = store.relation
             working_set = sum(
                 fragment.nbytes
@@ -680,7 +663,7 @@ def fusion_sweep(
             .aggregate("sum", on="i_price")
         )
         platform = Platform.paper_testbed()
-        store = _materialized_column_store(platform, row_count)
+        store = build_item_store(platform, row_count)
         ctx = ExecutionContext(platform)
         oracle = run_unfused_host(plan, store, ctx)
         unfused_host = ctx.cycles
@@ -693,7 +676,7 @@ def fusion_sweep(
             # A fresh platform per variant isolates the staging caches;
             # the cold run stages the operands, the warm run is measured.
             device_platform = Platform.paper_testbed()
-            device_store = _materialized_column_store(device_platform, row_count)
+            device_store = build_item_store(device_platform, row_count)
             runner(plan, device_store, ExecutionContext(device_platform))
             warm_ctx = ExecutionContext(device_platform)
             value = runner(plan, device_store, warm_ctx)

@@ -9,21 +9,19 @@ to its hot paths if it can *see* them.  Three cooperating pieces:
   instant events (fault injections, staging hits/evictions), all
   stamped on the **simulated cycle timeline** with a hard
   zero-observer-effect contract;
-* :class:`~repro.obs.metrics.MetricsRegistry` — counter/gauge/histogram
-  aggregation of :class:`~repro.hardware.event.PerfCounters` snapshots
-  per query and per engine, deriving the rates an adaptive scheduler
-  reads (staging hit rate, PCIe utilization, fault retry rate, WAL
-  group-commit size);
+* :class:`~repro.obs.metrics.MetricsRegistry` — named counters and
+  dimensional time series sampled on the cycle timeline (the serving
+  loop's ``serving.*`` events, and ``platform.*`` series of the
+  :class:`~repro.hardware.event.PerfCounters` deltas it settles), one
+  half-open window reader, an exact counter-closure check, and the
+  rates an adaptive scheduler reads (staging hit rate, PCIe
+  utilization, fault retry rate, WAL group-commit size);
 * exporters and reports — Chrome/Perfetto trace-event JSON
   (:mod:`repro.obs.export`), the ``explain(query)`` ASCII profile and
   per-layer attribution (:mod:`repro.obs.profile`), and the library's
   structured logger (:mod:`repro.obs.logging`).
 
-The time-series plane builds on the same contract:
-:class:`~repro.obs.timeseries.WindowedRegistry` adds dimensional series
-sampled on the cycle timeline (the serving loop's ``serving.*`` events,
-and ``platform.*`` series of the counter deltas it settles), one
-half-open window reader and a counter-closure exactness gate;
+On top of the registry's series,
 :func:`~repro.obs.slo.evaluate_slos` evaluates declarative
 :class:`SloSpec` objectives with multi-window burn-rate alerting; and
 :mod:`repro.obs.bench` + :mod:`repro.obs.regress` define the unified
@@ -46,7 +44,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.logging import configure_cli_logging, get_logger
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry, TimeSeries, percentile
 from repro.obs.profile import explain, layer_attribution, render_span_tree
 from repro.obs.slo import (
     Alert,
@@ -54,7 +52,6 @@ from repro.obs.slo import (
     SloSpec,
     evaluate_slos,
 )
-from repro.obs.timeseries import TimeSeries, WindowedRegistry
 from repro.obs.tracer import (
     LAYER_FUSED,
     InstantEvent,
@@ -77,10 +74,8 @@ __all__ = [
     "nesting_violations",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
-    "Histogram",
     "TimeSeries",
-    "WindowedRegistry",
+    "percentile",
     "SloSpec",
     "BurnRatePolicy",
     "Alert",

@@ -1,12 +1,13 @@
 """Declarative SLOs with multi-window burn-rate alerting.
 
-An :class:`SloSpec` states an objective over one of the windowed series
-(:mod:`repro.obs.timeseries`) — "p99 latency ≤ N cycles" is really
-"at least 99% of latency samples are ≤ N", "error rate ≤ x" is
-"at least 1-x of outcomes are good", "staging hit rate ≥ y" is already
-in that shape — so every spec reduces to a **good-event fraction** per
-window, read through :meth:`~repro.obs.timeseries.WindowedRegistry.values`,
-and an **error budget** ``1 - objective``.
+An :class:`SloSpec` states an objective over one of the time series of
+a :class:`~repro.obs.metrics.MetricsRegistry` — "p99 latency ≤ N
+cycles" is really "at least 99% of latency samples are ≤ N", "error
+rate ≤ x" is "at least 1-x of outcomes are good", "staging hit rate ≥
+y" is already in that shape — so every spec reduces to a **good-event
+fraction** per window, read through
+:meth:`~repro.obs.metrics.MetricsRegistry.values`, and an **error
+budget** ``1 - objective``.
 
 :func:`evaluate_slos` applies the standard multi-window burn-rate method: the
 *burn rate* of a window is ``bad_fraction / budget`` (1.0 = spending
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.hardware.event import Cycles
-from repro.obs.timeseries import WindowedRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "SloSpec",
@@ -46,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SloSpec:
-    """One service-level objective over the windowed series.
+    """One service-level objective over the registry's time series.
 
     Two kinds cover the specs the platform needs:
 
@@ -94,7 +95,7 @@ class SloSpec:
         return 1.0 - self.objective
 
     def bad_fraction(
-        self, registry: WindowedRegistry, start: Cycles, end: Cycles
+        self, registry: MetricsRegistry, start: Cycles, end: Cycles
     ) -> float:
         """The bad-event fraction inside ``[start, end)`` (0 when idle)."""
         if self.kind == "latency":
@@ -173,7 +174,7 @@ class Alert:
 
 
 def evaluate_slos(
-    registry: WindowedRegistry,
+    registry: MetricsRegistry,
     specs: Iterable[SloSpec],
     horizon: Cycles,
     policies: Iterable[BurnRatePolicy] = DEFAULT_POLICIES,

@@ -24,11 +24,11 @@ per seed (the first seed only under ``--smoke``):
 * **window closure** — every root
   :class:`~repro.hardware.event.PerfCounters` field equals its
   ``platform.<field>`` series total
-  (:meth:`~repro.obs.timeseries.WindowedRegistry.verify_closure`);
+  (:meth:`~repro.obs.metrics.MetricsRegistry.verify_closure`);
 * **windowed zero observer** — the probe with a
-  :class:`~repro.obs.timeseries.WindowedRegistry` active is
+  :class:`~repro.obs.metrics.MetricsRegistry` attached is
   byte-identical (answers, makespan, counter totals) to the same seed
-  with the plane off;
+  with none;
 * **SLO discrimination + determinism** — the healthy probe produces
   zero burn-rate alerts, the seeded-overload probe fires, and running
   the overload probe twice yields identical alert streams;
@@ -67,8 +67,8 @@ def run_figure2_workload(
     the platform built inside picks it up exactly like the Figure 2
     drivers would); pass ``None`` for the untraced zero-observer
     baseline.  Everything that costs simulated cycles runs inside an
-    observed query, so the :class:`~repro.obs.MetricsRegistry` totals
-    equal the context's final counters.
+    observed query, so the :class:`~repro.obs.MetricsRegistry` closes
+    against the context's final counters.
     """
     from repro.bench.figure2 import build_column_store
     from repro.execution.context import ExecutionContext
@@ -106,7 +106,7 @@ def run_figure2_workload(
             delta = PerfCounters(
                 **{key: after[key] - value for key, value in before.items()}
             )
-            registry.observe_query(name, delta)
+            registry.observe_query(delta, ctx.cycles)
 
         observed(
             "q1-device-sum-cold",
@@ -137,7 +137,6 @@ def run_figure2_workload(
             "snapshot": ctx.counters.snapshot(),
             "breakdown": dict(ctx.breakdown.parts),
             "rates": rates,
-            "metrics": registry.dump(),
             "ctx": ctx,
             "platform": platform,
             "wal": wal,
@@ -178,7 +177,7 @@ def _probe_slos() -> tuple:
 def run_windowed_probe(
     seed: int, overload: bool, windowed: bool = True
 ) -> dict[str, Any]:
-    """One compact serving cell with (or without) the time-series plane.
+    """One compact serving cell with (or without) a metrics registry.
 
     *overload* switches between a lightly-loaded healthy cell (arrival
     gaps far wider than the service time, no chaos) and a saturated
@@ -187,8 +186,8 @@ def run_windowed_probe(
     *windowed* — the registry, its closure problems, and the
     deterministic alert stream.
     """
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import evaluate_slos
-    from repro.obs.timeseries import WindowedRegistry
     from repro.serving.server import BATCH_16
     from repro.serving.verifier import build_tenants, serve_once
 
@@ -196,7 +195,7 @@ def run_windowed_probe(
     horizon = 600_000.0
     gap = 15_000.0 if overload else 150_000.0
     tenants = build_tenants(3, gap, "poisson", horizon)
-    registry = WindowedRegistry() if windowed else None
+    registry = MetricsRegistry() if windowed else None
     outcome = serve_once(
         seed,
         rows,
@@ -372,7 +371,6 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         missing_layers=missing_layers,
         layer_attribution_cycles=attribution,
         rates=traced["rates"],
-        registry_dump=traced["metrics"],
         seeds=per_seed,
         regress_gates=regress_gates,
     )

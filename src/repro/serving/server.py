@@ -11,13 +11,13 @@ service cycles; per-query latency is ``finish - arrival``.
 
 **Serial-equivalence discipline.**  Every unit runs inside its own
 :class:`~repro.execution.context.CounterScope` (opened at the dispatch
-instant, settled into the root totals, observed in the
-:class:`~repro.obs.MetricsRegistry` — the exactly-once attribution the
-verifier gates), and dispatch respects **write barriers**: reads may
-reorder freely between two writes (they commute), but a write executes
-only once every earlier-arriving query has — so the interleaved,
-batched execution produces answers byte-identical to a serial replay
-of the same admitted queries in arrival order.
+instant, settled into the root totals exactly once, and observed in the
+:class:`~repro.obs.MetricsRegistry` when the loop has one), and
+dispatch respects **write barriers**: reads may reorder freely between
+two writes (they commute), but a write executes only once every
+earlier-arriving query has — so the interleaved, batched execution
+produces answers byte-identical to a serial replay of the same
+admitted queries in arrival order.
 
 **Rebalancer cadence.**  Given a
 :class:`~repro.rebalance.Rebalancer` and an interval, the loop polls
@@ -47,7 +47,6 @@ from repro.execution.operators import (
 )
 from repro.hardware.event import Cycles, PerfCounters
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import WindowedRegistry
 from repro.serving.admission import AdmissionQueue
 from repro.serving.arrivals import QueryArrival
 from repro.serving.batch import run_device_batch
@@ -206,7 +205,7 @@ class ExecutedQuery:
 
     seq: int
     tenant: str
-    shape: str
+    spec: QuerySpec
     arrival_cycle: Cycles
     start_cycle: Cycles
     finish_cycle: Cycles
@@ -228,9 +227,14 @@ class ShedQuery:
 
 @dataclass(frozen=True)
 class RebalanceTick:
-    """One cadence-triggered rebalance round and what it overlapped."""
+    """One cadence-triggered rebalance round and what it overlapped.
+
+    ``cycles`` is the round's settled service time (the interleaved
+    queries' own scopes excluded).
+    """
 
     at_cycle: Cycles
+    cycles: Cycles
     committed: int
     aborted: int
     epoch: int
@@ -241,10 +245,10 @@ class RebalanceTick:
 class ServingReport:
     """Everything one :meth:`ServingLoop.run` produced.
 
-    ``executed`` is ordered by finish time; ``shed`` by decision time;
-    ``makespan_cycles`` is the clock when the last unit finished.  The
-    loop's registry holds the ``serving.latency_cycles`` histogram the
-    tail gates read.
+    ``executed`` is ordered by finish time and is the one record of
+    every served query (its latency, spec and answer); ``shed`` is
+    ordered by decision time; ``makespan_cycles`` is the clock when the
+    last unit finished.
     """
 
     executed: list[ExecutedQuery] = field(default_factory=list)
@@ -271,20 +275,18 @@ class ServingLoop:
     ctx:
         The root execution context; all scope deltas settle into its
         counters, so after a run ``ctx.counters`` is the platform
-        total and must equal the registry totals (the exactly-once
-        gate).
+        total, which a registry's ``platform.*`` series must close
+        against exactly (the exactly-once gate).
     queue:
         The admission queue (owns backlog bound and fairness policy).
     policy:
         The batch policy.
     registry:
-        Metrics sink; every unit's scope delta is observed here, and
-        per-query latency lands in ``serving.latency_cycles`` and
-        ``serving.latency_cycles.tenant.<name>``.  A
-        :class:`~repro.obs.timeseries.WindowedRegistry` also receives
-        the per-tenant ``serving.latency``/``served``/``shed`` series
-        and, from each observed delta sampled at the loop's *now*, the
-        ``platform.*`` series.
+        Optional metrics sink.  Given one, the loop records the
+        per-tenant ``serving.latency``/``served``/``shed`` series and
+        feeds every settled scope delta to
+        :meth:`~repro.obs.MetricsRegistry.observe_query` at the loop's
+        *now*; ``None`` (the default) records nothing.
     rebalancer / rebalance_interval_cycles:
         Optional cadence-polled rebalance trigger loop; every interval
         of simulated time the loop runs one detect-plan-migrate round,
@@ -311,18 +313,11 @@ class ServingLoop:
         self.ctx = ctx
         self.queue = queue
         self.policy = policy
-        self.registry = registry if registry is not None else MetricsRegistry()
-        #: The windowed view of the registry, or ``None`` — every
-        #: time-series emission below is a no-op on a plain registry,
-        #: which is the zero-observer-effect contract in loop form.
-        self._windowed: WindowedRegistry | None = (
-            self.registry if isinstance(self.registry, WindowedRegistry) else None
-        )
+        self.registry = registry
         self.rebalancer = rebalancer
         self.rebalance_interval_cycles = rebalance_interval_cycles
         self.rebalance_interleave = rebalance_interleave
         self.now: Cycles = 0.0
-        self._answers: dict[int, tuple[QuerySpec, Any]] = {}
         self._report = ServingReport()
         self._last_rebalance: Cycles = 0.0
         self._admission_scope = None
@@ -363,17 +358,16 @@ class ServingLoop:
         return cursor
 
     def _sample_shed(self, tenant: str) -> None:
-        """Emit one per-tenant shed sample (no-op on a plain registry)."""
-        if self._windowed is not None:
-            self._windowed.record(
+        """Record one per-tenant shed sample (no-op without a registry)."""
+        if self.registry is not None:
+            self.registry.record(
                 "serving.shed", 1.0, cycle=self.now, tenant=tenant
             )
 
-    def _observe(self, name: str, delta: PerfCounters) -> None:
-        """Observe one settled scope delta, sampled at *now* when windowed."""
-        self.registry.observe_query(name, delta)
-        if self._windowed is not None:
-            self._windowed.sample_counters(delta, self.now)
+    def _observe(self, delta: PerfCounters) -> None:
+        """Observe one settled scope delta at *now* (no-op without a registry)."""
+        if self.registry is not None:
+            self.registry.observe_query(delta, self.now)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -447,32 +441,27 @@ class ServingLoop:
             else:
                 answers = [self.backend.run(head.spec, self.ctx)]
         delta = self.ctx.settle(scope)
-        self._observe(name, delta)
+        self._observe(delta)
         start = self.now
         finish = start + delta.cycles
         for entry, answer in zip(unit, answers):
             latency = finish - entry.cycle
-            self.registry.histogram("serving.latency_cycles").observe(latency)
-            self.registry.histogram(
-                f"serving.latency_cycles.tenant.{entry.tenant}"
-            ).observe(latency)
-            if self._windowed is not None:
+            if self.registry is not None:
                 # Per-tenant end-to-end latency on the cycle timeline,
                 # plus a served-event counter (the good half of the
                 # shed/served error-ratio SLOs).
-                self._windowed.record(
+                self.registry.record(
                     "serving.latency", latency, cycle=finish,
                     kind="gauge", tenant=entry.tenant,
                 )
-                self._windowed.record(
+                self.registry.record(
                     "serving.served", 1.0, cycle=finish, tenant=entry.tenant
                 )
-            self._answers[entry.seq] = (entry.spec, answer)
             self._report.executed.append(
                 ExecutedQuery(
                     seq=entry.seq,
                     tenant=entry.tenant,
-                    shape=entry.spec.shape.name,
+                    spec=entry.spec,
                     arrival_cycle=entry.cycle,
                     start_cycle=start,
                     finish_cycle=finish,
@@ -515,12 +504,13 @@ class ServingLoop:
                 self.ctx, interleave=interleave
             )
         delta = self.ctx.settle(scope)
-        self._observe(scope.name, delta)
+        self._observe(delta)
         self.now += delta.cycles
         self._last_rebalance = self.now
         self._report.rebalances.append(
             RebalanceTick(
                 at_cycle=self.now,
+                cycles=delta.cycles,
                 committed=outcome.committed,
                 aborted=outcome.aborted,
                 epoch=outcome.epoch,
@@ -551,7 +541,7 @@ class ServingLoop:
             self._dispatch_unit()
             self._maybe_rebalance()
         delta = self.ctx.settle(self._admission_scope)
-        self._observe("admission", delta)
+        self._observe(delta)
         self._report.makespan_cycles = self.now
         return self._report
 
@@ -563,6 +553,6 @@ class ServingLoop:
         reproduce every answer.
         """
         return [
-            (seq, spec, answer)
-            for seq, (spec, answer) in sorted(self._answers.items())
+            (query.seq, query.spec, query.answer)
+            for query in sorted(self._report.executed, key=lambda query: query.seq)
         ]

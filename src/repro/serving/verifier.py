@@ -13,11 +13,14 @@ four gates, each run per chaos seed:
   dispatcher's rate (the amortized launches and coalesced bursts must
   actually show up as makespan).
 * **Tail latency** — with a bounded admission queue the served
-  ``p99/p50`` stays under :data:`MAX_TAIL_RATIO`; the unbounded
+  ``p99/p50`` (read from :attr:`ServingReport.executed` through
+  :func:`~repro.obs.metrics.percentile`, so a run needs no registry
+  for it) stays under :data:`MAX_TAIL_RATIO`; the unbounded
   baseline's p99 keeps *growing* as the horizon stretches (open-loop
   collapse), which is the paper-scale argument for shedding.
-* **Exactly-once attribution** — the metrics registry's totals equal
-  the root context's counters field-for-field, and under the
+* **Exactly-once attribution** — every ``platform.<field>`` series of
+  the metrics registry equals the root context's counter exactly
+  (:meth:`~repro.obs.MetricsRegistry.verify_closure`), and under the
   ``serving.queue-overflow`` chaos site every injected fault is
   accounted for (``report.unaccounted == 0``).
 
@@ -39,7 +42,7 @@ from repro.layout.fragment import Fragment, Region
 from repro.layout.layout import Layout
 from repro.obs.bench import make_bench_record
 from repro.obs.logging import get_logger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, percentile
 from repro.serving.admission import SITE_QUEUE_OVERFLOW, AdmissionQueue
 from repro.serving.arrivals import (
     ArrivalProcess,
@@ -159,11 +162,14 @@ def build_tenants(
 
 @dataclass
 class ServingOutcome:
-    """One serving run and everything the gates need to inspect it."""
+    """One serving run and everything the gates need to inspect it.
+
+    ``registry`` is the one :func:`serve_once` was given, or ``None``.
+    """
 
     platform: Platform
     ctx: ExecutionContext
-    registry: MetricsRegistry
+    registry: MetricsRegistry | None
     report: ServingReport
     loop: ServingLoop
     arrivals: list[QueryArrival]
@@ -182,11 +188,11 @@ def serve_once(
 ) -> ServingOutcome:
     """Run one serving cell end to end on a fresh platform.
 
-    Pass a :class:`~repro.obs.timeseries.WindowedRegistry` as
-    *registry* to run the identical cell with the time-series plane
-    active (the zero-observer-effect gate runs the cell both ways): the
-    loop records its ``serving.*`` series there, and the ``platform.*``
-    series from every delta it settles.
+    *registry* goes to the :class:`ServingLoop` unchanged: given a
+    :class:`~repro.obs.MetricsRegistry`, the loop records its
+    ``serving.*`` series there, and the ``platform.*`` series from
+    every delta it settles; ``None`` records nothing.  Either way the
+    cell is the same (the zero-observer-effect gate runs it both ways).
     """
     platform = Platform.paper_testbed()
     injector: FaultInjector | None = None
@@ -202,7 +208,6 @@ def serve_once(
         platform,
         retry=RetryPolicy(report=injector.report if injector else None),
     )
-    registry = registry if registry is not None else MetricsRegistry()
     loop = ServingLoop(
         backend=LayoutBackend(platform, store),
         ctx=ctx,
@@ -245,11 +250,11 @@ def identity_mismatches(outcome: ServingOutcome, row_count: int) -> int:
 
 def _latency_stats(outcome: ServingOutcome) -> dict[str, float]:
     """p50/p99 (and ratio) of the served latency distribution."""
-    histogram = outcome.registry.histogram("serving.latency_cycles")
-    p50 = histogram.percentile(50.0)
-    p99 = histogram.percentile(99.0)
+    latencies = [query.latency_cycles for query in outcome.report.executed]
+    p50 = percentile(latencies, 50.0)
+    p99 = percentile(latencies, 99.0)
     return {
-        "served": float(len(histogram.values)),
+        "served": float(len(latencies)),
         "p50_cycles": p50,
         "p99_cycles": p99,
         "tail_ratio": (p99 / p50) if p50 > 0 else 0.0,
@@ -257,24 +262,24 @@ def _latency_stats(outcome: ServingOutcome) -> dict[str, float]:
 
 
 def _tenant_latency_summaries(outcome: ServingOutcome) -> dict[str, dict[str, float]]:
-    """Per-tenant p50/p95/p99 from the tenant latency histograms."""
-    prefix = "serving.latency_cycles.tenant."
+    """Per-tenant count and p50/p95/p99 of the served latencies."""
+    by_tenant: dict[str, list[float]] = {}
+    for query in outcome.report.executed:
+        by_tenant.setdefault(query.tenant, []).append(query.latency_cycles)
     return {
-        name[len(prefix):]: {
-            key: histogram.summary()[key]
-            for key in ("count", "p50", "p95", "p99")
+        tenant: {
+            "count": len(latencies),
+            "p50": percentile(latencies, 50.0),
+            "p95": percentile(latencies, 95.0),
+            "p99": percentile(latencies, 99.0),
         }
-        for name, histogram in outcome.registry.histograms_with_prefix(
-            "serving.latency_cycles.tenant"
-        ).items()
+        for tenant, latencies in sorted(by_tenant.items())
     }
 
 
 def _attribution_closed(outcome: ServingOutcome) -> bool:
-    """Registry totals must equal the root counters field-for-field."""
-    return (
-        outcome.registry.totals.snapshot() == outcome.ctx.counters.snapshot()
-    )
+    """Every ``platform.*`` series must equal its root counter exactly."""
+    return not outcome.registry.verify_closure(outcome.ctx.counters)
 
 
 def _cell_fingerprint(outcome: ServingOutcome) -> list[tuple[Any, ...]]:
@@ -283,7 +288,7 @@ def _cell_fingerprint(outcome: ServingOutcome) -> list[tuple[Any, ...]]:
         (
             executed.seq,
             executed.tenant,
-            executed.shape,
+            executed.spec.shape.name,
             executed.unit,
             executed.finish_cycle,
             encode_answer(executed.answer),
@@ -324,7 +329,7 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         # --- Gate 1 + 4 + determinism: batched, bounded, chaos-shed ---
         chaos = serve_once(
             seed, row_count, tenants, horizon, BATCH_16,
-            max_backlog=48, overflow_rate=0.05,
+            max_backlog=48, overflow_rate=0.05, registry=MetricsRegistry(),
         )
         chaos_again = serve_once(
             seed, row_count, tenants, horizon, BATCH_16,
@@ -343,7 +348,7 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         )
         batched = serve_once(
             seed, row_count, plain_tenants, horizon, BATCH_16,
-            max_backlog=None,
+            max_backlog=None, registry=MetricsRegistry(),
         )
         serial_tput = serial.report.throughput_per_second(serial.platform)
         batched_tput = batched.report.throughput_per_second(batched.platform)

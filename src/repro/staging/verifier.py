@@ -20,11 +20,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.ablations import (
-    SWEEPS,
-    _materialized_column_store,
-    staging_cache_sweep,
-)
+from repro.bench.ablations import SWEEPS, staging_cache_sweep
 from repro.bench.figure2 import build_column_store
 from repro.execution.context import ExecutionContext
 from repro.execution.device import device_sum_column
@@ -33,6 +29,7 @@ from repro.hardware.event import PerfCounters
 from repro.hardware.platform import Platform
 from repro.obs.bench import make_bench_record
 from repro.obs.logging import get_logger
+from repro.serving.verifier import build_item_store
 from repro.workload.htap import HTAPMix
 from repro.workload.queries import QueryShape
 from repro.workload.tpcc import item_relation
@@ -94,7 +91,7 @@ def _trajectory_record(
 ) -> dict[str, Any]:
     """Per-query cumulative hit rate + cycles over one HTAP stream."""
     platform = Platform.paper_testbed()
-    store = _materialized_column_store(platform, row_count)
+    store = build_item_store(platform, row_count)
     working_set = sum(
         fragment.nbytes
         for fragment in store.fragments

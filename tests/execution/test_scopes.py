@@ -151,5 +151,5 @@ class TestRollUpProperty:
             with ctx.activate(scope):
                 ctx.charge("work", float(cycles))
                 ctx.counters.pcie_bytes += pcie
-            registry.observe_query(scope.name, ctx.settle(scope))
-        assert registry.totals.snapshot() == ctx.counters.snapshot()
+            registry.observe_query(ctx.settle(scope), ctx.cycles)
+        assert registry.verify_closure(ctx.counters) == []

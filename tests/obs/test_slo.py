@@ -11,7 +11,7 @@ from repro.obs.slo import (
     SloSpec,
     evaluate_slos,
 )
-from repro.obs.timeseries import WindowedRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def latency_spec(threshold=100.0, objective=0.95):
@@ -65,7 +65,7 @@ class TestSloSpec:
         assert latency_spec(objective=0.99).budget == pytest.approx(0.01)
 
     def test_latency_bad_fraction(self):
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         record_latencies(registry, [50.0, 50.0, 150.0, 250.0])
         spec = latency_spec(threshold=100.0)
         assert spec.bad_fraction(registry, 0.0, 1_000.0) == pytest.approx(0.5)
@@ -73,7 +73,7 @@ class TestSloSpec:
         assert spec.bad_fraction(registry, 10_000.0, 20_000.0) == 0.0
 
     def test_event_ratio_bad_fraction(self):
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         registry.record("serving.served", 3.0, cycle=10.0, tenant="t0")
         registry.record("serving.shed", 1.0, cycle=20.0, tenant="t0")
         spec = ratio_spec()
@@ -94,13 +94,13 @@ class TestBurnRatePolicy:
 
 class TestEvaluator:
     def test_healthy_run_stays_silent(self):
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         record_latencies(registry, [50.0] * 40, spacing=250.0)
         alerts = evaluate_slos(registry, [latency_spec()], horizon=10_000.0)
         assert alerts == []
 
     def test_sustained_violation_fires(self):
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         # Every sample blows the threshold: burn = 1 / 0.05 = 20 on
         # every window, above both policies' thresholds.
         record_latencies(registry, [500.0] * 40, spacing=250.0)
@@ -109,7 +109,7 @@ class TestEvaluator:
         assert severities == {"page", "ticket"}
 
     def test_rising_edge_fires_once_per_episode(self):
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         record_latencies(registry, [500.0] * 40, spacing=250.0)
         alerts = evaluate_slos(
             registry, [latency_spec()], horizon=10_000.0, policies=(PAGE,)
@@ -120,7 +120,7 @@ class TestEvaluator:
         assert alerts[0].cycle == pytest.approx(10_000.0 * PAGE.fast_fraction)
 
     def test_recovered_then_relapsed_episode_fires_twice(self):
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         bad, good = 500.0, 10.0
         pattern = [bad] * 10 + [good] * 20 + [bad] * 10
         record_latencies(registry, pattern, spacing=250.0)
@@ -131,7 +131,7 @@ class TestEvaluator:
 
     def test_alert_stream_is_deterministic(self):
         def build():
-            registry = WindowedRegistry()
+            registry = MetricsRegistry()
             record_latencies(registry, [500.0, 50.0] * 20, spacing=250.0)
             registry.record("serving.served", 1.0, cycle=100.0, tenant="t0")
             registry.record("serving.shed", 5.0, cycle=200.0, tenant="t0")
@@ -144,8 +144,8 @@ class TestEvaluator:
         assert first == second and first
 
     def test_event_ratio_overload_fires_and_healthy_does_not(self):
-        overloaded = WindowedRegistry()
-        healthy = WindowedRegistry()
+        overloaded = MetricsRegistry()
+        healthy = MetricsRegistry()
         for cycle in range(0, 10_000, 100):
             overloaded.record("serving.served", 1.0, cycle=float(cycle))
             overloaded.record("serving.shed", 1.0, cycle=float(cycle))
@@ -155,7 +155,7 @@ class TestEvaluator:
         assert evaluate_slos(healthy, [spec], horizon=10_000.0) == []
 
     def test_labels_scope_the_evaluation(self):
-        registry = WindowedRegistry()
+        registry = MetricsRegistry()
         for cycle in range(0, 10_000, 100):
             registry.record("serving.latency", 500.0, cycle=float(cycle),
                             kind="gauge", tenant="noisy")
@@ -171,7 +171,7 @@ class TestEvaluator:
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_slos(WindowedRegistry(), [latency_spec()], horizon=0.0)
+            evaluate_slos(MetricsRegistry(), [latency_spec()], horizon=0.0)
 
     def test_alert_key_rounds_burns(self):
         alert = Alert(

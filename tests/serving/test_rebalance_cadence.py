@@ -125,13 +125,8 @@ class TestRebalanceCadence:
             assert record.answer == oracle_encoded(expected)
 
         # Rebalance cycles are honestly charged into the shared totals.
-        rebalance_cycles = sum(
-            snapshot["cycles"]
-            for snapshot in metrics.dump()["queries"]
-            if snapshot["query"].startswith("rebalance.")
-        )
-        assert rebalance_cycles > 0
-        assert metrics.totals.snapshot() == ctx.counters.snapshot()
+        assert sum(tick.cycles for tick in report.rebalances) > 0
+        assert metrics.verify_closure(ctx.counters) == []
 
 
 def oracle_encoded(value) -> bytes:

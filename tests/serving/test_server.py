@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.execution.context import ExecutionContext
@@ -120,8 +122,8 @@ class TestServingLoop:
             assert record.latency_cycles == pytest.approx(
                 record.finish_cycle - record.arrival_cycle
             )
-        histogram = loop.registry.histogram("serving.latency_cycles")
-        assert len(histogram.values) == len(report.executed)
+        recorded = loop.registry.values("serving.latency", 0.0, math.inf)
+        assert len(recorded) == len(report.executed)
 
     def test_clock_jumps_idle_gaps(self, platform):
         loop = _loop(platform)
@@ -142,11 +144,9 @@ class TestServingLoop:
             policy=BATCH_16,
             max_backlog=8,
             overflow_rate=0.1,
+            registry=MetricsRegistry(),
         )
-        assert (
-            outcome.registry.totals.snapshot()
-            == outcome.ctx.counters.snapshot()
-        )
+        assert outcome.registry.verify_closure(outcome.ctx.counters) == []
         assert outcome.injector is not None
         assert outcome.injector.report.unaccounted == 0
 

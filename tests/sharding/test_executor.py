@@ -106,7 +106,7 @@ class TestCosts:
         shard_count = executor.shard_map.shard_count
         # One load counter per shard, summing to the rows served.
         names = [f"{SHARD_LOAD_METRIC}.{sid}" for sid in range(shard_count)]
-        assert sorted(registry.dump()["counters"]) == sorted(names)
+        assert sorted(registry._counters) == sorted(names)
         assert sum(registry.counter(name).value for name in names) == 128.0
 
     def test_fault_free_runs_are_cycle_deterministic(self, harness, platform):
