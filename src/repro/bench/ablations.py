@@ -54,6 +54,7 @@ from repro.layout.layout import Layout
 from repro.layout.linearization import LinearizationKind
 from repro.layout.region import Region
 from repro.model.relation import Relation
+from repro.serving.server import LayoutBackend
 from repro.serving.verifier import build_item_store
 from repro.workload.queries import random_positions
 from repro.workload.tpcc import generate_items, item_relation, item_schema
@@ -580,17 +581,15 @@ def staging_cache_sweep(
     The knob is the staging-cache capacity as a fraction of the OLAP
     working set (the numeric columns the mix aggregates).  For each
     capacity x OLTP-share cell, one :class:`~repro.workload.htap.HTAPMix`
-    stream runs against a materialized item column store: ``FULL_SUM``
-    queries go to the device with transfers charged (and therefore
-    through the staging cache), point updates go through
-    :func:`~repro.execution.operators.update_field` (invalidating any
-    staged replica of the touched fragment), point materializations
-    stay on the host.  Reported per cell: whole-stream simulated
+    stream runs against a materialized item column store through the
+    serving layer's :class:`~repro.serving.server.LayoutBackend`:
+    ``FULL_SUM`` queries go to the device with transfers charged (and
+    therefore through the staging cache), point updates invalidate any
+    staged replica of the touched fragment, point materializations stay
+    on the host.  Reported per cell: whole-stream simulated
     milliseconds, the staging hit rate, and PCIe megabytes moved.
     """
-    from repro.execution.operators import update_field
     from repro.workload.htap import HTAPMix
-    from repro.workload.queries import QueryShape
 
     points = []
     for fraction in capacity_fractions:
@@ -609,16 +608,9 @@ def staging_cache_sweep(
             platform.staging.capacity_bytes = int(fraction * working_set)
             mix = HTAPMix(relation, oltp_fraction=oltp_fraction, seed=97)
             ctx = ExecutionContext(platform)
+            backend = LayoutBackend(platform, store)
             for spec in mix.queries(queries):
-                if spec.shape is QueryShape.FULL_SUM:
-                    device_sum_column(store, spec.attributes[0], ctx)
-                elif spec.shape is QueryShape.POINT_UPDATE:
-                    position = spec.positions[0]
-                    update_field(
-                        store, position, spec.attributes[0], position % 97, ctx
-                    )
-                else:
-                    materialize_rows(store, list(spec.positions), ctx)
+                backend.run(spec, ctx)
             counters = ctx.counters
             lookups = counters.staging_hits + counters.staging_misses
             suffix = f"oltp{oltp_fraction:g}"

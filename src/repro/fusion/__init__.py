@@ -12,9 +12,9 @@ Declarative scan→filter→project→aggregate chains
 with the pre-fusion operator chain kept as the always-on,
 byte-identical correctness oracle (:mod:`repro.fusion.oracle`) and the
 pure route predictors (:mod:`repro.fusion.costs`) feeding CoGaDB's
-HyPE scheduler.  ``python -m repro.verify fusion`` gates the ≥3x
-end-to-end win and the byte-identity contract into
-``BENCH_fusion.json``.
+HyPE scheduler.  The A10 driver (``benchmarks/bench_ablation_fusion.py``)
+asserts byte identity and HyPE's fused-vs-unfused ranking on every
+cell of its grid, and the ≥3x end-to-end win from selectivity 0.5 up.
 """
 
 from repro.errors import FusionError, UnsupportedPipelineError

@@ -16,8 +16,8 @@ The interesting physics the features capture: the unfused host path's
 ``random(matches)`` term grows linearly with selectivity while the
 fused path pays one extra sequential scan regardless — so unfused wins
 at very low selectivity and fusion wins everywhere else, a crossover
-HyPE must rank correctly (the verifier gates this on the ablation
-grid).
+HyPE must rank correctly (the A10 driver asserts this on every cell
+of its grid).
 """
 
 from __future__ import annotations

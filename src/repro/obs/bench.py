@@ -10,7 +10,7 @@ working) and adds four required keys —
     The constant :data:`BENCH_SCHEMA`, versioned so the regression
     tool can refuse artifacts it does not understand.
 ``bench``
-    The harness name (``serving``, ``staging``, ``obs``, ...).
+    The harness name (``serving``, ``sweeps``, ``obs``, ...).
 ``ok``
     Whether every gate the harness enforces passed.
 ``metrics``
@@ -129,7 +129,7 @@ def validate_bench_record(record: Any) -> list[str]:
                     f"tolerance {name!r}: direction must be one of "
                     f"{DIRECTIONS}, got {direction!r}"
                 )
-            unknown = set(spec) - {"rel", "abs", "direction"}
+            unknown = set(spec) - {"rel", "direction"}
             if unknown:
                 problems.append(
                     f"tolerance {name!r}: unknown keys {sorted(unknown)}"

@@ -13,10 +13,10 @@ the bad direction**:
   flag on drift either way.
 
 Tolerances come from the **current** artifact's ``tolerances`` section
-(the repo's head defines its own contract), falling back to
-``--default-rel``.  A metric present on only one side is a *shape*
-problem and flags too: silently dropping a gated metric is how
-regressions hide.
+(the repo's head defines its own contract); a metric that sets no
+``rel`` gets :data:`~repro.obs.bench.DEFAULT_REL_TOLERANCE`.  A metric
+present on only one side is a *shape* problem and flags too: silently
+dropping a gated metric is how regressions hide.
 
 Exit status: 0 = within tolerance, 1 = regression or malformed
 artifact — which is what CI's ``verify`` job keys off.  The
@@ -97,20 +97,16 @@ def _fmt(value: float | None) -> str:
     return "missing" if value is None else f"{value:,.4g}"
 
 
-def _tolerance(
-    record: dict[str, Any], name: str, default_rel: float
-) -> tuple[float, str]:
+def _tolerance(record: dict[str, Any], name: str) -> tuple[float, str]:
     spec = record.get("tolerances", {}).get(name, {})
     return (
-        float(spec.get("rel", default_rel)),
+        float(spec.get("rel", DEFAULT_REL_TOLERANCE)),
         str(spec.get("direction", "two_sided")),
     )
 
 
 def compare_records(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    default_rel: float = DEFAULT_REL_TOLERANCE,
+    baseline: dict[str, Any], current: dict[str, Any]
 ) -> RegressionReport:
     """Compare two schema-conformant artifacts; never raises on content.
 
@@ -132,7 +128,7 @@ def compare_records(
     for name in sorted(set(base_metrics) | set(curr_metrics)):
         before = base_metrics.get(name)
         after = curr_metrics.get(name)
-        rel, direction = _tolerance(current, name, default_rel)
+        rel, direction = _tolerance(current, name)
         if before is None or after is None:
             side = "baseline" if before is None else "current"
             deltas.append(

@@ -6,7 +6,7 @@ import argparse
 import json
 from typing import Any, Sequence
 
-from repro.obs.bench import DEFAULT_REL_TOLERANCE, validate_bench_record
+from repro.obs.bench import validate_bench_record
 from repro.obs.regress import compare_records
 
 
@@ -38,15 +38,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         action="store_true",
         help="only schema-validate the given artifacts (no baseline diff)",
     )
-    parser.add_argument(
-        "--default-rel",
-        type=float,
-        default=DEFAULT_REL_TOLERANCE,
-        help=(
-            "relative tolerance for metrics without an explicit entry "
-            f"(default: {DEFAULT_REL_TOLERANCE})"
-        ),
-    )
     options = parser.parse_args(argv)
 
     if options.validate:
@@ -63,7 +54,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if len(options.artifacts) != 2:
         parser.error("diff mode takes exactly: baseline.json current.json")
     baseline, current = (_load(path) for path in options.artifacts)
-    report = compare_records(baseline, current, options.default_rel)
+    report = compare_records(baseline, current)
     print(report.render())
     return 0 if report.ok else 1
 

@@ -31,9 +31,7 @@ per seed (the first seed only under ``--smoke``):
   with none;
 * **SLO discrimination + determinism** — the healthy probe produces
   zero burn-rate alerts, the seeded-overload probe fires, and running
-  the overload probe twice yields identical alert streams;
-* **regression self-check** — :func:`repro.obs.regress.compare_records`
-  flags a synthetic 25% regression and passes identical artifacts.
+  the overload probe twice yields identical alert streams.
 
 Every gate feeds the record's ``ok``, so one CI cell asserts the whole
 observability contract.
@@ -225,31 +223,6 @@ def run_windowed_probe(
     return result
 
 
-def _regress_self_check() -> dict[str, bool]:
-    """The regression detector flags 25% drift and passes identity."""
-    from repro.obs.bench import make_bench_record
-    from repro.obs.regress import compare_records
-
-    tolerances = {
-        "latency": {"rel": 0.10, "direction": "lower_better"},
-        "hit_rate": {"rel": 0.10, "direction": "higher_better"},
-    }
-    baseline = make_bench_record(
-        "probe", True, {"latency": 100.0, "hit_rate": 0.8},
-        tolerances=tolerances,
-    )
-    regressed = make_bench_record(
-        "probe", True, {"latency": 125.0, "hit_rate": 0.8},
-        tolerances=tolerances,
-    )
-    return {
-        "flags_synthetic_regression": not compare_records(
-            baseline, regressed
-        ).ok,
-        "passes_identical": compare_records(baseline, baseline).ok,
-    }
-
-
 def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
     """Run the traced + untraced probes and every gate; write the trace.
 
@@ -334,9 +307,6 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
             "makespan"
         ]
 
-    # Gate 9: the regression detector discriminates.
-    regress_gates = _regress_self_check()
-
     attribution = layer_attribution(tracer)
     passed = (
         identical
@@ -344,7 +314,6 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         and not nesting
         and not missing_layers
         and windows_ok
-        and all(regress_gates.values())
     )
     metrics["figure2_cycles"] = traced["snapshot"]["cycles"]
     record = make_bench_record(
@@ -372,7 +341,6 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         layer_attribution_cycles=attribution,
         rates=traced["rates"],
         seeds=per_seed,
-        regress_gates=regress_gates,
     )
     logger.info("%s", explain(traced["ctx"], tracer))
     logger.info("")
@@ -397,8 +365,4 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
             if all(cell["gates"].values())
             else f"FAILED {cell['gates']}",
         )
-    logger.info(
-        "regression self-check: %s",
-        "ok" if all(regress_gates.values()) else f"FAILED {regress_gates}",
-    )
     return record

@@ -23,7 +23,7 @@ admitted queries in arrival order.
 :class:`~repro.rebalance.Rebalancer` and an interval, the loop polls
 ``rebalance_once`` on that cadence — migrations run in their own
 scopes, with pending queries interleaved between each migration's copy
-and cutover phases, which is ROADMAP item 3's trigger loop.
+and cutover phases.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ together are charged as one DMA burst — one link latency for the whole
 burst plus the bandwidth term of the summed payload.  Because
 ``transfer_seconds(a + b) == latency + (a + b) / bandwidth``, a burst
 of one is float-for-float identical to the historical single-transfer
-charge — the cold-path byte-identity the staging plane's
-``cold_byte_identity`` gate pins.
+charge — the cold-path byte-identity ``tests/staging/test_scheduler.py``
+pins.
 
 Fault semantics: an accounted burst charges its wire time, then checks
 the ``pcie.transfer`` fault site, and only counts its bytes once the

@@ -11,7 +11,7 @@ clock, the record file and the exit status::
 
     python -m repro.verify distributed --smoke
     python -m repro.verify rebalance --seeds 5 --sites net.drop-catchup
-    python -m repro.verify staging --smoke --output BENCH_staging.json
+    python -m repro.verify sweeps --smoke --output BENCH_sweeps.json
 
 The record is written only with ``--output``; the obs plane also
 always writes its Chrome trace to ``trace.json``.  The exit status is
@@ -39,8 +39,6 @@ PLANES: dict[str, str] = {
     "rebalance": "repro.rebalance.verifier",
     "recovery": "repro.recovery.verifier",
     "serving": "repro.serving.verifier",
-    "staging": "repro.staging.verifier",
-    "fusion": "repro.fusion.verifier",
     "obs": "repro.obs.verifier",
     "sweeps": "repro.perf.sweeper",
 }

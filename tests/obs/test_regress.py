@@ -47,11 +47,16 @@ class TestBenchSchema:
             "bench": "",
             "ok": "yes",
             "smoke": False,
-            "metrics": {"m": "fast"},
-            "tolerances": {"ghost": {"direction": "sideways"}},
+            "metrics": {"m": "fast", "n": 1.0},
+            "tolerances": {
+                "ghost": {"direction": "sideways"},
+                # compare_records reads only rel and direction.
+                "n": {"rel": 0.1, "abs": 5},
+            },
         }
         problems = "\n".join(validate_bench_record(broken))
-        for needle in ("schema", "bench", "ok", "metric 'm'", "ghost"):
+        for needle in ("schema", "bench", "ok", "metric 'm'", "ghost",
+                       "tolerance 'n': unknown keys ['abs']"):
             assert needle in problems
 
     def test_all_checked_in_writers_use_the_schema(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench.figure2 import build_column_store
 from repro.execution.context import ExecutionContext
 from repro.execution.device import device_sum_column
 from repro.layout.fragment import Fragment
@@ -11,6 +12,7 @@ from repro.layout.region import Region
 from repro.model.datatypes import FLOAT64
 from repro.model.relation import Relation
 from repro.model.schema import Schema
+from repro.workload.tpcc import item_relation
 
 
 @pytest.fixture
@@ -168,3 +170,16 @@ class TestFreshPlatformColdCache:
         # Only the scalar result crosses the link on the warm query.
         assert warm.counters.pcie_bytes == 8
         assert warm.cycles < cold.cycles
+
+
+def test_staged_column_makes_repeat_sums_three_times_cheaper(platform):
+    # At 100 rows the link latency hides the ratio; at 200k rows the
+    # column transfer dominates the cold sum, and the replica removes it.
+    store = build_column_store(platform, item_relation(200_000))
+    cold = ExecutionContext(platform)
+    device_sum_column(store, "i_price", cold)
+    warm = ExecutionContext(platform)
+    for __ in range(3):
+        device_sum_column(store, "i_price", warm)
+    assert warm.counters.staging_hits == 3
+    assert cold.cycles >= 3.0 * (warm.cycles / 3)

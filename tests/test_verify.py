@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -65,6 +66,19 @@ def test_every_plane_has_a_smoke_baseline(plane):
     record = json.loads(path.read_text(encoding="utf-8"))
     assert validate_bench_record(record) == []
     assert record["bench"] == plane and record["smoke"] is True
+
+
+def test_ci_verify_matrix_lists_every_plane():
+    # Read as text: the tier-1 job installs no YAML parser.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8"
+    )
+    (listed,) = re.findall(r"^\s*plane: \[(.*)\]\s*$", workflow, re.MULTILINE)
+    names = sorted(name.strip() for name in listed.split(","))
+    assert names == sorted(cli.PLANES)
+    included = re.findall(r"^\s*- plane: (\S+)\s*$", workflow, re.MULTILINE)
+    assert included and set(included) <= set(cli.PLANES)
 
 
 def test_a_real_plane_end_to_end(tmp_path):
