@@ -29,8 +29,8 @@ A2f — fault-probability extension of A2: on a link fast enough for the
 A9 — staging cache: device-cycle totals and hit rates for an HTAP mix
      as a function of the staging-cache capacity, across OLTP shares —
      how much repeated-OLAP PCIe traffic the
-     :mod:`repro.staging` layer removes, and how quickly transactional
-     writes (which invalidate staged replicas) erode the benefit.
+     :mod:`repro.staging` layer removes, and what transactional writes
+     (patched into staged replicas cell by cell) cost it.
 """
 
 from __future__ import annotations
@@ -584,10 +584,11 @@ def staging_cache_sweep(
     stream runs against a materialized item column store through the
     serving layer's :class:`~repro.serving.server.LayoutBackend`:
     ``FULL_SUM`` queries go to the device with transfers charged (and
-    therefore through the staging cache), point updates invalidate any
-    staged replica of the touched fragment, point materializations stay
-    on the host.  Reported per cell: whole-stream simulated
-    milliseconds, the staging hit rate, and PCIe megabytes moved.
+    therefore through the staging cache), point updates leave the
+    touched replica staged with the written cell pending (the next sum
+    ships only that cell), point materializations stay on the host.
+    Reported per cell: whole-stream simulated milliseconds, the staging
+    hit rate, and PCIe megabytes moved.
     """
     from repro.workload.htap import HTAPMix
 

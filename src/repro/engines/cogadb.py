@@ -95,10 +95,11 @@ class HypeScheduler:
 
         When the column's *fragment* and *attribute* are given, the
         transfer term is cache-aware: a column with a fresh replica in
-        the staging cache (``platform.staging``) is predicted to pay no
-        PCIe — the device looks exactly as cheap as it will actually be
-        on the warm path.  Predictions stay side-effect-free (no cache
-        stats, no fault draws).
+        the staging cache (``platform.staging``) is predicted to pay
+        only the patch of its pending writes, none when it is clean —
+        the device looks exactly as cheap as it will actually be on the
+        warm path.  Predictions stay side-effect-free (no cache stats,
+        no fault draws).
         """
         cpu = self.platform.memory_model.sequential(count * width) + count
         gpu = self.platform.gpu.reduction_cost(count, width)

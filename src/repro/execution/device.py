@@ -9,11 +9,12 @@ or not — depending on whether the column is already device-resident
 Both operators here read their column through
 :meth:`~repro.staging.StagingManager.stage` (``platform.staging``): a
 repeat query finds its device replica in the staging cache and pays no
-PCIe at all, and the misses are staged in one coalesced burst.  A
-column that cannot be cached even after evicting every replica is still
-shipped, uncached — through a bounce buffer for the sum — with charges
-byte-identical to the pre-cache code, so a cold cache reproduces the
-old cost sequence exactly.
+PCIe beyond a patch of the cells written since the last read, and the
+misses are staged in one coalesced burst.  A column that cannot be
+cached even after evicting every replica is still shipped, uncached —
+through a bounce buffer for the sum — with charges byte-identical to
+the pre-cache code, so a cold cache reproduces the old cost sequence
+exactly.
 
 Resilience: staging transfers are retried under the context's
 :class:`~repro.faults.RetryPolicy`, injected device-OOM is absorbed by
@@ -140,8 +141,9 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
     ``platform.staging.stage``:
 
     * a device-resident fragment is charged only the kernel cost;
-    * a fresh replica in the staging cache serves the read and no PCIe
-      is charged (a staging hit);
+    * a fresh replica in the staging cache serves the read (a staging
+      hit); PCIe is charged only for a patch of cells written since
+      its last read;
     * the misses are staged in one coalesced burst, which installs
       cached replicas for the next query.
 

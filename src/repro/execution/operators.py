@@ -382,7 +382,9 @@ def update_field(
 
     Every fragment of the layout covering the cell is updated (an
     overlapping layout keeps replicas coherent by construction here;
-    replication-based engines charge the extra writes).
+    replication-based engines charge the extra writes).  Each touched
+    fragment's device replicas stay staged: the write is recorded on
+    them, and the next device read ships only the written cell.
     """
     model = ctx.platform.memory_model
     staging = ctx.platform.staging
@@ -392,10 +394,10 @@ def update_field(
             if fragment.region.contains(position, attribute):
                 local = position - fragment.region.rows.start
                 fragment.update_field(local, attribute, value)
-                # A write makes any staged device replica of this fragment
-                # stale: drop it so the next device query re-stages (the
-                # fragment's version bump catches missed paths as well).
-                staging.invalidate_fragment(fragment)
+                # Keep the fragment's device replicas: the written one
+                # patches this cell on its next read (a write that skips
+                # this hook leaves a version gap, which drops them).
+                staging.record_write(fragment, attribute, local)
                 width = fragment.schema.attribute(attribute).width
                 cycles = model.random(
                     count=1, touched=width, footprint=fragment.nbytes

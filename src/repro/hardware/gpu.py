@@ -231,6 +231,39 @@ class GPUModel:
                 self.injector.check(_SITE_KERNEL_LAUNCH, counters)
         return cost
 
+    def scatter_cost(
+        self, count: int, nbytes: int, counters: PerfCounters | None = None
+    ) -> Cycles:
+        """Host-cycle cost of ONE scatter kernel patching device replicas.
+
+        The kernel streams the *nbytes* of a patch burst — an offset and
+        a value per cell, possibly for several columns of different
+        widths — and writes each of the *count* cells into its replica:
+        one launch latency plus the streaming time.  Zero cells return 0
+        and issue no launch (the zero-size contract).
+        """
+        if count < 0 or nbytes < 0:
+            raise ExecutionError(
+                f"scatter of {count} cells / {nbytes} B must be >= 0"
+            )
+        if count == 0:
+            return 0.0
+        total_seconds = (
+            self.streaming_kernel_seconds(nbytes=nbytes, ops=count)
+            + self.launch_latency_s
+        )
+        cost = self.seconds_to_host_cycles(total_seconds)
+        if counters is not None:
+            counters.cycles += cost
+            counters.device_cycles += total_seconds * self.clock_hz
+            counters.kernel_launches += 1
+            counters.bytes_read += nbytes
+            # Prediction calls (no counters) must stay side-effect-free,
+            # so injection only applies to accounted launches.
+            if self.injector is not None:
+                self.injector.check(_SITE_KERNEL_LAUNCH, counters)
+        return cost
+
     def fused_pipeline_cost(
         self,
         count: int,

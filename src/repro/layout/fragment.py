@@ -100,8 +100,8 @@ class Fragment:
         nbytes = region.row_count * self.schema.record_width
         self.allocation: Allocation = space.allocate(nbytes, self.label)
         #: Mutation counter: bumped by every data-plane write so device
-        #: replicas (the staging cache) can detect staleness even if an
-        #: explicit invalidation hook was missed.
+        #: replicas (the staging cache) can detect staleness even if the
+        #: staging write hook was missed.
         self.version = 0
         self._filled = 0
         self._records: np.ndarray | None = None

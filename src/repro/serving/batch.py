@@ -9,7 +9,8 @@ them **per batch**:
 * every distinct operand column is probed in the staging cache once,
   and all misses ship in ONE coalesced PCIe burst
   (:meth:`~repro.staging.StagingManager.stage` — one link latency for
-  the whole operand set);
+  the whole operand set; replicas with pending writes share one patch
+  burst and one scatter kernel);
 * the reductions launch as ONE batched two-pass grid
   (:meth:`~repro.hardware.gpu.GPUModel.batched_reduction_cost` — two
   launch latencies total, streaming charged per distinct column);
@@ -45,8 +46,8 @@ def _sum_fragments(layout: Layout, attribute: str) -> float:
     loop shape — per-fragment ``float(np.sum(values))`` added in
     fragment order — so a batched answer is bit-equal to the serial
     one.  Fragment payloads and staged replicas hold equal arrays
-    (replicas are copies invalidated on every write), so reading the
-    fragment is always correct here.
+    (``stage`` patches a replica's written cells before it serves), so
+    reading the fragment is always correct here.
     """
     total = 0.0
     for fragment in layout.fragments_for_attribute(attribute):
@@ -66,10 +67,11 @@ def run_device_batch(
     batching deduplicates).  Returns one answer per entry, in order.
 
     Cost plane: per **distinct** column, one staging lookup per
-    fragment; all misses staged in one coalesced burst (falling back
-    to one uncached burst of the same bytes when the replicas cannot
-    be cached); one batched two-pass reduction for the whole set; one
-    result copy carrying all K scalars.  Fault behaviour matches the
+    fragment; the written cells of every hit patched with one burst and
+    one scatter kernel; all misses staged in one coalesced burst
+    (falling back to one uncached burst of the same bytes when the
+    replicas cannot be cached); one batched two-pass reduction for the
+    whole set; one result copy carrying all K scalars.  Fault behaviour matches the
     serial path: the burst retries under ``ctx.retry`` and surviving
     faults propagate to the caller's fallback chain.
     """

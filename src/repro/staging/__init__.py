@@ -14,10 +14,11 @@ that qualitative "keep it resident" advice into machinery:
 * :class:`StagingManager` — the per-:class:`~repro.hardware.Platform`
   façade (``platform.staging``) gluing the two together:
   :meth:`~StagingManager.stage`, the one path by which every device
-  operator's operand set reaches the device, residency checks for
-  HyPE's predictions, capacity-pressure eviction, and the invalidation
-  hooks fired by ``update_field``, the re-organizer and
-  :class:`~repro.recovery.RecoveryManager`.
+  operator's operand set reaches the device (patching replicas that
+  have pending writes), residency checks for HyPE's predictions,
+  capacity-pressure eviction, the write hook fired by
+  ``update_field``, and the invalidation hook fired by the re-organizer
+  and :class:`~repro.recovery.RecoveryManager`.
 
 Every module that moves fragment payloads across the link routes
 through this package: ``tests/staging/test_lint_transfer_sites.py``

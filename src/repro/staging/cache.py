@@ -4,9 +4,16 @@ A :class:`StagingCache` maps *(host fragment, attribute)* to a
 :class:`StagedColumn` — a real device-memory allocation holding a copy
 of the column's values.  Entries are validated on every lookup against
 the source fragment's identity and mutation :attr:`~repro.layout.fragment.Fragment.version`,
-so a stale replica can never serve a read even if an invalidation hook
-was missed; the explicit hooks (``update_field``, the re-organizer,
-recovery) exist on top of that to release device memory promptly.
+so a stale replica can never serve a read even if a hook was missed.
+
+A point write through ``update_field`` does not drop the replica:
+:meth:`StagingCache.record_write` advances the replica's version and
+records the written offset as *pending*, and the staging manager
+ships only the pending cells before the replica next serves.  A
+replica whose version skipped a write (one the hook never saw) is
+dropped, and so is one whose pending cells would cost as many bytes
+as re-staging it whole.  The re-organizer and recovery drop every
+replica with :meth:`StagingCache.invalidate_all`.
 
 The cache holds **no cost logic**: insertion and eviction charge zero
 cycles (a discard is free; the re-transfer on the next miss is where
@@ -26,7 +33,10 @@ from repro.hardware.memory import Allocation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.layout.fragment import Fragment
 
-__all__ = ["StagedColumn", "StagingCache"]
+__all__ = ["OFFSET_WIDTH", "StagedColumn", "StagingCache"]
+
+#: Bytes of one patched cell's offset on the wire (an int64).
+OFFSET_WIDTH = 8
 
 
 class StagedColumn:
@@ -39,34 +49,57 @@ class StagedColumn:
         of the cache key; a freed or replaced fragment never matches).
     attribute:
         The staged column's attribute name.
+    width:
+        Bytes per value of the column.
     version:
-        The source fragment's mutation version at staging time; any
-        later write bumps the fragment's version and invalidates us.
+        The source fragment's mutation version the replica tracks:
+        set at staging time and advanced by :meth:`StagingCache.record_write`
+        for each write it sees; any other write leaves it behind.
     allocation:
         The replica's live device-memory allocation.
     values:
         Copy of the column values (``None`` when the source fragment is
         a phantom — geometry-only staging for cost-plane sweeps).
+    pending:
+        Local offsets written since the values were last shipped; the
+        staging manager patches them before the replica serves.
     """
 
     def __init__(
         self,
         source: "Fragment",
         attribute: str,
+        width: int,
         version: int,
         allocation: Allocation,
         values: np.ndarray | None,
     ) -> None:
         self.source = source
         self.attribute = attribute
+        self.width = width
         self.version = version
         self.allocation = allocation
         self.values = values
+        self.pending: set[int] = set()
 
     @property
     def nbytes(self) -> int:
         """Device bytes the replica occupies."""
         return self.allocation.size
+
+    @property
+    def patch_bytes(self) -> int:
+        """Bytes a patch ships: an int64 offset plus a value per cell."""
+        return len(self.pending) * (OFFSET_WIDTH + self.width)
+
+    def apply_patch(self) -> None:
+        """Copy the source's current pending cells in; clear them.
+
+        The cells are read now, so the last write to a cell wins.
+        """
+        offsets = np.fromiter(self.pending, dtype=np.int64, count=len(self.pending))
+        self.values[offsets] = self.source.column(self.attribute)[offsets]
+        self.pending.clear()
 
     def is_fresh(self) -> bool:
         """Whether the replica still mirrors its source fragment."""
@@ -152,6 +185,32 @@ class StagingCache:
         self._entries[key] = entry
         self._entries.move_to_end(key)
 
+    def record_write(
+        self, fragment: "Fragment", attribute: str, offset: int
+    ) -> None:
+        """Carry *fragment*'s replicas across one written cell.
+
+        Called after the write bumped ``fragment.version``.  A replica
+        that tracked every earlier write advances to the new version,
+        and the written column's replica records *offset* as pending.
+        A replica with a version gap missed a write and is dropped, as
+        is one whose pending bytes reach what re-staging it would ship.
+        """
+        for name in fragment.schema.names:
+            key = self._key(fragment, name)
+            entry = self._entries.get(key)
+            if entry is None:
+                continue
+            if entry.source is fragment and entry.version + 1 == fragment.version:
+                entry.version = fragment.version
+                if name != attribute:
+                    continue
+                entry.pending.add(offset)
+                if entry.patch_bytes < entry.nbytes:
+                    continue
+            self._drop(key)
+            self.invalidations += 1
+
     # ------------------------------------------------------------------
     # Eviction / invalidation (all free device memory, all cost nothing)
     # ------------------------------------------------------------------
@@ -172,15 +231,6 @@ class StagingCache:
         self._drop(key)
         self.evictions += 1
         return entry
-
-    def invalidate_fragment(self, fragment: "Fragment") -> int:
-        """Drop every replica staged from *fragment* (write hook)."""
-        keys = [key for key in self._entries if key[0] == id(fragment)]
-        for key in keys:
-            self._drop(key)
-        if keys:
-            self.invalidations += len(keys)
-        return len(keys)
 
     def invalidate_all(self) -> int:
         """Drop every replica (reorganization / recovery hook)."""

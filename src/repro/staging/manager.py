@@ -5,19 +5,23 @@ One :class:`StagingManager` is created per
 fresh platform always starts with a cold cache.  Engines talk to it in
 three ways:
 
-* **residency** — :meth:`is_staged` / :meth:`predicted_transfer_cost`
-  let HyPE's cost predictions see that a column already has a device
-  replica (predicted transfer cost 0) without perturbing cache state;
+* **residency** — :meth:`predicted_transfer_cost` lets HyPE's cost
+  predictions see that a column already has a device replica
+  (predicted transfer cost 0, or its patch burst when writes are
+  pending) without perturbing cache state;
 * **serving** — :meth:`stage`, the one path every device operator
   takes: it serves resident fragments in place, probes the rest with
   :meth:`lookup` (per-query hit/miss accounting into the query's
-  counters) and stages every miss with one :meth:`acquire_set` (a
-  whole operand set in one coalesced burst, evicting LRU replicas
-  under capacity pressure); :meth:`transfer_uncached` charges the same
-  bytes when the set cannot be cached;
-* **invalidation** — :meth:`invalidate_fragment` / :meth:`invalidate_all`,
-  fired by ``update_field``, the re-organizer and the recovery manager
-  so a stale replica never serves a read.
+  counters), patches hits that have pending writes (one burst of
+  offsets and values, one scatter kernel) and stages every miss with
+  one :meth:`acquire_set` (a whole operand set in one coalesced burst,
+  evicting LRU replicas under capacity pressure);
+  :meth:`transfer_uncached` charges the same bytes when the set cannot
+  be cached;
+* **writes** — :meth:`record_write`, fired by ``update_field`` per
+  touched fragment, keeps the fragment's replicas and records the
+  written cell for the next :meth:`stage`; :meth:`invalidate_all`,
+  fired by the re-organizer and the recovery manager, drops them all.
 
 OOM resilience: an injected ``device.alloc`` fault during
 :meth:`acquire_set` is absorbed by evicting the LRU replica (recorded as a
@@ -77,10 +81,6 @@ class StagingManager:
     # ------------------------------------------------------------------
     # Residency (pure: safe for cost predictions)
     # ------------------------------------------------------------------
-    def is_staged(self, fragment: "Fragment", attribute: str) -> bool:
-        """Whether a fresh device replica of the column exists (pure)."""
-        return self.cache.peek(fragment, attribute) is not None
-
     def predicted_transfer_cost(
         self,
         nbytes: int,
@@ -89,16 +89,17 @@ class StagingManager:
     ) -> Cycles:
         """Cache-aware transfer-cost prediction, side-effect-free.
 
-        Returns 0 when the column already has a fresh device replica
-        (a warm query pays no PCIe), else the plain link cost — this is
-        what makes HyPE's device/host decision cache-aware.
+        Returns 0 when the column already has a clean device replica
+        (a warm query pays no PCIe), the burst of its pending patch when
+        writes are pending on it, else the plain link cost of *nbytes* —
+        this is what makes HyPE's device/host decision cache-aware.
         """
-        if (
-            fragment is not None
-            and attribute is not None
-            and self.is_staged(fragment, attribute)
-        ):
-            return 0.0
+        if fragment is not None and attribute is not None:
+            entry = self.cache.peek(fragment, attribute)
+            if entry is not None:
+                if not entry.pending:
+                    return 0.0
+                return self.scheduler.predicted_cost(entry.patch_bytes)
         return self.scheduler.predicted_cost(nbytes)
 
     # ------------------------------------------------------------------
@@ -134,7 +135,8 @@ class StagingManager:
 
         *requests* are the ``(fragment, attribute, width)`` triples the
         operator reads, in its own order.  A device-resident fragment
-        serves itself; every other one is probed with :meth:`lookup`,
+        serves itself; every other one is probed with :meth:`lookup`.
+        Hits with pending writes are patched in place by :meth:`_patch`,
         and all misses go to one :meth:`acquire_set` call.
 
         Returns ``(values, misses, entries)``: per request, the array
@@ -146,23 +148,50 @@ class StagingManager:
         """
         values: list[np.ndarray | None] = []
         misses: list[Request] = []
+        dirty: list[StagedColumn] = []
         for fragment, attribute, width in requests:
             entry = None
             if fragment.space.kind is not MemoryKind.DEVICE:
                 entry = self.lookup(fragment, attribute, ctx.counters)
                 if entry is None:
                     misses.append((fragment, attribute, width))
+                elif entry.pending and entry not in dirty:
+                    dirty.append(entry)
             if entry is not None:
-                # The replica serves the read: a stale entry here would
-                # be a wrong answer, which is what the invalidation
-                # regression tests check for.
+                # The replica serves the read (patched below when writes
+                # are pending): a stale entry here would be a wrong
+                # answer, which the invalidation and patch tests catch.
                 values.append(entry.values)
             elif fragment.is_phantom:
                 values.append(None)
             else:
                 values.append(fragment.column(attribute))
+        if dirty:
+            self._patch(dirty, ctx)
         entries = self.acquire_set(misses, ctx) if misses else []
         return values, misses, entries
+
+    def _patch(self, dirty: Sequence[StagedColumn], ctx: "ExecutionContext") -> None:
+        """Ship *dirty* replicas' pending cells, then scatter them.
+
+        One retry-wrapped burst carries every replica's offsets and
+        values, and one scatter kernel writes them.  The replicas'
+        arrays change only after both survived, so a surfaced fault
+        leaves each replica unpatched with its offsets kept, and the
+        next read patches again.
+        """
+        sizes = [entry.patch_bytes for entry in dirty]
+        self._burst(
+            [(entry.source, entry.attribute, entry.width) for entry in dirty],
+            sizes,
+            ctx,
+        )
+        cells = sum(len(entry.pending) for entry in dirty)
+        with ctx.span("gpu-scatter", "kernel", cells=cells):
+            cost = self.platform.gpu.scatter_cost(cells, sum(sizes), ctx.counters)
+            ctx.note("gpu-scatter", cost)
+        for entry in dirty:
+            entry.apply_patch()
 
     def acquire_set(
         self, requests: Sequence["Request"], ctx: "ExecutionContext"
@@ -248,14 +277,14 @@ class StagingManager:
             raise
 
         entries: list[StagedColumn] = []
-        for (fragment, attribute, __), allocation in zip(staged, allocations):
+        for (fragment, attribute, width), allocation in zip(staged, allocations):
             values = (
                 None
                 if fragment.is_phantom
                 else np.array(fragment.column(attribute), copy=True)
             )
             entry = StagedColumn(
-                fragment, attribute, fragment.version, allocation, values
+                fragment, attribute, width, fragment.version, allocation, values
             )
             self.cache.insert(entry)
             entries.append(entry)
@@ -314,11 +343,15 @@ class StagingManager:
             tracer.instant("staging-evict", "staging", counters, reason=reason)
 
     # ------------------------------------------------------------------
-    # Invalidation hooks
+    # Write hooks
     # ------------------------------------------------------------------
-    def invalidate_fragment(self, fragment: "Fragment") -> int:
-        """Drop every replica of *fragment* (fired by ``update_field``)."""
-        return self.cache.invalidate_fragment(fragment)
+    def record_write(self, fragment: "Fragment", attribute: str, offset: int) -> None:
+        """Keep *fragment*'s replicas across one written cell.
+
+        Fired by ``update_field`` per touched fragment; the next
+        :meth:`stage` that reads the written column patches the cell.
+        """
+        self.cache.record_write(fragment, attribute, offset)
 
     def invalidate_all(self) -> int:
         """Drop every replica (fired by reorganization and recovery)."""

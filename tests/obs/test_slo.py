@@ -187,28 +187,26 @@ class TestEvaluator:
 #: the counts, so this pins the cycles and burn rates.
 PROBE_OVERLOAD_ALERTS = {
     5: [
-        ("shed-rate", "ticket", 103786.29922747212, 10.0, 10.0),
-        ("shed-rate", "page", 249087.11814593308, 16.666666667, 11.515151515),
-        ("shed-rate", "page", 581203.2756738437, 13.333333333, 13.333333333),
+        ("shed-rate", "ticket", 197403.24762161094, 8.695652174, 8.695652174),
+        ("shed-rate", "page", 276364.5466702553, 16.666666667, 11.515151515),
+        ("shed-rate", "page", 552729.0933405106, 13.913043478, 13.913043478),
     ],
     23: [
-        ("shed-rate", "page", 94147.24873644869, 17.142857143, 17.142857143),
-        ("shed-rate", "ticket", 117684.06092056085, 17.142857143, 17.142857143),
-        ("shed-rate", "page", 235368.12184112173, 13.846153846, 13.846153846),
-        ("shed-rate", "page", 329515.3705775704, 11.578947368, 11.578947368),
-        ("shed-rate", "page", 423662.6193140191, 14.736842105, 14.736842105),
-        ("shed-rate", "page", 517809.8680504678, 11.578947368, 11.578947368),
-        ("shed-rate", "page", 659030.7411551407, 11.428571429, 15.0),
-        ("p99-latency", "ticket", 823788.426443926, 5.714285714, 3.333333333),
-        ("p99-latency", "page", 894398.8629962621, 20.0, 20.0),
+        ("shed-rate", "ticket", 113461.69758722752, 17.142857143, 17.142857143),
+        ("shed-rate", "page", 136154.03710467304, 17.142857143, 17.142857143),
+        ("shed-rate", "page", 226923.39517445507, 13.846153846, 13.846153846),
+        ("shed-rate", "page", 317692.7532442371, 10.588235294, 10.588235294),
+        ("shed-rate", "page", 408462.11131401913, 14.736842105, 14.736842105),
+        ("shed-rate", "page", 499231.46938380116, 12.380952381, 12.380952381),
+        ("shed-rate", "page", 635385.5064884743, 15.0, 15.0),
     ],
     101: [
-        ("shed-rate", "page", 128756.55928380197, 15.0, 15.0),
-        ("shed-rate", "ticket", 214594.26547300327, 15.0, 12.0),
-        ("shed-rate", "page", 257513.11856760396, 11.578947368, 11.578947368),
-        ("shed-rate", "page", 472107.38404060726, 13.333333333, 13.333333333),
-        ("shed-rate", "page", 600863.9433244092, 14.444444444, 14.444444444),
-        ("shed-rate", "page", 686701.6495136104, 10.909090909, 10.909090909),
+        ("shed-rate", "page", 124863.52728380197, 15.0, 15.0),
+        ("shed-rate", "ticket", 208105.8788063366, 15.0, 12.0),
+        ("shed-rate", "page", 249727.05456760392, 11.578947368, 11.578947368),
+        ("shed-rate", "page", 457832.93337394047, 12.258064516, 13.181818182),
+        ("shed-rate", "page", 582696.4606577425, 14.117647059, 14.117647059),
+        ("shed-rate", "page", 665938.8121802771, 12.307692308, 12.307692308),
     ],
 }
 

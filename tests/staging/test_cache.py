@@ -53,7 +53,7 @@ class TestLookup:
         stage(platform, fragment, ctx)
         cache = platform.staging.cache
         hits, misses = cache.hits, cache.misses
-        assert platform.staging.is_staged(fragment, "price")
+        assert cache.peek(fragment, "price") is not None
         assert (cache.hits, cache.misses) == (hits, misses)
 
     def test_stale_version_dropped_and_freed(self, relation, platform, ctx):
@@ -118,14 +118,18 @@ class TestEviction:
 
 
 class TestInvalidation:
-    def test_invalidate_fragment_frees_device_memory(self, relation, platform, ctx):
+    def test_write_hook_drops_a_replica_that_missed_a_write(
+        self, relation, platform, ctx
+    ):
         fragment = host_column(relation, platform, np.ones(100))
         other = host_column(relation, platform, np.ones(100), label="other")
         stage(platform, fragment, ctx)
         stage(platform, other, ctx)
-        dropped = platform.staging.invalidate_fragment(fragment)
-        assert dropped == 1
+        fragment.update_field(0, "price", 5.0)  # a write no hook saw
+        fragment.update_field(1, "price", 6.0)
+        platform.staging.record_write(fragment, "price", 1)
         cache = platform.staging.cache
+        assert cache.invalidations == 1
         assert cache.peek(fragment, "price") is None
         assert cache.peek(other, "price") is not None
         assert platform.device_memory.used == 800

@@ -1,8 +1,9 @@
-"""Stale-read regressions: every write path must invalidate staged replicas.
+"""Stale-read regressions: every write path must reach staged replicas.
 
 One test per trigger the staging layer hooks:
 
-* ``update_field`` — a point write to a staged column;
+* ``update_field`` — a point write to a staged column is recorded on
+  the replica, which patches the cell on its next read;
 * ``reorganize_layout`` — a layout swap frees the source fragments;
 * ``RecoveryManager.recover`` — replicas staged before the crash carry
   pre-crash state (loser writes included) and must not survive it.
@@ -58,18 +59,29 @@ class TestUpdateFieldTrigger:
         # A stale replica would reproduce the pre-write sum exactly.
         assert after == pytest.approx(before - 7.0 + 10_000.0)
 
-    def test_write_drops_only_the_touched_replica(self, relation, platform, ctx):
+    def test_write_patches_only_the_touched_replica(self, relation, platform, ctx):
         store = price_store(relation, platform)
         other_relation = Relation("costs", Schema.of(("price", FLOAT64)), ROWS)
         other = price_store(other_relation, platform)
         device_sum_column(store, "price", ctx)
         device_sum_column(other, "price", ctx)
         assert len(platform.staging.cache) == 2
+        clean = ExecutionContext(platform)
+        device_sum_column(other, "price", clean)
         update_field(store, 0, "price", 1.0, ctx)
-        assert len(platform.staging.cache) == 1
+        # Both replicas stay staged; only the touched one has a pending cell.
+        assert len(platform.staging.cache) == 2
+        assert platform.staging.cache.invalidations == 0
         warm = ExecutionContext(platform)
         device_sum_column(other, "price", warm)
-        assert warm.counters.staging_hits == 1
+        assert (warm.counters.staging_hits, warm.counters.staging_misses) == (1, 0)
+        assert warm.counters.pcie_bytes == clean.counters.pcie_bytes
+        patched = ExecutionContext(platform)
+        total = device_sum_column(store, "price", patched)
+        assert total == pytest.approx(float(np.sum(np.arange(1, ROWS))) + 1.0)
+        assert (patched.counters.staging_hits, patched.counters.staging_misses) == (1, 0)
+        # One cell crossed: its int64 offset and its 8-byte value.
+        assert patched.counters.pcie_bytes == clean.counters.pcie_bytes + 16
 
 
 class TestReorganizerTrigger:
