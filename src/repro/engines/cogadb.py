@@ -39,7 +39,6 @@ from repro.errors import EngineError
 from repro.execution.access import AccessKind
 from repro.execution.context import ExecutionContext
 from repro.execution.device import (
-    device_count_where,
     device_sum_column,
     ensure_resident,
     is_device_resident,
@@ -484,56 +483,6 @@ class CoGaDBEngine(StorageEngine):
                     "cpu", raw[route], ctx.counters.cycles - before
                 )
         return result
-
-    def count_where(self, name, attribute, predicate, ctx) -> int:
-        """Selection + count, HyPE-routed like :meth:`sum`.
-
-        *predicate* is a vectorized numpy function; on the GPU path the
-        selection and the count fuse into one streamed kernel.
-        """
-        managed = self.managed(name)
-        self.record_access(
-            name, AccessKind.READ, (attribute,), managed.relation.row_count
-        )
-        if managed.relation.row_count == 0:
-            return 0
-        mixed = managed.primary_layout
-        fragment = mixed.fragments_for_attribute(attribute)[0]
-        on_device = is_device_resident(fragment)
-        width = fragment.schema.attribute(attribute).width
-        count = managed.relation.row_count
-        choice = self.scheduler.choose_sum_device(
-            count, width, on_device, fragment, attribute
-        )
-        from repro.execution.bulk import bulk_count_where
-
-        host_layout = managed.layouts[1]
-        with ctx.span(
-            f"cogadb-count-where({attribute})",
-            "operator",
-            hype_choice=choice,
-            on_device=on_device,
-        ) as span:
-            if choice == "gpu":
-                view = Layout(
-                    f"{name}/gpu-view", managed.relation, [fragment],
-                    allow_overlap=True, validate=False,
-                )
-                chain = self._device_chain(
-                    lambda: device_count_where(view, attribute, predicate, ctx),
-                    lambda: bulk_count_where(
-                        host_layout, attribute, predicate, ctx
-                    ),
-                )
-                result, served_by = chain.run(ctx)
-                if span is not None:
-                    span.attrs["served_by"] = served_by
-                if served_by != "gpu":
-                    self.scheduler.decisions.append("cpu-fallback")
-                return result
-            if span is not None:
-                span.attrs["served_by"] = "cpu"
-            return bulk_count_where(host_layout, attribute, predicate, ctx)
 
     # ------------------------------------------------------------------
     # Record-centric paths stay on the host copy (the mixed layout's

@@ -1,10 +1,9 @@
 """Execution engine: operators, processing models, threading, device."""
 
 from repro.execution.access import AccessDescriptor, AccessKind
-from repro.execution.bulk import BulkPipeline, bulk_count_where, bulk_sum
+from repro.execution.bulk import BulkPipeline, bulk_sum
 from repro.execution.context import CounterScope, ExecutionContext
 from repro.execution.device import (
-    device_count_where,
     device_sum_column,
     is_device_resident,
     transfer_fragment,
@@ -48,7 +47,6 @@ __all__ = [
     "filter_scan",
     "update_field",
     "device_sum_column",
-    "device_count_where",
     "transfer_fragment",
     "is_device_resident",
     "HashIndex",
@@ -56,7 +54,6 @@ __all__ = [
     "point_query",
     "BulkPipeline",
     "bulk_sum",
-    "bulk_count_where",
     "VolcanoOperator",
     "VolcanoScan",
     "VolcanoSelect",

@@ -24,14 +24,11 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.execution.context import ExecutionContext
-from repro.execution.operators import (
-    ADD_CYCLES_PER_VALUE,
-    PREDICATE_CYCLES_PER_VALUE,
-)
+from repro.execution.operators import ADD_CYCLES_PER_VALUE
 from repro.fusion.host import DEFAULT_VECTOR_SIZE, vector_pass
 from repro.layout.layout import Layout
 
-__all__ = ["BulkPipeline", "bulk_sum", "bulk_count_where", "DEFAULT_VECTOR_SIZE"]
+__all__ = ["BulkPipeline", "bulk_sum", "DEFAULT_VECTOR_SIZE"]
 
 
 class BulkPipeline:
@@ -82,20 +79,3 @@ def bulk_sum(layout: Layout, attribute: str, ctx: ExecutionContext,
     count = len(values)
     ctx.charge("bulk-final-add", math.ceil(count / max(vector_size, 1)) * ADD_CYCLES_PER_VALUE)
     return float(np.sum(values)) if count else 0.0
-
-
-def bulk_count_where(
-    layout: Layout,
-    attribute: str,
-    predicate: Callable[[np.ndarray], np.ndarray],
-    ctx: ExecutionContext,
-    vector_size: int = DEFAULT_VECTOR_SIZE,
-) -> int:
-    """Count rows whose *attribute* satisfies a vectorized predicate."""
-    pipeline = BulkPipeline(layout, attribute, vector_size).map(
-        lambda values: np.asarray(predicate(values), dtype=bool),
-        name="predicate",
-        cycles_per_value=PREDICATE_CYCLES_PER_VALUE,
-    )
-    mask = pipeline.collect(ctx)
-    return int(np.sum(mask)) if len(mask) else 0

@@ -6,15 +6,15 @@ parallel reduction (>= 1024 blocks x 512 threads, final pass 1 block x
 or not — depending on whether the column is already device-resident
 (Figure 2, panels 3 vs. 4).
 
-Both operators here read their column through
-:meth:`~repro.staging.StagingManager.stage` (``platform.staging``): a
-repeat query finds its device replica in the staging cache and pays no
-PCIe beyond a patch of the cells written since the last read, and the
-misses are staged in one coalesced burst.  A column that cannot be
-cached even after evicting every replica is still shipped, uncached —
-through a bounce buffer for the sum — with charges byte-identical to
-the pre-cache code, so a cold cache reproduces the old cost sequence
-exactly.
+The sum reads its column through
+:meth:`~repro.staging.StagingManager.stage` (``platform.staging``) and
+adds up the arrays it returns: a repeat query finds its device replica
+in the staging cache and pays no PCIe beyond a patch of the cells
+written since the last read, and the misses are staged in one coalesced
+burst.  A column that cannot be cached even after evicting every
+replica is still shipped, uncached, through a bounce buffer, with
+charges byte-identical to the pre-cache code, so a cold cache
+reproduces the old cost sequence exactly.
 
 Resilience: staging transfers are retried under the context's
 :class:`~repro.faults.RetryPolicy`, injected device-OOM is absorbed by
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from repro.errors import CapacityError, ExecutionError, PlacementError
+from repro.errors import CapacityError, PlacementError
 from repro.execution.context import ExecutionContext
 from repro.hardware.event import Cycles, PerfCounters
 from repro.hardware.memory import MemoryKind, MemorySpace
@@ -40,7 +40,6 @@ from repro.layout.layout import Layout
 
 __all__ = [
     "device_sum_column",
-    "device_count_where",
     "transfer_fragment",
     "ensure_resident",
     "is_device_resident",
@@ -210,61 +209,3 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
         result_cost = staging.scheduler.transfer(width, ctx.counters)
         ctx.note("result-copy", result_cost)
     return total
-
-
-def device_count_where(
-    layout: Layout, attribute: str, predicate, ctx: ExecutionContext
-) -> int:
-    """Count rows matching a vectorized predicate, on the GPU.
-
-    The selection kernel streams the column once (bandwidth-bound, like
-    the reduction) and reduces the match bitmap on-device, so only the
-    scalar count crosses the bus back — the classic GPU selection +
-    count fusion.  Host-resident fragments are served from the staging
-    cache when possible and staged (with replica installation) on a
-    miss; misses that cannot be cached cross the link uncached.
-    """
-    fragments = layout.fragments_for_attribute(attribute)
-    if not fragments:
-        return 0  # empty relation
-    staging = ctx.platform.staging
-    width = fragments[0].schema.attribute(attribute).width
-    with ctx.span(f"device-count-where({attribute})", "operator"):
-        columns, misses, entries = staging.stage(
-            [(fragment, attribute, width) for fragment in fragments], ctx
-        )
-        if entries is None:
-            # No room to cache the replicas: charge the same burst
-            # uncached (this path never allocated a bounce buffer).
-            staging.transfer_uncached(misses, ctx)
-        matches = 0
-        for values in columns:
-            if values is None or not len(values):
-                continue
-            mask = np.asarray(predicate(values), dtype=bool)
-            if mask.shape != values.shape:
-                raise ExecutionError(
-                    f"predicate returned shape {mask.shape} for "
-                    f"{values.shape} values"
-                )
-            matches += int(np.sum(mask))
-        count = sum(fragment.filled for fragment in fragments)
-        if count:
-            with ctx.span(
-                f"gpu-count-where({attribute})", "kernel", elements=count
-            ):
-                kernel_seconds = ctx.platform.gpu.streaming_kernel_seconds(
-                    nbytes=count * width, ops=count * 2  # compare + ballot
-                )
-                kernel = (
-                    ctx.platform.gpu.seconds_to_host_cycles(kernel_seconds)
-                    + 2 * ctx.platform.gpu.launch_latency_cycles
-                )
-                ctx.charge(f"gpu-count-where({attribute})", kernel)
-                ctx.counters.kernel_launches += 2
-                ctx.counters.device_cycles += (
-                    kernel_seconds * ctx.platform.gpu.clock_hz
-                )
-        result_cost = staging.scheduler.transfer(8, ctx.counters)
-        ctx.note("result-copy", result_cost)
-    return matches

@@ -184,8 +184,8 @@ def _serve_column(
     operator stages its own input with its own burst (one link latency
     *per operator*), which is exactly the overhead one operand set
     removes for fused plans.  When the replicas cannot be cached, the
-    burst is charged uncached (the ``device_count_where`` fallback
-    shape).
+    burst is charged uncached, as :func:`~repro.serving.batch.run_device_batch`
+    charges it.
     """
     staging = ctx.platform.staging
     fragments = layout.fragments_for_attribute(attribute)

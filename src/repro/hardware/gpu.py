@@ -31,6 +31,19 @@ __all__ = ["GPUModel", "KernelLaunch"]
 #: match ``repro.faults.injector.SITE_KERNEL_LAUNCH``).
 _SITE_KERNEL_LAUNCH = "device.kernel"
 
+#: The paper's reduction launch shape: pass 1 runs at least
+#: ``REDUCTION_MIN_BLOCKS`` blocks of ``REDUCTION_THREADS_PER_BLOCK``
+#: threads; pass 2 is one block of ``max_threads_per_block``.
+REDUCTION_MIN_BLOCKS = 1024
+REDUCTION_THREADS_PER_BLOCK = 512
+
+
+def _pass1_blocks(count: int) -> int:
+    """Blocks of the first pass over *count* elements, two per thread."""
+    return max(
+        REDUCTION_MIN_BLOCKS, math.ceil(count / (2 * REDUCTION_THREADS_PER_BLOCK))
+    )
+
 
 @dataclass(frozen=True)
 class KernelLaunch:
@@ -68,7 +81,8 @@ class GPUModel:
     launch_latency_s:
         Host-visible latency of one kernel launch in seconds.
     max_threads_per_block:
-        Hardware limit (1024 on the paper's device).
+        Hardware limit (1024 on the paper's device); at least
+        :data:`REDUCTION_THREADS_PER_BLOCK`, the reduction's block size.
     host_frequency_hz:
         Host clock used to convert device time into host cycles.
     injector:
@@ -87,6 +101,13 @@ class GPUModel:
     max_threads_per_block: int = 1024
     host_frequency_hz: float = 2.6e9
     injector: "FaultInjector | None" = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.max_threads_per_block < REDUCTION_THREADS_PER_BLOCK:
+            raise ExecutionError(
+                f"{REDUCTION_THREADS_PER_BLOCK} threads/block exceeds device "
+                f"limit {self.max_threads_per_block}"
+            )
 
     @property
     def total_cores(self) -> int:
@@ -121,13 +142,11 @@ class GPUModel:
         count: int,
         element_width: int,
         counters: PerfCounters | None = None,
-        min_blocks: int = 1024,
-        threads_per_block: int = 512,
     ) -> Cycles:
         """Host-cycle cost of the paper's two-pass parallel reduction.
 
-        Pass 1 launches ``max(min_blocks, ceil(count / (2*threads)))``
-        blocks that reduce the input to one partial per block; pass 2
+        Pass 1 launches ``max(1024, ceil(count / (2*512)))`` blocks of
+        512 threads that reduce the input to one partial per block; pass 2
         reduces the partials with a single 1024-thread block.  Each pass
         pays one kernel-launch latency.  Returns 0 for an empty input
         (no launch is issued).
@@ -136,20 +155,12 @@ class GPUModel:
             raise ExecutionError(f"count must be >= 0, got {count}")
         if count == 0:
             return 0.0
-        if threads_per_block > self.max_threads_per_block:
-            raise ExecutionError(
-                f"{threads_per_block} threads/block exceeds device limit "
-                f"{self.max_threads_per_block}"
-            )
-        blocks = max(min_blocks, math.ceil(count / (2 * threads_per_block)))
-        pass1 = KernelLaunch(blocks, threads_per_block)
-        pass2 = KernelLaunch(1, self.max_threads_per_block)
-
+        blocks = _pass1_blocks(count)
         pass1_seconds = self.streaming_kernel_seconds(
             nbytes=count * element_width, ops=count
         )
         pass2_seconds = self.streaming_kernel_seconds(
-            nbytes=pass1.blocks * element_width, ops=pass1.blocks
+            nbytes=blocks * element_width, ops=blocks
         )
         total_seconds = pass1_seconds + pass2_seconds + 2 * self.launch_latency_s
         cost = self.seconds_to_host_cycles(total_seconds)
@@ -168,8 +179,6 @@ class GPUModel:
         self,
         columns: "Sequence[tuple[int, int]]",
         counters: PerfCounters | None = None,
-        min_blocks: int = 1024,
-        threads_per_block: int = 512,
     ) -> Cycles:
         """Host-cycle cost of ONE batched two-pass reduction over many columns.
 
@@ -191,11 +200,6 @@ class GPUModel:
         side-effects (and the ``device.kernel`` fault draw) happen only
         on accounted calls, like every other kernel costing.
         """
-        if threads_per_block > self.max_threads_per_block:
-            raise ExecutionError(
-                f"{threads_per_block} threads/block exceeds device limit "
-                f"{self.max_threads_per_block}"
-            )
         streamed = []
         for count, width in columns:
             if count < 0:
@@ -209,13 +213,12 @@ class GPUModel:
         pass_seconds = 0.0
         total_bytes = 0
         for count, width in streamed:
-            blocks = max(min_blocks, math.ceil(count / (2 * threads_per_block)))
-            pass1 = KernelLaunch(blocks, threads_per_block)
+            blocks = _pass1_blocks(count)
             pass_seconds += self.streaming_kernel_seconds(
                 nbytes=count * width, ops=count
             )
             pass_seconds += self.streaming_kernel_seconds(
-                nbytes=pass1.blocks * width, ops=pass1.blocks
+                nbytes=blocks * width, ops=blocks
             )
             total_bytes += count * width
         total_seconds = pass_seconds + 2 * self.launch_latency_s
@@ -270,8 +273,6 @@ class GPUModel:
         element_widths: "tuple[int, ...] | list[int]",
         ops_per_element: float = 1.0,
         counters: PerfCounters | None = None,
-        min_blocks: int = 1024,
-        threads_per_block: int = 512,
     ) -> Cycles:
         """Host-cycle cost of ONE fused scan→filter→project→aggregate kernel.
 
@@ -298,15 +299,6 @@ class GPUModel:
             raise ExecutionError(f"invalid element widths {tuple(element_widths)}")
         if count == 0:
             return 0.0
-        if threads_per_block > self.max_threads_per_block:
-            raise ExecutionError(
-                f"{threads_per_block} threads/block exceeds device limit "
-                f"{self.max_threads_per_block}"
-            )
-        # Same grid-stride geometry as the reduction's first pass; the
-        # KernelLaunch constructor validates it.
-        blocks = max(min_blocks, math.ceil(count / (2 * threads_per_block)))
-        launch = KernelLaunch(blocks, threads_per_block)
         nbytes = count * sum(element_widths)
         seconds = self.streaming_kernel_seconds(
             nbytes=nbytes, ops=count, ops_per_element=ops_per_element

@@ -18,20 +18,13 @@ fault injector that forces exactly one retried PCIe transfer, then:
 * logs the :func:`~repro.obs.profile.explain` report and records the
   per-layer cycle attribution in ``BENCH_obs.json``.
 
-On top of that, the telemetry-plane gates run a compact serving probe
-per seed (the first seed only under ``--smoke``):
-
-* **window closure** — every root
-  :class:`~repro.hardware.event.PerfCounters` field equals its
-  ``platform.<field>`` series total
-  (:meth:`~repro.obs.metrics.MetricsRegistry.verify_closure`);
-* **windowed zero observer** — the probe with a
-  :class:`~repro.obs.metrics.MetricsRegistry` attached is
-  byte-identical (answers, makespan, counter totals) to the same seed
-  with none;
-* **SLO discrimination + determinism** — the healthy probe produces
-  zero burn-rate alerts, the seeded-overload probe fires, and running
-  the overload probe twice yields identical alert streams.
+On top of that, the SLO gates run a compact serving probe per seed
+(the first seed only under ``--smoke``): the healthy probe produces
+zero burn-rate alerts, the seeded-overload probe fires, and running the
+overload probe twice yields identical alert streams.  Registry closure
+and the registry's zero observer effect on a serving run are the
+serving plane's ``exactly_once_attribution`` and ``deterministic``
+gates.
 
 Every gate feeds the record's ``ok``, so one CI cell asserts the whole
 observability contract.
@@ -172,16 +165,13 @@ def _probe_slos() -> tuple:
     )
 
 
-def run_windowed_probe(
-    seed: int, overload: bool, windowed: bool = True
-) -> dict[str, Any]:
-    """One compact serving cell with (or without) a metrics registry.
+def run_windowed_probe(seed: int, overload: bool) -> dict[str, Any]:
+    """One compact serving cell with a metrics registry.
 
     *overload* switches between a lightly-loaded healthy cell (arrival
     gaps far wider than the service time, no chaos) and a saturated
     cell under the ``serving.queue-overflow`` chaos site.  Returns the
-    run's fingerprint (answers, makespan, counter snapshot) plus — when
-    *windowed* — the registry, its closure problems, and the
+    run's outcome (its ``registry`` holds the series) and the
     deterministic alert stream.
     """
     from repro.obs.metrics import MetricsRegistry
@@ -192,35 +182,22 @@ def run_windowed_probe(
     rows = 6_000
     horizon = 600_000.0
     gap = 15_000.0 if overload else 150_000.0
-    tenants = build_tenants(3, gap, "poisson", horizon)
-    registry = MetricsRegistry() if windowed else None
+    registry = MetricsRegistry()
     outcome = serve_once(
         seed,
         rows,
-        tenants,
+        build_tenants(3, gap),
         horizon,
         BATCH_16,
         max_backlog=16 if overload else None,
         overflow_rate=0.08 if overload else 0.0,
         registry=registry,
     )
-    fingerprint = {
-        "answers": [
-            (seq, repr(answer))
-            for seq, __, answer in outcome.loop.answers_for_replay()
-        ],
-        "makespan": outcome.report.makespan_cycles,
-        "snapshot": outcome.ctx.counters.snapshot(),
+    horizon_end = max(outcome.report.makespan_cycles, 1.0)
+    return {
+        "outcome": outcome,
+        "alerts": evaluate_slos(registry, _probe_slos(), horizon_end),
     }
-    result: dict[str, Any] = {"fingerprint": fingerprint, "outcome": outcome}
-    if windowed:
-        horizon_end = max(outcome.report.makespan_cycles, 1.0)
-        result["registry"] = registry
-        result["closure_problems"] = registry.verify_closure(
-            outcome.ctx.counters
-        )
-        result["alerts"] = evaluate_slos(registry, _probe_slos(), horizon_end)
-    return result
 
 
 def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
@@ -262,9 +239,8 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         set(REQUIRED_SPAN_LAYERS) - span_layers
     ) + sorted({"staging", "fault"} - instant_layers)
 
-    # Gates 5-8, per seed: the telemetry-plane contracts on a compact
-    # serving probe (window closure, windowed zero observer, SLO
-    # discrimination, SLO determinism).
+    # Gates 5-7, per seed: SLO discrimination and determinism on a
+    # compact serving probe.
     if smoke:
         seeds = seeds[:1]
     per_seed: dict[str, Any] = {}
@@ -272,14 +248,9 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
     metrics: dict[str, float] = {}
     for seed in seeds:
         healthy = run_windowed_probe(seed, overload=False)
-        healthy_plain = run_windowed_probe(seed, overload=False, windowed=False)
         overload = run_windowed_probe(seed, overload=True)
         overload_again = run_windowed_probe(seed, overload=True)
         gates = {
-            "window_closure": not healthy["closure_problems"]
-            and not overload["closure_problems"],
-            "windowed_zero_observer": healthy["fingerprint"]
-            == healthy_plain["fingerprint"],
             "healthy_silent": len(healthy["alerts"]) == 0,
             "overload_fires": len(overload["alerts"]) > 0,
             "alerts_deterministic": [a.key() for a in overload["alerts"]]
@@ -288,8 +259,6 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         windows_ok = windows_ok and all(gates.values())
         per_seed[str(seed)] = {
             "gates": gates,
-            "closure_problems": healthy["closure_problems"]
-            + overload["closure_problems"],
             "healthy_alerts": len(healthy["alerts"]),
             "overload_alerts": [
                 {
@@ -303,9 +272,8 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
             ],
         }
         metrics[f"overload_alerts.s{seed}"] = float(len(overload["alerts"]))
-        metrics[f"probe_makespan.s{seed}"] = overload["fingerprint"][
-            "makespan"
-        ]
+        makespan = overload["outcome"].report.makespan_cycles
+        metrics[f"probe_makespan.s{seed}"] = makespan
 
     attribution = layer_attribution(tracer)
     passed = (

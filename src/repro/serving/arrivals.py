@@ -4,17 +4,9 @@
 **open-loop** workload keeps arriving at its own rate regardless of how
 the server is doing, which is exactly what makes tail latency and
 admission control meaningful (a closed-loop client self-throttles and
-hides overload).  This module puts seeded arrival processes on the
-simulated cycle timeline:
-
-* :class:`PoissonArrivals` — memoryless arrivals at a constant rate,
-  the baseline of every queueing model;
-* :class:`BurstyArrivals` — an on/off modulated Poisson process:
-  geometric-length bursts at a multiplied rate separated by idle gaps,
-  the "flash crowd" shape;
-* :class:`DiurnalArrivals` — a sinusoidally modulated Poisson process
-  (thinning construction), the day/night cycle compressed onto the
-  simulated clock.
+hides overload).  This module puts seeded arrivals on the simulated
+cycle timeline: :class:`PoissonArrivals` draws memoryless arrivals at a
+constant rate, the baseline of every queueing model.
 
 A :class:`TenantSpec` binds one arrival process to a fairness weight, a
 priority class, and an :class:`~repro.workload.htap.HTAPMix`-shaped
@@ -26,9 +18,7 @@ gate runs each cell twice and requires identical records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -39,47 +29,15 @@ from repro.workload.htap import HTAPMix
 from repro.workload.queries import QuerySpec
 
 __all__ = [
-    "ArrivalProcess",
     "PoissonArrivals",
-    "BurstyArrivals",
-    "DiurnalArrivals",
     "TenantSpec",
     "QueryArrival",
     "WorkloadGenerator",
 ]
 
 
-class ArrivalProcess:
-    """Base class: a seeded stream of inter-arrival gaps in cycles.
-
-    Subclasses implement :meth:`gaps`; :meth:`cycles_until` integrates
-    the gaps into absolute arrival instants up to a horizon.  Processes
-    are stateless — all randomness comes from the generator passed in,
-    so one process object can be shared across tenants and runs.
-    """
-
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
-        """Yield successive inter-arrival gaps (cycles), forever."""
-        raise NotImplementedError
-
-    def cycles_until(
-        self, rng: np.random.Generator, horizon_cycles: Cycles, limit: int
-    ) -> list[float]:
-        """Absolute arrival cycles in ``(0, horizon]``, capped at *limit*."""
-        if horizon_cycles <= 0:
-            raise WorkloadError(f"horizon must be positive, got {horizon_cycles}")
-        out: list[float] = []
-        now = 0.0
-        for gap in self.gaps(rng):
-            now += gap
-            if now > horizon_cycles or len(out) >= limit:
-                break
-            out.append(now)
-        return out
-
-
 @dataclass(frozen=True)
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals:
     """Memoryless arrivals: exponential gaps with the given mean."""
 
     mean_gap_cycles: float
@@ -90,84 +48,24 @@ class PoissonArrivals(ArrivalProcess):
                 f"mean_gap_cycles must be positive, got {self.mean_gap_cycles}"
             )
 
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
-        """Exponential inter-arrival gaps at rate ``1/mean_gap_cycles``."""
-        while True:
-            yield float(rng.exponential(self.mean_gap_cycles))
+    def cycles_until(
+        self, rng: np.random.Generator, horizon_cycles: Cycles, limit: int
+    ) -> list[float]:
+        """Absolute arrival cycles in ``(0, horizon]``, capped at *limit*.
 
-
-@dataclass(frozen=True)
-class BurstyArrivals(ArrivalProcess):
-    """On/off arrivals: dense geometric bursts separated by idle gaps.
-
-    During a burst, gaps are exponential with mean
-    ``mean_gap_cycles / burst_factor`` (the flash crowd); the burst
-    length is geometric with mean ``mean_burst_length``; between bursts
-    one exponential idle gap with mean ``idle_gap_cycles`` passes with
-    no arrivals at all.
-    """
-
-    mean_gap_cycles: float
-    burst_factor: float = 8.0
-    mean_burst_length: float = 12.0
-    idle_gap_cycles: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.mean_gap_cycles <= 0 or self.burst_factor < 1.0:
-            raise WorkloadError(
-                "bursty arrivals need mean_gap_cycles > 0 and burst_factor >= 1"
-            )
-        if self.mean_burst_length < 1.0:
-            raise WorkloadError("mean_burst_length must be >= 1")
-
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
-        """Alternate geometric-length bursts with idle gaps."""
-        idle = self.idle_gap_cycles or self.mean_gap_cycles * self.burst_factor
-        burst_gap = self.mean_gap_cycles / self.burst_factor
-        while True:
-            length = int(rng.geometric(1.0 / self.mean_burst_length))
-            for __ in range(length):
-                yield float(rng.exponential(burst_gap))
-            yield float(rng.exponential(idle))
-
-
-@dataclass(frozen=True)
-class DiurnalArrivals(ArrivalProcess):
-    """Sinusoidally modulated arrivals (the day/night cycle).
-
-    Implemented by thinning: candidates arrive as a Poisson process at
-    the peak rate (``1 / peak_gap_cycles``); a candidate at instant *t*
-    survives with probability
-    ``floor + (1 - floor) * (0.5 + 0.5 * sin(2*pi*t / period))``, so
-    the accepted rate swings between ``floor`` and 1 times the peak
-    over each period.
-    """
-
-    peak_gap_cycles: float
-    period_cycles: float
-    floor: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.peak_gap_cycles <= 0 or self.period_cycles <= 0:
-            raise WorkloadError(
-                "diurnal arrivals need positive peak_gap_cycles and period_cycles"
-            )
-        if not 0.0 <= self.floor <= 1.0:
-            raise WorkloadError(f"floor must be in [0, 1], got {self.floor}")
-
-    def gaps(self, rng: np.random.Generator) -> Iterator[float]:
-        """Thinned exponential gaps following the sinusoidal rate."""
+        Gaps are exponential with mean ``mean_gap_cycles``, drawn from
+        *rng*; the process is stateless, so one object can be shared
+        across tenants and runs.
+        """
+        if horizon_cycles <= 0:
+            raise WorkloadError(f"horizon must be positive, got {horizon_cycles}")
+        out: list[float] = []
         now = 0.0
-        pending = 0.0
         while True:
-            candidate = float(rng.exponential(self.peak_gap_cycles))
-            now += candidate
-            pending += candidate
-            phase = 0.5 + 0.5 * math.sin(2.0 * math.pi * now / self.period_cycles)
-            accept = self.floor + (1.0 - self.floor) * phase
-            if rng.uniform() < accept:
-                yield pending
-                pending = 0.0
+            now += float(rng.exponential(self.mean_gap_cycles))
+            if now > horizon_cycles or len(out) >= limit:
+                return out
+            out.append(now)
 
 
 @dataclass(frozen=True)
@@ -194,7 +92,7 @@ class TenantSpec:
     """
 
     name: str
-    arrivals: ArrivalProcess
+    arrivals: PoissonArrivals
     weight: float = 1.0
     priority: int = 0
     oltp_fraction: float = 0.25

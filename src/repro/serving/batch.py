@@ -17,11 +17,14 @@ them **per batch**:
 * all K scalar answers return in ONE device→host copy.
 
 The data plane is deliberately identical to the serial path: each
-query's answer accumulates ``float(np.sum(...))`` per fragment in
+distinct column's answer is summed from the arrays
+:meth:`~repro.staging.StagingManager.stage` returned — the device
+replica on a hit — accumulating ``float(np.sum(...))`` per fragment in
 fragment order, exactly as
-:func:`~repro.execution.device.device_sum_column` does — batching is a
+:func:`~repro.execution.device.device_sum_column` does.  Batching is a
 cost-plane optimization, never a semantics change, and the serving
-verifier byte-compares every batched answer against a serial replay.
+verifier byte-compares every batched answer against a serial replay
+over the host columns.
 """
 
 from __future__ import annotations
@@ -37,24 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.context import ExecutionContext
 
 __all__ = ["run_device_batch"]
-
-
-def _sum_fragments(layout: Layout, attribute: str) -> float:
-    """One query's data-plane answer, in the serial accumulation order.
-
-    Must mirror :func:`~repro.execution.device.device_sum_column`'s
-    loop shape — per-fragment ``float(np.sum(values))`` added in
-    fragment order — so a batched answer is bit-equal to the serial
-    one.  Fragment payloads and staged replicas hold equal arrays
-    (``stage`` patches a replica's written cells before it serves), so
-    reading the fragment is always correct here.
-    """
-    total = 0.0
-    for fragment in layout.fragments_for_attribute(attribute):
-        if not fragment.is_phantom:
-            values = fragment.column(attribute)
-            total += float(np.sum(values)) if len(values) else 0.0
-    return total
 
 
 def run_device_batch(
@@ -96,7 +81,11 @@ def run_device_batch(
             requests += [(fragment, attribute, width) for fragment in fragments]
             shapes.append((sum(fragment.filled for fragment in fragments), width))
             result_width += width * attributes.count(attribute)
-        __, misses, entries = staging.stage(requests, ctx)
+        columns, misses, entries = staging.stage(requests, ctx)
+        totals = dict.fromkeys(distinct, 0.0)
+        for (__, attribute, __), values in zip(requests, columns):
+            if values is not None and len(values):
+                totals[attribute] += float(np.sum(values))
         if entries is None:
             # The operand set cannot be cached even after eviction: ship
             # the same bytes uncached (same wire time, no replicas
@@ -110,10 +99,9 @@ def run_device_batch(
                     shapes, ctx.counters
                 )
                 ctx.note("gpu-batch-reduce", kernel_cost)
-        answers = [_sum_fragments(layout, attribute) for attribute in attributes]
         # All K scalars come home in one device->host copy.
         result_cost = staging.scheduler.transfer(
             max(result_width, 1), ctx.counters
         )
         ctx.note("result-copy", result_cost)
-    return answers
+    return [totals[attribute] for attribute in attributes]

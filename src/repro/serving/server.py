@@ -18,12 +18,6 @@ two writes (they commute), but a write executes only once every
 earlier-arriving query has — so the interleaved, batched execution
 produces answers byte-identical to a serial replay of the same
 admitted queries in arrival order.
-
-**Rebalancer cadence.**  Given a
-:class:`~repro.rebalance.Rebalancer` and an interval, the loop polls
-``rebalance_once`` on that cadence — migrations run in their own
-scopes, with pending queries interleaved between each migration's copy
-and cutover phases.
 """
 
 from __future__ import annotations
@@ -55,18 +49,14 @@ from repro.workload.queries import QueryShape, QuerySpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.platform import Platform
     from repro.layout.layout import Layout
-    from repro.rebalance.driver import Rebalancer
-    from repro.sharding.executor import ShardedExecutor
 
 __all__ = [
     "BatchPolicy",
     "SERIAL_DISPATCH",
     "BATCH_16",
     "LayoutBackend",
-    "ShardedBackend",
     "ExecutedQuery",
     "ShedQuery",
-    "RebalanceTick",
     "ServingReport",
     "ServingLoop",
 ]
@@ -130,12 +120,7 @@ class LayoutBackend:
             try:
                 return device_sum_column(self.store, spec.attributes[0], ctx)
             except (DeviceError, TransferError, CapacityError) as error:
-                injector = self.platform.injector
-                if getattr(error, "injected", False) and injector is not None:
-                    injector.report.record_fallback()
-                    ctx.counters.fault_fallbacks += 1
-                ctx.counters.degraded_queries += 1
-                return sum_column(self.store, spec.attributes[0], ctx)
+                return self._fall_back(error, [spec], ctx)[0]
         if spec.shape is QueryShape.POSITION_SUM:
             return sum_at_positions(
                 self.store, spec.attributes[0], list(spec.positions), ctx
@@ -156,47 +141,23 @@ class LayoutBackend:
                 self.store, [spec.attributes[0] for spec in specs], ctx
             )
         except (DeviceError, TransferError, CapacityError) as error:
-            injector = self.platform.injector
-            if getattr(error, "injected", False) and injector is not None:
-                injector.report.record_fallback()
-                ctx.counters.fault_fallbacks += 1
-            ctx.counters.degraded_queries += len(specs)
-            return [
-                sum_column(self.store, spec.attributes[0], ctx)
-                for spec in specs
-            ]
+            return self._fall_back(error, specs, ctx)
 
+    def _fall_back(
+        self, error: Exception, specs: Sequence[QuerySpec], ctx: ExecutionContext
+    ) -> list[float]:
+        """Answer *specs* from the host columns after the device path failed.
 
-class ShardedBackend:
-    """Backend adapter over the distributed scatter-gather executor.
-
-    Answers are the executor's canonical encodings (so the cadence
-    regression test byte-compares them).  Nothing is device-batchable —
-    cross-shard batching is its own future item — which also makes this
-    the backend that exercises the serial dispatch path under the
-    rebalancer trigger loop.
-    """
-
-    def __init__(self, executor: "ShardedExecutor") -> None:
-        self.executor = executor
-
-    def batchable(self, spec: QuerySpec) -> bool:
-        """Sharded queries never join device batches."""
-        return False
-
-    def is_write(self, spec: QuerySpec) -> bool:
-        """Point updates are the barrier shape, exactly as single-node."""
-        return spec.shape is QueryShape.POINT_UPDATE
-
-    def run(self, spec: QuerySpec, ctx: ExecutionContext) -> Any:
-        """Scatter-gather the query; returns the canonical answer bytes."""
-        return self.executor.run(spec, ctx).encoded()
-
-    def run_batch(
-        self, specs: Sequence[QuerySpec], ctx: ExecutionContext
-    ) -> list[Any]:
-        """Unreachable by construction (nothing is batchable)."""
-        return [self.run(spec, ctx) for spec in specs]
+        One failed dispatch is one fallback: an injected *error* is
+        recorded once in the resilience report, and every query of the
+        dispatch counts as degraded.
+        """
+        injector = self.platform.injector
+        if getattr(error, "injected", False) and injector is not None:
+            injector.report.record_fallback()
+            ctx.counters.fault_fallbacks += 1
+        ctx.counters.degraded_queries += len(specs)
+        return [sum_column(self.store, spec.attributes[0], ctx) for spec in specs]
 
 
 @dataclass(frozen=True)
@@ -225,22 +186,6 @@ class ShedQuery:
     injected: bool
 
 
-@dataclass(frozen=True)
-class RebalanceTick:
-    """One cadence-triggered rebalance round and what it overlapped.
-
-    ``cycles`` is the round's settled service time (the interleaved
-    queries' own scopes excluded).
-    """
-
-    at_cycle: Cycles
-    cycles: Cycles
-    committed: int
-    aborted: int
-    epoch: int
-    interleaved_queries: int
-
-
 @dataclass
 class ServingReport:
     """Everything one :meth:`ServingLoop.run` produced.
@@ -253,7 +198,6 @@ class ServingReport:
 
     executed: list[ExecutedQuery] = field(default_factory=list)
     shed: list[ShedQuery] = field(default_factory=list)
-    rebalances: list[RebalanceTick] = field(default_factory=list)
     units: int = 0
     batches: int = 0
     makespan_cycles: Cycles = 0.0
@@ -270,8 +214,8 @@ class ServingLoop:
     Parameters
     ----------
     backend:
-        A :class:`LayoutBackend` or :class:`ShardedBackend` (anything
-        with ``run`` / ``run_batch`` / ``batchable`` / ``is_write``).
+        A :class:`LayoutBackend` (or anything with ``run`` /
+        ``run_batch`` / ``batchable`` / ``is_write``).
     ctx:
         The root execution context; all scope deltas settle into its
         counters, so after a run ``ctx.counters`` is the platform
@@ -287,11 +231,6 @@ class ServingLoop:
         feeds every settled scope delta to
         :meth:`~repro.obs.MetricsRegistry.observe_query` at the loop's
         *now*; ``None`` (the default) records nothing.
-    rebalancer / rebalance_interval_cycles:
-        Optional cadence-polled rebalance trigger loop; every interval
-        of simulated time the loop runs one detect-plan-migrate round,
-        interleaving up to *rebalance_interleave* pending queries
-        between each migration's copy and cutover.
     """
 
     def __init__(
@@ -301,25 +240,14 @@ class ServingLoop:
         queue: AdmissionQueue,
         policy: BatchPolicy = SERIAL_DISPATCH,
         registry: MetricsRegistry | None = None,
-        rebalancer: "Rebalancer | None" = None,
-        rebalance_interval_cycles: Cycles | None = None,
-        rebalance_interleave: int = 2,
     ) -> None:
-        if rebalancer is not None and rebalance_interval_cycles is None:
-            raise ValueError(
-                "a rebalancer needs rebalance_interval_cycles to poll on"
-            )
         self.backend = backend
         self.ctx = ctx
         self.queue = queue
         self.policy = policy
         self.registry = registry
-        self.rebalancer = rebalancer
-        self.rebalance_interval_cycles = rebalance_interval_cycles
-        self.rebalance_interleave = rebalance_interleave
         self.now: Cycles = 0.0
         self._report = ServingReport()
-        self._last_rebalance: Cycles = 0.0
         self._admission_scope = None
 
     # ------------------------------------------------------------------
@@ -399,7 +327,7 @@ class ServingLoop:
                 eligible = [entry for entry in pending if entry.seq == barrier]
         return eligible
 
-    def _dispatch_unit(self, allow_batch: bool = True) -> bool:
+    def _dispatch_unit(self) -> bool:
         """Serve one unit (query or batch); returns False when idle.
 
         The unit runs in its own scope opened at the current clock;
@@ -413,11 +341,7 @@ class ServingLoop:
         order = self.queue.ordered(eligible)
         head = order[0]
         unit = [head]
-        if (
-            allow_batch
-            and self.policy.max_batch > 1
-            and self.backend.batchable(head.spec)
-        ):
+        if self.policy.max_batch > 1 and self.backend.batchable(head.spec):
             for entry in order[1:]:
                 if len(unit) >= self.policy.max_batch:
                     break
@@ -478,47 +402,6 @@ class ServingLoop:
         return True
 
     # ------------------------------------------------------------------
-    # Rebalance cadence
-    # ------------------------------------------------------------------
-    def _maybe_rebalance(self) -> None:
-        """Run one rebalance round when the cadence interval has passed."""
-        if (
-            self.rebalancer is None
-            or self.now - self._last_rebalance < self.rebalance_interval_cycles
-        ):
-            return
-        before = len(self._report.executed)
-        tick_index = len(self._report.rebalances)
-        scope = self.ctx.open_scope(
-            f"rebalance.{tick_index}", at_cycles=self.now
-        )
-
-        def interleave() -> None:
-            """Serve pending queries between a migration's copy and cutover."""
-            for __ in range(self.rebalance_interleave):
-                if not self._dispatch_unit(allow_batch=False):
-                    break
-
-        with self.ctx.activate(scope):
-            outcome = self.rebalancer.rebalance_once(
-                self.ctx, interleave=interleave
-            )
-        delta = self.ctx.settle(scope)
-        self._observe(delta)
-        self.now += delta.cycles
-        self._last_rebalance = self.now
-        self._report.rebalances.append(
-            RebalanceTick(
-                at_cycle=self.now,
-                cycles=delta.cycles,
-                committed=outcome.committed,
-                aborted=outcome.aborted,
-                epoch=outcome.epoch,
-                interleaved_queries=len(self._report.executed) - before,
-            )
-        )
-
-    # ------------------------------------------------------------------
     # The event loop
     # ------------------------------------------------------------------
     def run(self, arrivals: list[QueryArrival]) -> ServingReport:
@@ -539,7 +422,6 @@ class ServingLoop:
                 self.now = max(self.now, arrivals[cursor].cycle)
                 continue
             self._dispatch_unit()
-            self._maybe_rebalance()
         delta = self.ctx.settle(self._admission_scope)
         self._observe(delta)
         self._report.makespan_cycles = self.now

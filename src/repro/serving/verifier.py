@@ -7,7 +7,9 @@ four gates, each run per chaos seed:
 * **Byte identity** — every answer the concurrent, batched server
   produced is byte-equal to a serial replay of the same admitted
   queries in arrival order on identically-built state (exact ``==`` on
-  canonical encodings, never tolerances).
+  canonical encodings, never tolerances).  The replay answers full sums
+  from the host columns, so a device replica that drifted from its
+  fragment shows up as a mismatch.
 * **Throughput** — at saturation the GPU batch scheduler clears the
   same workload at >= :data:`MIN_BATCH_SPEEDUP` x the serial
   dispatcher's rate (the amortized launches and coalesced bursts must
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.execution.context import ExecutionContext
+from repro.execution.operators import sum_column
 from repro.faults.injector import FaultInjector
 from repro.faults.policy import RetryPolicy
 from repro.hardware.platform import Platform
@@ -45,9 +48,6 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.serving.admission import SITE_QUEUE_OVERFLOW, AdmissionQueue
 from repro.serving.arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    DiurnalArrivals,
     PoissonArrivals,
     QueryArrival,
     TenantSpec,
@@ -62,6 +62,7 @@ from repro.serving.server import (
     ServingReport,
 )
 from repro.sharding.verifier import encode_answer
+from repro.workload.queries import QueryShape
 from repro.workload.tpcc import generate_items, item_relation
 
 __all__ = [
@@ -122,31 +123,15 @@ def build_item_store(platform: Platform, row_count: int) -> Layout:
 def build_tenants(
     tenant_count: int,
     per_tenant_gap_cycles: float,
-    kind: str = "poisson",
-    horizon_cycles: float | None = None,
     uniform_priority: bool = False,
 ) -> tuple[TenantSpec, ...]:
-    """A deterministic tenant population for one cell.
+    """A deterministic Poisson tenant population for one cell.
 
     Tenants alternate fairness weights (2.0 / 1.0) and, unless
     *uniform_priority*, priority classes (0 / 1) — so every cell
-    exercises both WFQ and strict classes.  *kind* picks the arrival
-    process shape shared by all tenants.
+    exercises both WFQ and strict classes.
     """
-    process: ArrivalProcess
-    if kind == "poisson":
-        process = PoissonArrivals(per_tenant_gap_cycles)
-    elif kind == "bursty":
-        process = BurstyArrivals(per_tenant_gap_cycles)
-    elif kind == "diurnal":
-        if horizon_cycles is None:
-            raise ValueError("diurnal tenants need horizon_cycles for the period")
-        process = DiurnalArrivals(
-            peak_gap_cycles=per_tenant_gap_cycles * 0.55,
-            period_cycles=horizon_cycles / 2.0,
-        )
-    else:
-        raise ValueError(f"unknown arrival kind {kind!r}")
+    process = PoissonArrivals(per_tenant_gap_cycles)
     return tuple(
         TenantSpec(
             name=f"t{index}",
@@ -227,14 +212,24 @@ def replay_serial(
     """The oracle: the served specs, serially, in arrival order.
 
     Fresh platform, identically-built store, no injector, no batching,
-    no queue — just one query after another.  Returns the answers in
-    the same order as *served*.
+    no queue — just one query after another.  Full sums read the host
+    columns (:func:`~repro.execution.operators.sum_column`), never a
+    device replica, so the oracle does not share the state it checks;
+    both paths add ``float(np.sum(...))`` per fragment in fragment
+    order, so a correct replica gives a byte-equal answer.  Every other
+    shape runs through :meth:`LayoutBackend.run`.  Returns the answers
+    in the same order as *served*.
     """
     platform = Platform.paper_testbed()
     store = build_item_store(platform, row_count)
     backend = LayoutBackend(platform, store)
     ctx = ExecutionContext(platform)
-    return [backend.run(spec, ctx) for __, spec, __ in served]
+    return [
+        sum_column(store, spec.attributes[0], ctx)
+        if spec.shape is QueryShape.FULL_SUM
+        else backend.run(spec, ctx)
+        for __, spec, __ in served
+    ]
 
 
 def identity_mismatches(outcome: ServingOutcome, row_count: int) -> int:
@@ -283,7 +278,12 @@ def _attribution_closed(outcome: ServingOutcome) -> bool:
 
 
 def _cell_fingerprint(outcome: ServingOutcome) -> list[tuple[Any, ...]]:
-    """A run's full observable behaviour, for the determinism gate."""
+    """A run's full observable behaviour, for the determinism gate.
+
+    The counter snapshot makes the gate cover every counter too: the
+    gate compares a cell run with a registry against its twin run
+    without one.
+    """
     record = [
         (
             executed.seq,
@@ -300,6 +300,7 @@ def _cell_fingerprint(outcome: ServingOutcome) -> list[tuple[Any, ...]]:
         for shed in outcome.report.shed
     )
     record.append(("makespan", outcome.report.makespan_cycles))
+    record.append(("counters", outcome.ctx.counters.snapshot()))
     return record
 
 
@@ -321,9 +322,9 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
     per_seed: dict[str, Any] = {}
     all_ok = True
     for seed in seeds:
-        tenants = build_tenants(tenant_count, saturation_gap, "poisson", horizon)
+        tenants = build_tenants(tenant_count, saturation_gap)
         plain_tenants = build_tenants(
-            tenant_count, saturation_gap, "poisson", horizon, uniform_priority=True
+            tenant_count, saturation_gap, uniform_priority=True
         )
 
         # --- Gate 1 + 4 + determinism: batched, bounded, chaos-shed ---
@@ -365,12 +366,8 @@ def verify(seeds: list[int], sites: list[str], smoke: bool) -> dict[str, Any]:
         # linearly with the horizon, while the admission-controlled
         # queue's tail stays put.
         unbounded_stats = _latency_stats(serial)
-        long_tenants = build_tenants(
-            tenant_count, saturation_gap, "poisson", horizon * 2,
-            uniform_priority=True,
-        )
         unbounded_long = serve_once(
-            seed, row_count, long_tenants, horizon * 2, SERIAL_DISPATCH,
+            seed, row_count, plain_tenants, horizon * 2, SERIAL_DISPATCH,
             max_backlog=None,
         )
         long_stats = _latency_stats(unbounded_long)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.execution.bulk import BulkPipeline, bulk_count_where, bulk_sum
+from repro.execution.bulk import BulkPipeline, bulk_sum
 from repro.execution.context import ExecutionContext
 from repro.execution.volcano import (
     VolcanoScan,
@@ -62,9 +62,6 @@ class TestBulk:
         assert bulk_sum(layout, "price", ctx) == pytest.approx(
             sum(i / 4 for i in range(200))
         )
-
-    def test_bulk_count_where(self, layout, ctx):
-        assert bulk_count_where(layout, "price", lambda v: v >= 25.0, ctx) == 100
 
     def test_pipeline_stages_compose(self, layout, ctx):
         doubled = (

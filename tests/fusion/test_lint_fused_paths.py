@@ -23,9 +23,7 @@ FORBIDDEN = {
     "sum_column",
     "materialize_rows",
     "device_sum_column",
-    "device_count_where",
     "bulk_sum",
-    "bulk_count_where",
     "BulkPipeline",
 }
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ExecutionError
 from repro.hardware.event import PerfCounters
-from repro.hardware.gpu import GPUModel, KernelLaunch
+from repro.hardware.gpu import REDUCTION_THREADS_PER_BLOCK, GPUModel, KernelLaunch
 
 
 @pytest.fixture
@@ -30,9 +30,12 @@ class TestReduction:
         with pytest.raises(ExecutionError):
             gpu.reduction_cost(-1, 8)
 
-    def test_too_many_threads_per_block(self, gpu):
+    def test_too_many_threads_per_block(self):
+        # The reduction launches 512-thread blocks: a device whose limit
+        # is below that cannot run it, so the model refuses to exist.
         with pytest.raises(ExecutionError):
-            gpu.reduction_cost(100, 8, threads_per_block=2048)
+            GPUModel(max_threads_per_block=REDUCTION_THREADS_PER_BLOCK - 1)
+        assert GPUModel(max_threads_per_block=REDUCTION_THREADS_PER_BLOCK)
 
     def test_launch_latency_floors_small_inputs(self, gpu):
         cost = gpu.reduction_cost(10, 8)

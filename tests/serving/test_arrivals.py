@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.serving.arrivals import (
-    BurstyArrivals,
-    DiurnalArrivals,
-    PoissonArrivals,
-    TenantSpec,
-    WorkloadGenerator,
-)
+from repro.serving.arrivals import PoissonArrivals, TenantSpec, WorkloadGenerator
 from repro.workload.tpcc import item_relation
 
 HORIZON = 2_000_000.0
@@ -29,34 +23,18 @@ class TestProcesses:
         assert 8_000.0 < float(np.mean(gaps)) < 12_000.0
 
     def test_arrivals_are_sorted_and_within_horizon(self):
-        for process in (
-            PoissonArrivals(5_000.0),
-            BurstyArrivals(5_000.0),
-            DiurnalArrivals(2_500.0, period_cycles=HORIZON / 2),
-        ):
-            cycles = process.cycles_until(_rng(), HORIZON, 10_000)
-            assert cycles, f"{process} produced no arrivals"
-            assert cycles == sorted(cycles)
-            assert all(0.0 < cycle <= HORIZON for cycle in cycles)
+        cycles = PoissonArrivals(5_000.0).cycles_until(_rng(), HORIZON, 10_000)
+        assert cycles
+        assert cycles == sorted(cycles)
+        assert all(0.0 < cycle <= HORIZON for cycle in cycles)
 
     def test_limit_caps_the_stream(self):
         cycles = PoissonArrivals(10.0).cycles_until(_rng(), HORIZON, 17)
         assert len(cycles) == 17
 
-    def test_bursty_has_higher_variance_than_poisson(self):
-        poisson = PoissonArrivals(10_000.0).cycles_until(_rng(1), 20_000_000.0, 5_000)
-        bursty = BurstyArrivals(10_000.0).cycles_until(_rng(1), 20_000_000.0, 5_000)
-        poisson_cv = np.std(np.diff(poisson)) / np.mean(np.diff(poisson))
-        bursty_cv = np.std(np.diff(bursty)) / np.mean(np.diff(bursty))
-        assert bursty_cv > poisson_cv
-
     def test_validation_rejects_bad_parameters(self):
         with pytest.raises(WorkloadError):
             PoissonArrivals(0.0)
-        with pytest.raises(WorkloadError):
-            BurstyArrivals(100.0, burst_factor=0.5)
-        with pytest.raises(WorkloadError):
-            DiurnalArrivals(100.0, period_cycles=1000.0, floor=1.5)
         with pytest.raises(WorkloadError):
             PoissonArrivals(100.0).cycles_until(_rng(), 0.0, 10)
 

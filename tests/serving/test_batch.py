@@ -6,6 +6,7 @@ import pytest
 
 from repro.execution.context import ExecutionContext
 from repro.execution.device import device_sum_column
+from repro.execution.operators import sum_column, update_field
 from repro.hardware.platform import Platform
 from repro.serving.batch import run_device_batch
 from repro.serving.verifier import build_item_store
@@ -81,3 +82,16 @@ class TestAmortization:
             for a in ("i_price", "i_im_id")
         )
         assert ctx.counters.pcie_bytes - before == width_sum
+
+
+class TestReplicaAnswers:
+    def test_a_stale_replica_gives_its_stale_sum(self, platform, skipped_patch):
+        store = build_item_store(platform, 2_000)
+        ctx = ExecutionContext(platform)
+        staged = run_device_batch(store, ["i_price"], ctx)
+        column = store.fragments_for_attribute("i_price")[0].column("i_price")
+        update_field(store, 7, "i_price", float(column[7]) + 1_000.0, ctx)
+        answers = run_device_batch(store, ["i_price", "i_price"], ctx)
+        # The batch answers from the replica it staged, patched or not.
+        assert answers == staged * 2
+        assert answers[0] != sum_column(store, "i_price", ExecutionContext(platform))

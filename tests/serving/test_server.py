@@ -105,7 +105,7 @@ class TestServingLoop:
         outcome = serve_once(
             seed=3,
             row_count=ROWS,
-            tenants=build_tenants(3, 30_000.0, "poisson", HORIZON),
+            tenants=build_tenants(3, 30_000.0),
             horizon_cycles=HORIZON,
             policy=BATCH_16,
             max_backlog=8,
@@ -139,7 +139,7 @@ class TestServingLoop:
         outcome = serve_once(
             seed=3,
             row_count=ROWS,
-            tenants=build_tenants(3, 30_000.0, "poisson", HORIZON),
+            tenants=build_tenants(3, 30_000.0),
             horizon_cycles=HORIZON,
             policy=BATCH_16,
             max_backlog=8,
@@ -154,7 +154,7 @@ class TestServingLoop:
         outcome = serve_once(
             seed=11,
             row_count=ROWS,
-            tenants=build_tenants(4, 25_000.0, "bursty", HORIZON),
+            tenants=build_tenants(4, 25_000.0),
             horizon_cycles=HORIZON,
             policy=BATCH_16,
             max_backlog=32,
@@ -173,16 +173,6 @@ class TestServingLoop:
             "interactive",
             "batchy",
         ]
-
-    def test_rebalancer_without_interval_is_rejected(self, platform):
-        store = build_item_store(platform, ROWS)
-        with pytest.raises(ValueError):
-            ServingLoop(
-                backend=LayoutBackend(platform, store),
-                ctx=ExecutionContext(platform),
-                queue=AdmissionQueue(),
-                rebalancer=object(),  # never polled; the ctor must reject
-            )
 
     def test_answers_for_replay_are_in_seq_order(self, platform):
         loop = _loop(platform)

@@ -5,7 +5,64 @@ from __future__ import annotations
 import json
 import logging
 
-from repro.serving.verifier import MAX_TAIL_RATIO, MIN_BATCH_SPEEDUP, verify
+import pytest
+
+from repro.serving.server import BATCH_16
+from repro.serving.verifier import (
+    MAX_TAIL_RATIO,
+    MIN_BATCH_SPEEDUP,
+    build_tenants,
+    identity_mismatches,
+    replay_serial,
+    serve_once,
+    verify,
+)
+from repro.workload.queries import QueryShape, QuerySpec
+
+ROWS = 20_000
+
+
+def _sum(attribute: str = "i_price") -> QuerySpec:
+    return QuerySpec(QueryShape.FULL_SUM, "item", (attribute,))
+
+
+def _update(position: int) -> QuerySpec:
+    return QuerySpec(QueryShape.POINT_UPDATE, "item", ("i_price",), (position,))
+
+
+#: Sums around writes to the column they read: a replica staged by the
+#: first sum must be patched before each later one.
+SERVED = [
+    (seq, spec, None)
+    for seq, spec in enumerate(
+        [_sum(), _update(5), _sum(), _update(9), _sum("i_im_id"), _sum()]
+    )
+]
+
+
+def _identity_cell(seed: int) -> int:
+    """Mismatches of the serving plane's smoke chaos cell, minus the chaos."""
+    outcome = serve_once(
+        seed, ROWS, build_tenants(4, 40_000.0), 3e6, BATCH_16, max_backlog=48
+    )
+    return identity_mismatches(outcome, ROWS)
+
+
+class TestOracle:
+    def test_replay_reads_the_host_columns_not_a_replica(self, request):
+        clean = replay_serial(2_000, SERVED)
+        # Each write moves the later sums, so a stale read would show.
+        assert clean[0] != clean[2] and clean[2] != clean[5]
+        request.getfixturevalue("skipped_patch")
+        assert replay_serial(2_000, SERVED) == clean
+
+    @pytest.mark.parametrize("seed", [5, 23, 101])
+    def test_clean_cell_has_no_mismatches(self, seed):
+        assert _identity_cell(seed) == 0
+
+    @pytest.mark.parametrize("seed", [5, 23, 101])
+    def test_stale_replicas_are_mismatches(self, seed, skipped_patch):
+        assert _identity_cell(seed) > 0
 
 
 class TestGates:

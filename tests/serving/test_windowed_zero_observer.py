@@ -29,7 +29,7 @@ def fingerprint(outcome):
 
 def run_cell(seed, overflow_rate, registry):
     horizon = 300_000.0
-    tenants = build_tenants(2, 40_000.0, "poisson", horizon)
+    tenants = build_tenants(2, 40_000.0)
     return serve_once(
         seed,
         2_000,

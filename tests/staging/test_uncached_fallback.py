@@ -3,8 +3,8 @@
 With ``platform.staging.capacity_bytes = 0`` no operand set can be
 cached, so :meth:`~repro.staging.StagingManager.stage` hands each
 operator a ``None`` from ``acquire_set`` and the operator gives its own
-answer.  The sum streams through a bounce buffer; count-where, the
-unfused oracle and the batch ship the same bytes uncached.  Each must
+answer.  The sum streams through a bounce buffer; the unfused oracle
+and the batch ship the same bytes uncached.  Each must
 return the cold run's answer and charge exactly the cold run's costs,
 yet install no replica.  The fused kernel, which needs every operand
 resident at launch, refuses with :class:`~repro.errors.CapacityError`.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import CapacityError
 from repro.execution.context import ExecutionContext
-from repro.execution.device import device_count_where, device_sum_column
+from repro.execution.device import device_sum_column
 from repro.fusion import Pipeline, compile_pipeline
 from repro.fusion.device import run_fused_device
 from repro.fusion.oracle import run_unfused_device
@@ -46,9 +46,6 @@ FILTERLESS_MAX = compile_pipeline(Pipeline.scan("price").aggregate("max"))
 
 OPERATORS = {
     "device_sum_column": lambda store, ctx: device_sum_column(store, "price", ctx),
-    "device_count_where": lambda store, ctx: device_count_where(
-        store, "key", probe, ctx
-    ),
     "unfused_filtered_sum": lambda store, ctx: run_unfused_device(
         FILTERED_SUM, store, ctx
     ),
