@@ -31,7 +31,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import StorageEngine
     from repro.execution.context import ExecutionContext
 
-__all__ = ["ChaosRunResult", "deterministic_update_value", "run_query_stream"]
+__all__ = [
+    "ChaosRunResult",
+    "deterministic_update_value",
+    "row_update_value",
+    "run_query_stream",
+]
 
 #: Client-side retry budget per query: with per-site fault probability
 #: <= 0.2 the chance of exhausting this is negligible, and a genuine
@@ -66,12 +71,27 @@ class ChaosRunResult:
 
 
 def deterministic_update_value(index: int) -> float:
-    """The update value for the *index*-th query of a stream.
+    """The value the *index*-th query of a single-row update stream writes.
 
-    A pure function of the stream position, so a faulted run and its
-    fault-free twin apply byte-identical writes.
+    :func:`run_query_stream` and the recovery runner pass the query's
+    index in its stream.  A pure function of that index, so a faulted
+    run and its fault-free twin apply byte-identical writes.  It
+    repeats every 97 queries; multi-row writers use
+    :func:`row_update_value`.
     """
     return float((index * 7) % 97 + 1)
+
+
+def row_update_value(index: int, position: int) -> float:
+    """The value the *index*-th query of a stream writes at row *position*.
+
+    The sharded executor and its single-node oracle write it.  Every
+    (query, row) pair gets its own integer, so a later write to a row
+    differs from every earlier one and a replay that drops or reorders
+    a committed write changes an answer; integers keep float64 sums
+    exact in any order.  A re-issued query writes the same values.
+    """
+    return float(index * 1_000 + position % 1_000 + 1)
 
 
 def _execute(

@@ -9,7 +9,7 @@ from repro.hardware.cache import (
 from repro.hardware.cpu import CPUModel
 from repro.hardware.disk import DiskModel
 from repro.hardware.event import CostBreakdown, Cycles, PerfCounters
-from repro.hardware.gpu import GPUModel, KernelLaunch
+from repro.hardware.gpu import GPUModel
 from repro.hardware.interconnect import InterconnectModel
 from repro.hardware.memory import Allocation, MemoryKind, MemorySpace
 from repro.hardware.platform import Platform
@@ -28,7 +28,6 @@ __all__ = [
     "CPUModel",
     "DiskModel",
     "GPUModel",
-    "KernelLaunch",
     "InterconnectModel",
     "Platform",
 ]

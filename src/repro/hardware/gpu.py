@@ -24,7 +24,7 @@ from repro.hardware.event import Cycles, PerfCounters
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
 
-__all__ = ["GPUModel", "KernelLaunch"]
+__all__ = ["GPUModel"]
 
 #: Fault-site name checked on every accounted kernel (a literal so the
 #: hardware layer never imports the faults package at runtime; must
@@ -43,25 +43,6 @@ def _pass1_blocks(count: int) -> int:
     return max(
         REDUCTION_MIN_BLOCKS, math.ceil(count / (2 * REDUCTION_THREADS_PER_BLOCK))
     )
-
-
-@dataclass(frozen=True)
-class KernelLaunch:
-    """Geometry of one kernel launch (for reports and validation)."""
-
-    blocks: int
-    threads_per_block: int
-
-    def __post_init__(self) -> None:
-        if self.blocks < 1 or self.threads_per_block < 1:
-            raise ExecutionError(
-                f"invalid launch geometry {self.blocks}x{self.threads_per_block}"
-            )
-
-    @property
-    def total_threads(self) -> int:
-        """Threads across all blocks."""
-        return self.blocks * self.threads_per_block
 
 
 @dataclass(frozen=True)

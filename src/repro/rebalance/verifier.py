@@ -104,7 +104,8 @@ def build_skewed_stream(
     FULL_SUM: a full scan touches every shard equally, which flattens
     exactly the imbalance the experiment must measure).  Each query
     draws ``hot_fraction`` of its distinct positions from the first
-    ``row_count // 8`` rows and the rest from the remainder.
+    ``row_count // 8`` rows and the rest from the remainder, and carries
+    its stream index, from which updates derive the values they write.
     """
     if not 0.0 <= hot_fraction <= 1.0:
         raise ValueError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
@@ -129,7 +130,7 @@ def build_skewed_stream(
         attributes = (
             ("k", "v") if shape is QueryShape.POINT_MATERIALIZE else ("v",)
         )
-        queries.append(QuerySpec(shape, "orders", attributes, positions))
+        queries.append(QuerySpec(shape, "orders", attributes, positions, index))
     return tuple(queries)
 
 

@@ -35,6 +35,15 @@ harness (:mod:`repro.sharding.verifier`):
     compute plus a second response, tallied as a retry.  With no spare
     replica it waits the slowdown out (tallied as recovered).
 
+A point-update query is one transaction.  Its shard tasks log their
+rows' ``UPDATE`` records under the query's transaction id and hand
+their cell writes back unapplied; after the gather the coordinator
+logs one ``COMMIT``, forces the log once, and only then applies the
+writes.  A query that surfaces an error logs an ``ABORT`` and applies
+nothing, so no serving state runs ahead of the durable log and a crash
+never leaves half a query committed.  The coordinator's log is the one
+log of every shard, so the cross-shard commit is a single record.
+
 Every injected fault therefore ends in exactly one
 :class:`~repro.faults.report.ResilienceReport` outcome, which the
 verifier asserts (``injected == retried + fallen_back + recovered +
@@ -52,10 +61,11 @@ from repro.errors import (
     DeadlineExceeded,
     DistributedError,
     NodeUnavailable,
+    ReproError,
     ShardRetryExhausted,
 )
 from repro.execution.context import ExecutionContext
-from repro.faults.chaos import deterministic_update_value
+from repro.faults.chaos import row_update_value
 from repro.faults.injector import FaultInjector, register_fault_site
 from repro.faults.policy import RetryPolicy
 from repro.hardware.event import Cycles
@@ -116,6 +126,22 @@ def encode_answer(value: Any) -> bytes:
     if isinstance(value, np.ndarray):
         return value.tobytes()
     return repr(value).encode()
+
+
+@dataclass(frozen=True)
+class _ShardWrites:
+    """One shard task's point-update cells, held back until commit.
+
+    ``state[attribute][local] = values`` for each of *attributes* is
+    the whole write; the coordinator performs it only once the query's
+    ``COMMIT`` is durable.
+    """
+
+    shard_id: int
+    state: dict[str, np.ndarray]
+    attributes: tuple[str, ...]
+    local: np.ndarray
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,15 +212,16 @@ class ShardedExecutor:
     detector:
         Heartbeat/lease liveness model (defaulted when omitted).
     wal / replicated:
-        Optional durability pair: point updates are write-ahead logged
-        through *wal*, and failover rebuilds replay the committed
-        prefix — from *replicated*'s DFS segments when given (the
-        log-shipping path), else from the coordinator's local durable
-        log.
+        Optional durability pair: each point-update query is one
+        transaction write-ahead logged through *wal*, and failover
+        rebuilds replay the committed prefix — from *replicated*'s DFS
+        segments when given (the log-shipping path), else from the
+        coordinator's local durable log.
     update_value:
-        Value written by point updates at each position; the default is
-        the chaos module's pure function of the position so faulted and
-        fault-free runs write byte-identical data.
+        ``update_value(query.index, position)`` is the value a point
+        update writes at each row; the default is the chaos module's
+        pure function of both, so faulted and fault-free runs write
+        byte-identical data and a re-issued query rewrites its values.
     slow_factor:
         Straggler slowdown multiplier charged when a slow link must be
         waited out.
@@ -222,7 +249,7 @@ class ShardedExecutor:
         detector: FailureDetector | None = None,
         wal: WriteAheadLog | None = None,
         replicated: ReplicatedLog | None = None,
-        update_value: Callable[[int], float] = deterministic_update_value,
+        update_value: Callable[[int, int], float] = row_update_value,
         slow_factor: float = 8.0,
         failover_backoff_cycles: Cycles = 100_000.0,
         failover_deadline_cycles: Cycles = 50_000_000.0,
@@ -277,22 +304,34 @@ class ShardedExecutor:
         errors that escape are surfaced faults
         (:class:`~repro.errors.ShardRetryExhausted`,
         :class:`~repro.errors.DeadlineExceeded`) and organic data loss
-        (:class:`~repro.errors.DistributedError`).
+        (:class:`~repro.errors.DistributedError`).  A point update that
+        raises one has applied nothing and logged an ``ABORT``.
         """
         query = plan.query
         served_by: dict[int, str] = {}
         partials: list[Any] = []
+        txn = None
+        if query.shape is QueryShape.POINT_UPDATE:
+            txn = self._next_txn
+            self._next_txn += 1
         with ctx.span(
             "scatter-gather", "sharding", shape=query.shape.value, fanout=plan.fanout
         ):
-            for task in plan.tasks:
-                partial, node_name = self._run_shard(task, query, ctx)
-                served_by[task.shard.shard_id] = node_name
-                partials.append(partial)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        f"{SHARD_LOAD_METRIC}.{task.shard.shard_id}"
-                    ).inc(task.row_count)
+            try:
+                for task in plan.tasks:
+                    partial, node_name = self._run_shard(task, query, txn, ctx)
+                    served_by[task.shard.shard_id] = node_name
+                    partials.append(partial)
+                    if self.metrics is not None:
+                        self.metrics.counter(
+                            f"{SHARD_LOAD_METRIC}.{task.shard.shard_id}"
+                        ).inc(task.row_count)
+            except ReproError:
+                if txn is not None and self.wal is not None and not self.wal.crashed:
+                    self.wal.log_abort(txn, ctx)
+                raise
+            if txn is not None:
+                self._commit(txn, partials, ctx)
             value = self._merge(query, plan, partials, ctx)
         return ShardedResult(
             query=query, value=value, served_by=served_by, fanout=plan.fanout
@@ -332,7 +371,11 @@ class ShardedExecutor:
         return ordered
 
     def _run_shard(
-        self, task: ShardTask, query: QuerySpec, ctx: ExecutionContext
+        self,
+        task: ShardTask,
+        query: QuerySpec,
+        txn: int | None,
+        ctx: ExecutionContext,
     ) -> tuple[Any, str]:
         """Run one sub-query, failing over across replicas on faults.
 
@@ -356,7 +399,7 @@ class ShardedExecutor:
                     node=node_name,
                     attempt=rank,
                 ):
-                    return self._attempt(task, query, node_name, ctx), node_name
+                    return self._attempt(task, query, txn, node_name, ctx), node_name
             except DistributedError as error:
                 injected = bool(getattr(error, "injected", False))
                 remaining = [
@@ -399,7 +442,12 @@ class ShardedExecutor:
         raise AssertionError("unreachable: the coordinator always serves")
 
     def _attempt(
-        self, task: ShardTask, query: QuerySpec, node_name: str, ctx: ExecutionContext
+        self,
+        task: ShardTask,
+        query: QuerySpec,
+        txn: int | None,
+        node_name: str,
+        ctx: ExecutionContext,
     ) -> Any:
         """One sub-query attempt on *node_name* (crash check -> compute
         -> response), raising :class:`~repro.errors.NodeUnavailable`
@@ -415,7 +463,7 @@ class ShardedExecutor:
             error.injected = True
             raise error
         state = self._serving_state(task, node_name, ctx)
-        partial, compute_cycles = self._compute(task, query, state, ctx)
+        partial, compute_cycles = self._compute(task, query, txn, state, ctx)
         if node_name != self.coordinator:
             self._ship_response(task, node_name, compute_cycles, ctx)
         return partial
@@ -509,13 +557,16 @@ class ShardedExecutor:
         self,
         task: ShardTask,
         query: QuerySpec,
+        txn: int | None,
         state: dict[str, np.ndarray],
         ctx: ExecutionContext,
     ) -> tuple[Any, Cycles]:
         """Evaluate the sub-query on *state*; returns (partial, cycles).
 
         The cycles of the compute step are returned separately so the
-        hedging path can charge an honest duplicate.
+        hedging path can charge an honest duplicate.  A point update
+        logs its rows under transaction *txn* and returns them as
+        :class:`_ShardWrites`, unapplied.
         """
         shard = task.shard
         model = ctx.platform.memory_model
@@ -551,13 +602,14 @@ class ShardedExecutor:
                 for position, index in zip(positions, local)
             }
             return rows, cost
-        # POINT_UPDATE: write-ahead log first, then apply in place.
+        # POINT_UPDATE: write-ahead log the rows; the coordinator
+        # applies them once the query's commit is durable.
         cost = model.random(len(local), touched, footprint)
-        for position, index in zip(positions, local):
-            value = float(self.update_value(int(position)))
-            txn = self._next_txn
-            self._next_txn += 1
-            if self.wal is not None:
+        values = np.array(
+            [float(self.update_value(query.index, int(p))) for p in positions]
+        )
+        if self.wal is not None:
+            for position, index, value in zip(positions, local, values):
                 for attr in query.attributes:
                     self.wal.log_update(
                         txn,
@@ -565,14 +617,31 @@ class ShardedExecutor:
                         attr,
                         int(position),
                         float(state[attr][index]),
-                        value,
+                        float(value),
                         ctx,
                     )
-                self.wal.log_commit(txn, ctx)
-            for attr in query.attributes:
-                state[attr][index] = value
         ctx.charge("shard-update", cost)
-        return len(local), cost
+        return (
+            _ShardWrites(shard.shard_id, state, query.attributes, local, values),
+            cost,
+        )
+
+    def _commit(
+        self, txn: int, writes: list[_ShardWrites], ctx: ExecutionContext
+    ) -> None:
+        """Make *txn* durable with one log force, then apply *writes*.
+
+        ``log_commit`` forces the log itself at ``group_commit=1``; a
+        larger group is forced here, so a query never waits on later
+        ones.  A serving state that a crash dropped since its task ran
+        is skipped: its rebuild replays the committed transaction.
+        """
+        if self.wal is not None and not self.wal.log_commit(txn, ctx):
+            self.wal.flush(ctx)
+        for write in writes:
+            if self.shard_map.state(write.shard_id) is write.state:
+                for attr in write.attributes:
+                    write.state[attr][write.local] = write.values
 
     # ------------------------------------------------------------------
     # Gather: response shipping, drop retry, straggler hedging
@@ -686,4 +755,4 @@ class ShardedExecutor:
                 return np.array(
                     [by_position[position] for position in query.positions]
                 )
-            return int(sum(partials))
+            return int(sum(len(write.local) for write in partials))

@@ -111,7 +111,11 @@ def build_columns(row_count: int) -> dict[str, np.ndarray]:
 def build_query_stream(
     row_count: int, query_count: int, seed: int
 ) -> tuple[QuerySpec, ...]:
-    """A deterministic mixed stream cycling all four query shapes."""
+    """A deterministic mixed stream cycling all four query shapes.
+
+    Each query carries its stream index, from which updates derive the
+    values they write.
+    """
     shapes = (
         QueryShape.POSITION_SUM,
         QueryShape.POINT_MATERIALIZE,
@@ -122,7 +126,7 @@ def build_query_stream(
     for index in range(query_count):
         shape = shapes[index % len(shapes)]
         if shape is QueryShape.FULL_SUM:
-            queries.append(QuerySpec(shape, "orders", ("v",)))
+            queries.append(QuerySpec(shape, "orders", ("v",), index=index))
             continue
         positions = random_positions(
             row_count,
@@ -132,7 +136,7 @@ def build_query_stream(
         attributes = (
             ("k", "v") if shape is QueryShape.POINT_MATERIALIZE else ("v",)
         )
-        queries.append(QuerySpec(shape, "orders", attributes, positions))
+        queries.append(QuerySpec(shape, "orders", attributes, positions, index))
     return tuple(queries)
 
 
@@ -140,15 +144,15 @@ class SingleNodeOracle:
     """The unfaulted single-node twin: plain numpy, no cluster, no cost.
 
     Evaluates the same query stream on a private copy of the base
-    columns, applying the same deterministic update values, so its
-    answers are the ground truth the sharded run must match byte-for-
-    byte.
+    columns, writing the same ``update_value(query.index, position)``
+    values as the executor, so its answers are the ground truth the
+    sharded run must match byte-for-byte.
     """
 
     def __init__(
         self,
         columns: dict[str, np.ndarray],
-        update_value: Callable[[int], float],
+        update_value: Callable[[int, int], float],
     ) -> None:
         self.columns = {attr: array.copy() for attr, array in columns.items()}
         self.update_value = update_value
@@ -174,7 +178,7 @@ class SingleNodeOracle:
                 ]
             )
         for position in query.positions:
-            value = float(self.update_value(int(position)))
+            value = float(self.update_value(query.index, int(position)))
             for attr in query.attributes:
                 self.columns[attr][position] = value
         return len(query.positions)

@@ -44,12 +44,18 @@ class QuerySpec:
         Touched attributes (all of them for materialization).
     positions:
         Row positions (for point/position shapes); empty for full scans.
+    index:
+        The query's position in the stream that issued it.  The sharded
+        write path derives the values an update stores from it, so a
+        re-issued query writes the same values and two queries write
+        different ones.
     """
 
     shape: QueryShape
     relation_name: str
     attributes: tuple[str, ...]
     positions: tuple[int, ...] = ()
+    index: int = 0
 
     def __post_init__(self) -> None:
         if not self.attributes:

@@ -1,25 +1,16 @@
-"""GPU model tests: launch geometry, reduction roofline, bandwidth."""
+"""GPU model tests: reduction roofline, launches, bandwidth."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ExecutionError
 from repro.hardware.event import PerfCounters
-from repro.hardware.gpu import REDUCTION_THREADS_PER_BLOCK, GPUModel, KernelLaunch
+from repro.hardware.gpu import REDUCTION_THREADS_PER_BLOCK, GPUModel
 
 
 @pytest.fixture
 def gpu():
     return GPUModel()
-
-
-class TestKernelLaunch:
-    def test_total_threads(self):
-        assert KernelLaunch(1024, 512).total_threads == 524288
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ExecutionError):
-            KernelLaunch(0, 512)
 
 
 class TestReduction:

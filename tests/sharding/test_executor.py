@@ -45,14 +45,23 @@ class TestAnswers:
         np.testing.assert_array_equal(result.value, expected)
 
     def test_point_update_is_visible_to_later_reads(self, executor, ctx):
-        executor.run(
-            QuerySpec(QueryShape.POINT_UPDATE, "orders", ("v",), (5, 80)), ctx
-        )
-        read = executor.run(
-            QuerySpec(QueryShape.POSITION_SUM, "orders", ("v",), (5, 80)), ctx
-        )
-        expected = float(executor.update_value(5) + executor.update_value(80))
-        assert read.value == {"v": expected}
+        for index in (3, 4):
+            executor.run(
+                QuerySpec(
+                    QueryShape.POINT_UPDATE, "orders", ("v",), (5, 80), index
+                ),
+                ctx,
+            )
+            read = executor.run(
+                QuerySpec(QueryShape.POSITION_SUM, "orders", ("v",), (5, 80)),
+                ctx,
+            )
+            expected = executor.update_value(index, 5) + executor.update_value(
+                index, 80
+            )
+            assert read.value == {"v": expected}
+        # The second query's values replaced the first's.
+        assert executor.update_value(3, 5) != executor.update_value(4, 5)
 
     def test_hash_scheme_answers_match_range_scheme(self, harness, ctx):
         platform_ctx = ctx

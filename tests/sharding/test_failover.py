@@ -103,18 +103,25 @@ class TestCrashFailover:
         executor = harness(seed=1)
         shard = remote_shard(executor)
         position = int(shard.positions[0])
-        executor.run(
-            QuerySpec(QueryShape.POINT_UPDATE, "orders", ("v",), (position,)),
-            ctx,
-        )
+        for index in (1, 2):
+            executor.run(
+                QuerySpec(
+                    QueryShape.POINT_UPDATE, "orders", ("v",), (position,), index
+                ),
+                ctx,
+            )
         executor.injector.arm(SITE_SHARD_NODE_CRASH, 1.0, max_faults=1)
         read = executor.run(
             QuerySpec(QueryShape.POSITION_SUM, "orders", ("v",), (position,)),
             ctx,
         )
         assert executor.stats.failovers == 1
-        assert read.value == {"v": float(executor.update_value(position))}
-        assert executor.injector.report.replayed_txns >= 1
+        # The replay applied both committed writes, the later one last.
+        assert read.value == {"v": executor.update_value(2, position)}
+        assert executor.update_value(2, position) != executor.update_value(
+            1, position
+        )
+        assert executor.injector.report.replayed_txns == 2
 
     def test_non_durable_stack_loses_uncommitted_writes_gracefully(
         self, harness, columns, ctx
