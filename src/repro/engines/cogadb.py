@@ -61,6 +61,7 @@ from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 from repro.layout.partitioning import one_region_per_attribute
 from repro.model.relation import Relation
+from repro.staging.manager import Stream
 
 __all__ = ["HypeScheduler", "CoGaDBEngine", "PlacementReport"]
 
@@ -93,19 +94,28 @@ class HypeScheduler:
         """Uncalibrated (cpu_cycles, gpu_cycles) model predictions.
 
         When the column's *fragment* and *attribute* are given, the
-        transfer term is cache-aware: a column with a fresh replica in
-        the staging cache (``platform.staging``) is predicted to pay
-        only the patch of its pending writes, none when it is clean —
-        the device looks exactly as cheap as it will actually be on the
-        warm path.  Predictions stay side-effect-free (no cache stats,
-        no fault draws).
+        device terms price the bytes its device copy holds
+        (``platform.staging.stream``), and the transfer term is
+        cache-aware: a column with a fresh replica in the staging cache
+        is predicted to pay only the patch of its pending writes, none
+        when it is clean — the device looks exactly as cheap as it will
+        actually be on the warm path.  Without them the column is
+        priced raw, from *count* and *width* alone.  Predictions stay
+        side-effect-free (no cache stats, no fault draws).
         """
+        staging = self.platform.staging
         cpu = self.platform.memory_model.sequential(count * width) + count
-        gpu = self.platform.gpu.reduction_cost(count, width)
+        if fragment is None or attribute is None:
+            column = Stream(count, width, count * width, 0)
+            transfer = staging.scheduler.predicted_cost(column.nbytes)
+        else:
+            column = staging.stream([fragment], attribute)
+            transfer = staging.predicted_transfer_cost(fragment, attribute)
+        gpu = self.platform.gpu.reduction_cost(
+            column.count, column.width, nbytes=column.nbytes, decoded=column.decoded
+        )
         if not on_device:
-            gpu += self.platform.staging.predicted_transfer_cost(
-                count * width, fragment, attribute
-            )
+            gpu += transfer
         return cpu, gpu
 
     def predict_sum(

@@ -37,6 +37,7 @@ from repro.hardware.event import Cycles, PerfCounters
 from repro.hardware.memory import MemoryKind, MemorySpace
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
+from repro.staging.manager import Stream
 
 __all__ = [
     "device_sum_column",
@@ -89,33 +90,47 @@ def ensure_resident(
 
 
 def _chunked_reduction_cost(
-    ctx: ExecutionContext, count: int, per_chunk: int, width: int
+    ctx: ExecutionContext, column: Stream, per_chunk: int
 ) -> Cycles:
     """Charge a chunked reduction without pricing every chunk separately.
 
-    A chunked staging loop runs ``count // per_chunk`` full chunks plus
-    at most one remainder chunk, so only two distinct kernel costs
-    exist.  Each is priced once against a scratch counter, then the
-    per-chunk charges are replayed with seeded ``np.cumsum`` (strict
+    A chunked staging loop runs full chunks of *per_chunk* elements and
+    one last chunk of at most that many, so only two distinct kernel
+    costs exist.  A full chunk streams its element share of the
+    column's payload, rounded down, and the last chunk the rest.  Each
+    cost is priced once against a scratch counter, then the per-chunk
+    charges are replayed with seeded ``np.cumsum`` (strict
     left-to-right accumulation) so cycles and device-cycles — and the
     integer launch counts — land byte-identical to the per-chunk loop.
     """
     gpu = ctx.platform.gpu
-    n_full, remainder = divmod(count, per_chunk)
+    n_full, last = divmod(column.count - 1, per_chunk)
+    last += 1
+    full_bytes = column.nbytes * per_chunk // column.count
+    full_decoded = column.decoded * per_chunk // column.count
     costs: list[Cycles] = []
     device_cycles: list[float] = []
     launches = 0
     if n_full:
         probe = PerfCounters()
-        full_cost = gpu.reduction_cost(per_chunk, width, probe)
+        full_cost = gpu.reduction_cost(
+            per_chunk, column.width, probe, nbytes=full_bytes, decoded=full_decoded
+        )
         costs.extend([full_cost] * n_full)
         device_cycles.extend([probe.device_cycles] * n_full)
         launches += probe.kernel_launches * n_full
-    if remainder:
-        probe = PerfCounters()
-        costs.append(gpu.reduction_cost(remainder, width, probe))
-        device_cycles.append(probe.device_cycles)
-        launches += probe.kernel_launches
+    probe = PerfCounters()
+    costs.append(
+        gpu.reduction_cost(
+            last,
+            column.width,
+            probe,
+            nbytes=column.nbytes - n_full * full_bytes,
+            decoded=column.decoded - n_full * full_decoded,
+        )
+    )
+    device_cycles.append(probe.device_cycles)
+    launches += probe.kernel_launches
     counters = ctx.counters
     kernel_cost = _seeded_sum(0.0, costs)
     counters.cycles = _seeded_sum(counters.cycles, costs)
@@ -144,7 +159,10 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
       hit); PCIe is charged only for a patch of cells written since
       its last read;
     * the misses are staged in one coalesced burst, which installs
-      cached replicas for the next query.
+      cached replicas for the next query;
+    * the kernel streams the column's payload
+      (:meth:`~repro.staging.StagingManager.stream`), decoding encoded
+      replicas as it reads them.
 
     Staging adapts to device-memory pressure (Bress, Funke & Teubner's
     robustness strategies): when the misses cannot be cached even after
@@ -171,12 +189,14 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
         for values in columns:
             if values is not None and len(values):
                 total += float(np.sum(values))
-        count = sum(fragment.filled for fragment in fragments)
+        column = staging.stream(fragments, attribute)
         chunks = 1
         if entries is None:
-            # The column cannot be cached: stream it through a bounce
-            # buffer exactly as the pre-cache path did.
-            staged_bytes = sum(fragment.filled * width for fragment, __, __ in misses)
+            # The column cannot be cached: stream its payload through a
+            # bounce buffer exactly as the pre-cache path did.
+            staged_bytes = sum(
+                staging.payload_bytes(fragment, attribute) for fragment, __, __ in misses
+            )
             device = ctx.platform.device_memory
             buffer_bytes = min(staged_bytes, device.available)
             if buffer_bytes < width:
@@ -191,19 +211,24 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
                 staging.transfer_uncached(misses, ctx)
             finally:
                 device.free(bounce)
-        if count:
+        if column.count:
             with ctx.span(
-                f"gpu-reduce({attribute})", "kernel", elements=count, chunks=chunks
+                f"gpu-reduce({attribute})",
+                "kernel",
+                elements=column.count,
+                chunks=chunks,
             ):
                 if chunks == 1:
                     kernel_cost = ctx.platform.gpu.reduction_cost(
-                        count, width, ctx.counters
+                        column.count,
+                        column.width,
+                        ctx.counters,
+                        nbytes=column.nbytes,
+                        decoded=column.decoded,
                     )
                 else:
-                    per_chunk = math.ceil(count / chunks)
-                    kernel_cost = _chunked_reduction_cost(
-                        ctx, count, per_chunk, width
-                    )
+                    per_chunk = math.ceil(column.count / chunks)
+                    kernel_cost = _chunked_reduction_cost(ctx, column, per_chunk)
                 ctx.note(f"gpu-reduce({attribute})", kernel_cost)
         # Returning the scalar to the host is one tiny device->host copy.
         result_cost = staging.scheduler.transfer(width, ctx.counters)

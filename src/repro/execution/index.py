@@ -43,14 +43,23 @@ class HashIndex:
         """Index every row of *layout* on *attribute*.
 
         Build cost (when a context is given): one column scan plus one
-        hash insert per row.
+        hash insert per row.  Each fragment's keys go into the dict in
+        one pass; a repeated key makes the build redo itself row by row
+        with :meth:`insert`, which raises on the first repeat.
         """
         index = cls(attribute)
-        for fragment in layout.fragments_for_attribute(attribute):
+        fragments = layout.fragments_for_attribute(attribute)
+        for fragment in fragments:
             start = fragment.region.rows.start
-            values = fragment.column(attribute)
-            for offset in range(fragment.filled):
-                index.insert(values[offset].item() if hasattr(values[offset], "item") else values[offset], start + offset)
+            keys = fragment.column(attribute).tolist()
+            before = len(index._positions)
+            index._positions.update(zip(keys, range(start, start + len(keys))))
+            if len(index._positions) != before + len(keys):
+                index = cls(attribute)
+                for fragment in fragments:
+                    start = fragment.region.rows.start
+                    for offset, key in enumerate(fragment.column(attribute).tolist()):
+                        index.insert(key, start + offset)
         if ctx is not None:
             count = layout.relation.row_count
             ctx.charge(f"index-build({attribute})", count * HASH_CYCLES)

@@ -7,10 +7,12 @@ and the filter's selectivity hint, with **zero side effects**: no
 counters, no fault draws, no staging-cache mutations.  Transfer terms
 are cache-aware through
 :meth:`~repro.staging.manager.StagingManager.predicted_transfer_cost`
-(a column with a fresh device replica predicts 0 PCIe), and the kernel
-terms reuse the exact pricing helpers the executors charge with, so a
-calibrated prediction tracks the measurement instead of a parallel
-formula drifting from it.
+(a column with a fresh device replica predicts 0 PCIe), every device
+term prices the bytes
+:meth:`~repro.staging.manager.StagingManager.stream` says a column's
+device copy holds, and the kernel terms reuse the exact pricing
+helpers the executors charge with, so a calibrated prediction tracks
+the measurement instead of a parallel formula drifting from it.
 
 The interesting physics the features capture: the unfused host path's
 ``random(matches)`` term grows linearly with selectivity while the
@@ -46,7 +48,7 @@ PIPELINE_ROUTES = ("fused-cpu", "unfused-cpu", "fused-gpu", "unfused-gpu")
 
 
 def _predicted_column_transfer(
-    layout: "Layout", attribute: str, width: int, platform: "Platform"
+    layout: "Layout", attribute: str, platform: "Platform"
 ) -> float:
     """Cache- and residency-aware PCIe prediction for one column (pure)."""
     from repro.execution.device import is_device_resident
@@ -55,9 +57,7 @@ def _predicted_column_transfer(
     for fragment in layout.fragments_for_attribute(attribute):
         if is_device_resident(fragment) or fragment.filled == 0:
             continue
-        total += platform.staging.predicted_transfer_cost(
-            fragment.filled * width, fragment, attribute
-        )
+        total += platform.staging.predicted_transfer_cost(fragment, attribute)
     return total
 
 
@@ -110,16 +110,28 @@ def predicted_route_costs(
         )
 
     # --- device routes -----------------------------------------------
+    # Every operand is priced on the bytes its device copy holds.
+    streams = {
+        attribute: platform.staging.stream(
+            layout.fragments_for_attribute(attribute), attribute
+        )
+        for attribute in plan.attributes
+    }
+    aggregate = streams[plan.aggregate_attribute]
     operand_transfers = sum(
-        _predicted_column_transfer(layout, attribute, width, platform)
-        for attribute, width in zip(plan.attributes, widths)
+        _predicted_column_transfer(layout, attribute, platform)
+        for attribute in plan.attributes
     )
     result_copy = scheduler.predicted_cost(POSITION_WIDTH)
     fused_gpu = (
         operand_transfers
         + (
             gpu.fused_pipeline_cost(
-                count, widths, ops_per_element=plan.ops_per_element
+                count,
+                [stream.width for stream in streams.values()],
+                ops_per_element=plan.ops_per_element,
+                nbytes=sum(stream.nbytes for stream in streams.values()),
+                decoded=sum(stream.decoded for stream in streams.values()),
             )
             if count
             else 0.0
@@ -129,9 +141,13 @@ def predicted_route_costs(
 
     if plan.filter is None:
         unfused_gpu = (
-            _predicted_column_transfer(layout, plan.aggregate_attribute,
-                                       agg_width, platform)
-            + gpu.reduction_cost(count, agg_width)
+            _predicted_column_transfer(layout, plan.aggregate_attribute, platform)
+            + gpu.reduction_cost(
+                aggregate.count,
+                aggregate.width,
+                nbytes=aggregate.nbytes,
+                decoded=aggregate.decoded,
+            )
             + result_copy
         )
     else:
@@ -141,9 +157,9 @@ def predicted_route_costs(
         # operator 1 just staged, so its transfer predicts to zero.
         unfused_gpu = (
             operand_transfers
-            + select_kernel_cycles(gpu, count, scan_width, matches)
-            + gather_kernel_cycles(gpu, matches, len(plan.projects))
-            + gpu.reduction_cost(matches, agg_width)
+            + select_kernel_cycles(gpu, streams[plan.scan_attribute], matches)
+            + gather_kernel_cycles(gpu, aggregate, matches, len(plan.projects))
+            + gpu.reduction_cost(matches, aggregate.width)
             + result_copy
         )
         if matches:

@@ -12,7 +12,8 @@ fused plan makes the whole chain one cost event:
 * the chain runs as one grid-stride kernel
   (:meth:`~repro.hardware.gpu.GPUModel.fused_pipeline_cost`): one
   launch latency, intermediates in registers, no device buffers
-  between stages;
+  between stages, every operand streamed as its payload and decoded
+  in registers when encoded;
 * only the final scalar crosses the bus back.
 
 Fault sites keep firing inside the fused path with exactly-once
@@ -85,19 +86,21 @@ def run_fused_device(
         ]
         columns, misses, entries = staging.stage(requests, ctx)
         if entries is None:
+            needed = sum(staging.payload_bytes(f, a) for f, a, __ in misses)
             raise CapacityError(
                 f"device memory cannot hold the fused operand set of "
-                f"{plan.describe()} ({sum(f.filled * w for f, __, w in misses)}"
-                " B); a fused kernel needs every operand resident at launch"
+                f"{plan.describe()} ({needed} B); a fused kernel needs every "
+                "operand resident at launch"
             )
         served = {
             (id(fragment), attribute): values
             for (fragment, attribute, __), values in zip(requests, columns)
         }
-        count = sum(
-            fragment.filled
-            for fragment in layout.fragments_for_attribute(plan.attributes[0])
-        )
+        streams = [
+            staging.stream(layout.fragments_for_attribute(attribute), attribute)
+            for attribute in plan.attributes
+        ]
+        count = streams[0].count
         if count:
             with ctx.span(
                 f"gpu-fused({plan.describe()})",
@@ -107,9 +110,11 @@ def run_fused_device(
             ):
                 kernel_cost = ctx.platform.gpu.fused_pipeline_cost(
                     count,
-                    widths,
+                    [stream.width for stream in streams],
                     ops_per_element=plan.ops_per_element,
                     counters=ctx.counters,
+                    nbytes=sum(stream.nbytes for stream in streams),
+                    decoded=sum(stream.decoded for stream in streams),
                 )
                 ctx.note(f"gpu-fused({plan.describe()})", kernel_cost)
         # Returning the scalar to the host is one tiny device->host copy.

@@ -15,7 +15,9 @@ path removes:
   aggregate column) instead of one burst for the set;
 * a two-launch selection kernel that writes a position buffer, then a
   gather kernel plus the two-pass reduction — five launches where the
-  fused plan pays one;
+  fused plan pays one (the selection streams the scan column's payload
+  and the gather decodes what it gathers, as
+  :meth:`~repro.staging.StagingManager.stream` prices them);
 * the intermediate position list crossing the bus **twice** (device →
   host → device), the materialization round trip the paper's data-path
   argument is about.
@@ -47,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fusion.compiler import FusedPipeline
     from repro.hardware.gpu import GPUModel
     from repro.layout.layout import Layout
+    from repro.staging.manager import Stream
 
 __all__ = [
     "run_unfused_host",
@@ -145,32 +148,37 @@ def aggregate_at_positions(
 # ----------------------------------------------------------------------
 # Device oracle
 # ----------------------------------------------------------------------
-def select_kernel_cycles(gpu: "GPUModel", rows: int, width: int, matches: int) -> Cycles:
+def select_kernel_cycles(gpu: "GPUModel", scan: "Stream", matches: int) -> Cycles:
     """Host cycles of the unfused selection kernel (pure).
 
-    Streams the scan column, writes the compacted position buffer —
-    predicate pass plus a compaction pass, so two launches, like the
-    two-pass reduction shape the paper's device uses.
+    Streams the scan column's payload (decoding encoded elements),
+    writes the compacted position buffer — predicate pass plus a
+    compaction pass, so two launches, like the two-pass reduction
+    shape the paper's device uses.
     """
-    if rows == 0:
+    if scan.count == 0:
         return 0.0
     seconds = gpu.streaming_kernel_seconds(
-        nbytes=rows * width + matches * POSITION_WIDTH, ops=rows * 2
+        nbytes=scan.nbytes + matches * POSITION_WIDTH,
+        ops=scan.count * 2 + scan.decoded,
     )
     return gpu.seconds_to_host_cycles(seconds) + 2 * gpu.launch_latency_cycles
 
 
-def gather_kernel_cycles(gpu: "GPUModel", matches: int, n_projects: int) -> Cycles:
+def gather_kernel_cycles(
+    gpu: "GPUModel", aggregate: "Stream", matches: int, n_projects: int
+) -> Cycles:
     """Host cycles of the unfused gather(+project) kernel (pure).
 
     One launch reading the position buffer and gathering the aggregate
-    column's values at scattered offsets (32-byte sectors per element).
+    column's values at scattered offsets (32-byte sectors per element),
+    decoding the gathered elements' share of the column's encoded ones.
     """
     if matches == 0:
         return 0.0
     seconds = gpu.streaming_kernel_seconds(
         nbytes=matches * (POSITION_WIDTH + DEVICE_GATHER_BYTES),
-        ops=matches * (1 + n_projects),
+        ops=matches * (1 + n_projects) + matches * aggregate.decoded // aggregate.count,
     )
     return gpu.seconds_to_host_cycles(seconds) + gpu.launch_latency_cycles
 
@@ -225,19 +233,25 @@ def _device_aggregate_unfiltered(
         served = _serve_column(layout, attribute, width, ctx)
         partials: list[Any] = []
         counts: list[int] = []
-        count = 0
-        for fragment in layout.fragments_for_attribute(attribute):
-            count += fragment.filled
+        fragments = layout.fragments_for_attribute(attribute)
+        for fragment in fragments:
             values = served[id(fragment)]
             if values is None or len(values) == 0:
                 continue
             partials.append(reducer(values))
             counts.append(len(values))
-        if count:
+        column = ctx.platform.staging.stream(fragments, attribute)
+        if column.count:
             with ctx.span(
-                f"gpu-reduce({attribute})", "kernel", elements=count
+                f"gpu-reduce({attribute})", "kernel", elements=column.count
             ):
-                kernel_cost = gpu.reduction_cost(count, width, ctx.counters)
+                kernel_cost = gpu.reduction_cost(
+                    column.count,
+                    column.width,
+                    ctx.counters,
+                    nbytes=column.nbytes,
+                    decoded=column.decoded,
+                )
                 ctx.note(f"gpu-reduce({attribute})", kernel_cost)
         result_cost = ctx.platform.staging.scheduler.transfer(
             POSITION_WIDTH, ctx.counters
@@ -258,10 +272,13 @@ def _device_filtered(
     intermediate position list is materialized across the bus twice.
     """
     gpu = ctx.platform.gpu
-    scheduler = ctx.platform.staging.scheduler
+    staging = ctx.platform.staging
+    scheduler = staging.scheduler
     schema = layout.relation.schema
     scan_width = schema.attribute(plan.scan_attribute).width
     agg_width = schema.attribute(plan.aggregate_attribute).width
+    scan_fragments = layout.fragments_for_attribute(plan.scan_attribute)
+    agg_fragments = layout.fragments_for_attribute(plan.aggregate_attribute)
     with ctx.span(
         f"device-unfused({plan.describe()})",
         "operator",
@@ -271,9 +288,7 @@ def _device_filtered(
         # evaluates the predicate, compacts matching positions on-device.
         scan_served = _serve_column(layout, plan.scan_attribute, scan_width, ctx)
         mask_parts: list[tuple[int, np.ndarray]] = []
-        rows = 0
-        for fragment in layout.fragments_for_attribute(plan.scan_attribute):
-            rows += fragment.filled
+        for fragment in scan_fragments:
             values = scan_served[id(fragment)]
             if values is None or len(values) == 0:
                 continue
@@ -288,11 +303,12 @@ def _device_filtered(
                 int(index) + start for index in np.nonzero(fragment_mask)[0]
             )
         matches = len(positions)
-        if rows:
+        scan = staging.stream(scan_fragments, plan.scan_attribute)
+        if scan.count:
             with ctx.span(
-                f"gpu-select({plan.scan_attribute})", "kernel", elements=rows
+                f"gpu-select({plan.scan_attribute})", "kernel", elements=scan.count
             ):
-                kernel = select_kernel_cycles(gpu, rows, scan_width, matches)
+                kernel = select_kernel_cycles(gpu, scan, matches)
                 ctx.charge(f"gpu-select({plan.scan_attribute})", kernel)
                 ctx.counters.kernel_launches += 2
                 ctx.counters.device_cycles += (
@@ -313,13 +329,16 @@ def _device_filtered(
         agg_served = _serve_column(
             layout, plan.aggregate_attribute, agg_width, ctx
         )
+        aggregate = staging.stream(agg_fragments, plan.aggregate_attribute)
         if matches:
             with ctx.span(
                 f"gpu-gather({plan.aggregate_attribute})",
                 "kernel",
                 elements=matches,
             ):
-                kernel = gather_kernel_cycles(gpu, matches, len(plan.projects))
+                kernel = gather_kernel_cycles(
+                    gpu, aggregate, matches, len(plan.projects)
+                )
                 ctx.charge(f"gpu-gather({plan.aggregate_attribute})", kernel)
                 ctx.counters.kernel_launches += 1
                 ctx.counters.device_cycles += (
@@ -331,7 +350,7 @@ def _device_filtered(
                 elements=matches,
             ):
                 kernel_cost = gpu.reduction_cost(
-                    matches, agg_width, ctx.counters
+                    matches, aggregate.width, ctx.counters
                 )
                 ctx.note(f"gpu-reduce({plan.aggregate_attribute})", kernel_cost)
         result_cost = scheduler.transfer(POSITION_WIDTH, ctx.counters)
@@ -340,10 +359,9 @@ def _device_filtered(
         # (and therefore to the fused plane), values served from the
         # replicas that would live on the device.
         reducer, identity = aggregate_reducer(plan.op)
-        fragments = layout.fragments_for_attribute(plan.aggregate_attribute)
         partials: list[Any] = []
         counts: list[int] = []
-        for fragment, local in _positions_by_fragment(fragments, positions):
+        for fragment, local in _positions_by_fragment(agg_fragments, positions):
             values = agg_served[id(fragment)]
             if values is None:
                 continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-__all__ = ["Cycles", "PerfCounters"]
+__all__ = ["COUNTER_NAMES", "Cycles", "PerfCounters"]
 
 #: Simulated cost unit: host CPU cycles (float to allow sub-cycle rates).
 Cycles = float
@@ -54,8 +54,8 @@ class PerfCounters:
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
         """Add *other*'s counts into ``self`` and return ``self``."""
-        for spec in fields(self):
-            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
+        for name in COUNTER_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def __add__(self, other: "PerfCounters") -> "PerfCounters":
@@ -74,7 +74,7 @@ class PerfCounters:
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all counters (for reports and tests)."""
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def reset(self) -> None:
         """Zero every counter, preserving each field's declared type.
@@ -84,8 +84,15 @@ class PerfCounters:
         class would silently reset integer counters to floats; deriving
         the zero from the field's default keeps int counters int.
         """
-        for spec in fields(self):
-            setattr(self, spec.name, type(spec.default)())
+        for name, kind in _COUNTER_KINDS:
+            setattr(self, name, kind())
+
+
+#: ``(name, type of its default)`` per counter field, computed once:
+#: ``dataclasses.fields`` on every merge was a host-time hot spot.
+_COUNTER_KINDS = tuple((spec.name, type(spec.default)) for spec in fields(PerfCounters))
+#: Every counter field's name, in declaration order.
+COUNTER_NAMES = tuple(name for name, __ in _COUNTER_KINDS)
 
 
 @dataclass

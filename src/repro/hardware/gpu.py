@@ -123,6 +123,9 @@ class GPUModel:
         count: int,
         element_width: int,
         counters: PerfCounters | None = None,
+        *,
+        nbytes: int | None = None,
+        decoded: int = 0,
     ) -> Cycles:
         """Host-cycle cost of the paper's two-pass parallel reduction.
 
@@ -131,14 +134,19 @@ class GPUModel:
         reduces the partials with a single 1024-thread block.  Each pass
         pays one kernel-launch latency.  Returns 0 for an empty input
         (no launch is issued).
+
+        Pass 1 streams *nbytes* (``count * element_width`` by default:
+        a raw column) and does one add per element plus one decode op
+        per *decoded* element of an encoded input.
         """
         if count < 0:
             raise ExecutionError(f"count must be >= 0, got {count}")
         if count == 0:
             return 0.0
+        streamed = count * element_width if nbytes is None else nbytes
         blocks = _pass1_blocks(count)
         pass1_seconds = self.streaming_kernel_seconds(
-            nbytes=count * element_width, ops=count
+            nbytes=streamed, ops=count + decoded
         )
         pass2_seconds = self.streaming_kernel_seconds(
             nbytes=blocks * element_width, ops=blocks
@@ -149,7 +157,7 @@ class GPUModel:
             counters.cycles += cost
             counters.device_cycles += total_seconds * self.clock_hz
             counters.kernel_launches += 2
-            counters.bytes_read += count * element_width
+            counters.bytes_read += streamed
             # Prediction calls (no counters) must stay side-effect-free,
             # so injection only applies to accounted launches.
             if self.injector is not None:
@@ -163,8 +171,10 @@ class GPUModel:
     ) -> Cycles:
         """Host-cycle cost of ONE batched two-pass reduction over many columns.
 
-        *columns* is one ``(count, element_width)`` pair per **distinct**
-        operand column of the batch.  A batch scheduler that groups K
+        *columns* is one ``(count, element_width, nbytes, decoded)``
+        tuple per **distinct** operand column of the batch: pass 1
+        streams its *nbytes* and decodes its *decoded* elements, as in
+        :meth:`reduction_cost`.  A batch scheduler that groups K
         compatible full-column sums launches a single fused grid whose
         blocks stream every distinct column once (pass 1) and a single
         second pass that folds all block partials — so the whole batch
@@ -182,26 +192,26 @@ class GPUModel:
         on accounted calls, like every other kernel costing.
         """
         streamed = []
-        for count, width in columns:
+        for count, width, nbytes, decoded in columns:
             if count < 0:
                 raise ExecutionError(f"count must be >= 0, got {count}")
             if width <= 0:
                 raise ExecutionError(f"invalid element width {width}")
             if count:
-                streamed.append((count, width))
+                streamed.append((count, width, nbytes, decoded))
         if not streamed:
             return 0.0
         pass_seconds = 0.0
         total_bytes = 0
-        for count, width in streamed:
+        for count, width, nbytes, decoded in streamed:
             blocks = _pass1_blocks(count)
             pass_seconds += self.streaming_kernel_seconds(
-                nbytes=count * width, ops=count
+                nbytes=nbytes, ops=count + decoded
             )
             pass_seconds += self.streaming_kernel_seconds(
                 nbytes=blocks * width, ops=blocks
             )
-            total_bytes += count * width
+            total_bytes += nbytes
         total_seconds = pass_seconds + 2 * self.launch_latency_s
         cost = self.seconds_to_host_cycles(total_seconds)
         if counters is not None:
@@ -254,6 +264,9 @@ class GPUModel:
         element_widths: "tuple[int, ...] | list[int]",
         ops_per_element: float = 1.0,
         counters: PerfCounters | None = None,
+        *,
+        nbytes: int | None = None,
+        decoded: int = 0,
     ) -> Cycles:
         """Host-cycle cost of ONE fused scan→filter→project→aggregate kernel.
 
@@ -268,9 +281,12 @@ class GPUModel:
         before the unfused plan's per-step transfers.
 
         ``ops_per_element`` scales the compute roofline for the fused
-        ALU work (predicate + projections + accumulate).  An empty
-        input returns 0 and issues no launch (the zero-size contract);
-        a negative count or a non-positive width is a hard error.
+        ALU work (predicate + projections + accumulate).  The kernel
+        streams *nbytes* (``count * sum(element_widths)`` by default:
+        raw operands) and adds one decode op per *decoded* element of
+        its encoded operands.  An empty input returns 0 and issues no
+        launch (the zero-size contract); a negative count or a
+        non-positive width is a hard error.
         """
         if count < 0:
             raise ExecutionError(f"count must be >= 0, got {count}")
@@ -280,9 +296,10 @@ class GPUModel:
             raise ExecutionError(f"invalid element widths {tuple(element_widths)}")
         if count == 0:
             return 0.0
-        nbytes = count * sum(element_widths)
+        if nbytes is None:
+            nbytes = count * sum(element_widths)
         seconds = self.streaming_kernel_seconds(
-            nbytes=nbytes, ops=count, ops_per_element=ops_per_element
+            nbytes=nbytes, ops=count * ops_per_element + decoded
         )
         total_seconds = seconds + self.launch_latency_s
         cost = self.seconds_to_host_cycles(total_seconds)

@@ -45,10 +45,10 @@ charges a cycle and never draws randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.hardware.event import Cycles, PerfCounters
+from repro.hardware.event import COUNTER_NAMES, Cycles, PerfCounters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.platform import Platform
@@ -229,10 +229,10 @@ class MetricsRegistry:
         :class:`~repro.hardware.event.PerfCounters` field — the closure
         :meth:`verify_closure` gates.
         """
-        for spec in fields(delta):
-            value = getattr(delta, spec.name)
+        for name in COUNTER_NAMES:
+            value = getattr(delta, name)
             if value:
-                self.record(f"{PLATFORM_SERIES_PREFIX}{spec.name}", value, cycle)
+                self.record(f"{PLATFORM_SERIES_PREFIX}{name}", value, cycle)
 
     # ------------------------------------------------------------------
     # Reading
@@ -270,8 +270,8 @@ class MetricsRegistry:
         """The sum of every observed delta, one ``platform.*`` series per field."""
         return PerfCounters(
             **{
-                spec.name: self.total(f"{PLATFORM_SERIES_PREFIX}{spec.name}")
-                for spec in fields(PerfCounters)
+                name: self.total(f"{PLATFORM_SERIES_PREFIX}{name}")
+                for name in COUNTER_NAMES
             }
         )
 

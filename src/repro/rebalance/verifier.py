@@ -96,7 +96,11 @@ GATE_RATIO_AFTER = 1.25
 
 
 def build_skewed_stream(
-    row_count: int, query_count: int, seed: int, hot_fraction: float
+    row_count: int,
+    query_count: int,
+    seed: int,
+    hot_fraction: float,
+    first_index: int = 0,
 ) -> tuple[QuerySpec, ...]:
     """A deterministic point stream concentrating on the hot eighth.
 
@@ -106,6 +110,8 @@ def build_skewed_stream(
     draws ``hot_fraction`` of its distinct positions from the first
     ``row_count // 8`` rows and the rest from the remainder, and carries
     its stream index, from which updates derive the values they write.
+    Indices run from *first_index*: streams of one run that start where
+    the previous one ended never write a value twice.
     """
     if not 0.0 <= hot_fraction <= 1.0:
         raise ValueError(f"hot_fraction must be in [0, 1], got {hot_fraction}")
@@ -130,7 +136,9 @@ def build_skewed_stream(
         attributes = (
             ("k", "v") if shape is QueryShape.POINT_MATERIALIZE else ("v",)
         )
-        queries.append(QuerySpec(shape, "orders", attributes, positions, index))
+        queries.append(
+            QuerySpec(shape, "orders", attributes, positions, first_index + index)
+        )
     return tuple(queries)
 
 
@@ -266,7 +274,8 @@ def run_rebalance_chaos(
     stream = build_skewed_stream(row_count, query_count, seed, hot_fraction)
     pool = list(
         build_skewed_stream(
-            row_count, interleave_count, seed + 7919, hot_fraction
+            row_count, interleave_count, seed + 7919, hot_fraction,
+            first_index=query_count,
         )
     )
 
@@ -313,7 +322,8 @@ def run_rebalance_chaos(
 
     if measure_count:
         for query in build_skewed_stream(
-            row_count, measure_count, seed + 104_729, hot_fraction
+            row_count, measure_count, seed + 104_729, hot_fraction,
+            first_index=query_count + interleave_count,
         ):
             chaos.run_verified(query)
         ratio_after = skew.snapshot().ratio

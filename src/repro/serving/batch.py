@@ -13,7 +13,8 @@ them **per batch**:
   burst and one scatter kernel);
 * the reductions launch as ONE batched two-pass grid
   (:meth:`~repro.hardware.gpu.GPUModel.batched_reduction_cost` — two
-  launch latencies total, streaming charged per distinct column);
+  launch latencies total, streaming charged per distinct column on its
+  payload, :meth:`~repro.staging.StagingManager.stream`);
 * all K scalar answers return in ONE device→host copy.
 
 The data plane is deliberately identical to the serial path: each
@@ -71,7 +72,7 @@ def run_device_batch(
         columns=len(distinct),
     ):
         requests: list[tuple[Fragment, str, int]] = []
-        shapes: list[tuple[int, int]] = []
+        operands: list[tuple[list[Fragment], str]] = []
         result_width = 0
         for attribute in distinct:
             fragments = layout.fragments_for_attribute(attribute)
@@ -79,7 +80,7 @@ def run_device_batch(
                 continue
             width = fragments[0].schema.attribute(attribute).width
             requests += [(fragment, attribute, width) for fragment in fragments]
-            shapes.append((sum(fragment.filled for fragment in fragments), width))
+            operands.append((fragments, attribute))
             result_width += width * attributes.count(attribute)
         columns, misses, entries = staging.stage(requests, ctx)
         totals = dict.fromkeys(distinct, 0.0)
@@ -91,12 +92,13 @@ def run_device_batch(
             # the same bytes uncached (same wire time, no replicas
             # installed for the next batch).
             staging.transfer_uncached(misses, ctx)
-        if shapes:
+        if operands:
             with ctx.span(
-                "gpu-batch-reduce", "kernel", columns=len(shapes)
+                "gpu-batch-reduce", "kernel", columns=len(operands)
             ):
                 kernel_cost = ctx.platform.gpu.batched_reduction_cost(
-                    shapes, ctx.counters
+                    [staging.stream(*operand) for operand in operands],
+                    ctx.counters,
                 )
                 ctx.note("gpu-batch-reduce", kernel_cost)
         # All K scalars come home in one device->host copy.

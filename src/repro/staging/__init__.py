@@ -24,7 +24,10 @@ Every module that moves fragment payloads across the link routes
 through this package: ``tests/staging/test_lint_transfer_sites.py``
 enforces that no other module calls ``interconnect.transfer_cost``
 directly, and ``tests/staging/test_lint_staging_calls.py`` that none
-calls the manager's ``lookup``/``acquire_set`` around ``stage``.
+calls the manager's ``lookup``/``acquire_set`` around ``stage``, and
+that every device kernel cost and transfer prediction prices the bytes
+:meth:`~StagingManager.payload_bytes` gives (integer replicas are
+frame-of-reference payloads, :mod:`repro.staging.cache`).
 """
 
 from repro.staging.cache import StagedColumn, StagingCache

@@ -6,13 +6,22 @@ of the column's values.  Entries are validated on every lookup against
 the source fragment's identity and mutation :attr:`~repro.layout.fragment.Fragment.version`,
 so a stale replica can never serve a read even if a hook was missed.
 
+A replica of an integer column holds an encoded payload: each
+:data:`FRAME_ROWS`-row frame is a frame-of-reference encoding (an int64
+base plus offsets in the frame's narrowest unsigned width), built by
+:func:`encode_frames` when that is smaller than the raw column.  The
+replica's device allocation is the payload, and its ``values`` — what
+the data plane reads — are decoded from the payload, so a codec or
+patch bug is a wrong answer.  Floats, strings and phantoms stay raw.
+
 A point write through ``update_field`` does not drop the replica:
 :meth:`StagingCache.record_write` advances the replica's version and
 records the written offset as *pending*, and the staging manager
-ships only the pending cells before the replica next serves.  A
-replica whose version skipped a write (one the hook never saw) is
-dropped, and so is one whose pending cells would cost as many bytes
-as re-staging it whole.  The re-organizer and recovery drop every
+ships only the pending cells before the replica next serves, each
+re-encoded into its frame.  A replica whose version skipped a write
+(one the hook never saw) is dropped, and so is one whose pending cells
+would cost as many bytes as re-staging it whole, or whose new value
+falls outside its frame.  The re-organizer and recovery drop every
 replica with :meth:`StagingCache.invalidate_all`.
 
 The cache holds **no cost logic**: insertion and eviction charge zero
@@ -29,14 +38,50 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.hardware.memory import Allocation
+from repro.layout.compression import CompressedColumn, FrameOfReferenceCodec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.layout.fragment import Fragment
 
-__all__ = ["OFFSET_WIDTH", "StagedColumn", "StagingCache"]
+__all__ = [
+    "FRAME_ROWS",
+    "OFFSET_WIDTH",
+    "StagedColumn",
+    "StagingCache",
+    "decode_frames",
+    "encode_frames",
+]
 
 #: Bytes of one patched cell's offset on the wire (an int64).
 OFFSET_WIDTH = 8
+
+#: Rows per frame of an encoded replica; every frame has its own base.
+FRAME_ROWS = 65_536
+
+#: An encoded payload: one frame-of-reference column per frame, in order.
+Frames = tuple[CompressedColumn, ...]
+
+
+def encode_frames(values: np.ndarray) -> Frames:
+    """The frame encoding of an integer column.
+
+    Each :data:`FRAME_ROWS`-row frame is encoded alone by
+    :class:`~repro.layout.compression.FrameOfReferenceCodec`, one frame
+    at a time, so no temporary spans the whole column.
+    """
+    codec = FrameOfReferenceCodec()
+    return tuple(
+        codec.encode(values[start : start + FRAME_ROWS])
+        for start in range(0, len(values), FRAME_ROWS)
+    )
+
+
+def decode_frames(frames: Frames) -> np.ndarray:
+    """The column *frames* encode, decoded frame by frame."""
+    values = np.empty(sum(frame.count for frame in frames), frames[0].original_dtype)
+    for start, frame in zip(range(0, len(values), FRAME_ROWS), frames):
+        values[start : start + frame.count] = frame.decode()
+    return values
 
 
 class StagedColumn:
@@ -58,8 +103,12 @@ class StagedColumn:
     allocation:
         The replica's live device-memory allocation.
     values:
-        Copy of the column values (``None`` when the source fragment is
-        a phantom — geometry-only staging for cost-plane sweeps).
+        The column values the data plane reads: decoded from *frames*
+        when the replica is encoded, else a copy of the column (``None``
+        when the source fragment is a phantom — geometry-only staging
+        for cost-plane sweeps).
+    frames:
+        The encoded payload, or ``None`` for a raw replica.
     pending:
         Local offsets written since the values were last shipped; the
         staging manager patches them before the replica serves.
@@ -73,6 +122,7 @@ class StagedColumn:
         version: int,
         allocation: Allocation,
         values: np.ndarray | None,
+        frames: Frames | None = None,
     ) -> None:
         self.source = source
         self.attribute = attribute
@@ -80,25 +130,55 @@ class StagedColumn:
         self.version = version
         self.allocation = allocation
         self.values = values
+        self.frames = frames
         self.pending: set[int] = set()
 
     @property
     def nbytes(self) -> int:
-        """Device bytes the replica occupies."""
+        """Device bytes the replica occupies: its payload."""
         return self.allocation.size
 
     @property
     def patch_bytes(self) -> int:
-        """Bytes a patch ships: an int64 offset plus a value per cell."""
-        return len(self.pending) * (OFFSET_WIDTH + self.width)
+        """Bytes a patch ships: an int64 offset plus a payload cell per cell."""
+        if self.frames is None:
+            return len(self.pending) * (OFFSET_WIDTH + self.width)
+        return sum(
+            OFFSET_WIDTH + self.frames[offset // FRAME_ROWS].payload[1].itemsize
+            for offset in self.pending
+        )
+
+    def fits(self, offset: int) -> bool:
+        """Whether the source's value at *offset* can patch into its frame.
+
+        Always true for a raw replica; an encoded cell must lie between
+        its frame's base and the base plus the frame's widest offset.
+        """
+        if self.frames is None:
+            return True
+        base, codes = self.frames[offset // FRAME_ROWS].payload
+        delta = int(self.source.column(self.attribute)[offset]) - int(base[0])
+        return 0 <= delta <= np.iinfo(codes.dtype).max
 
     def apply_patch(self) -> None:
         """Copy the source's current pending cells in; clear them.
 
-        The cells are read now, so the last write to a cell wins.
+        The cells are read now, so the last write to a cell wins.  An
+        encoded replica re-encodes each cell into its frame's payload
+        and decodes ``values`` back from it.
         """
         offsets = np.fromiter(self.pending, dtype=np.int64, count=len(self.pending))
-        self.values[offsets] = self.source.column(self.attribute)[offsets]
+        column = self.source.column(self.attribute)
+        if self.frames is None:
+            self.values[offsets] = column[offsets]
+        else:
+            frame_of = offsets // FRAME_ROWS
+            for index in np.unique(frame_of).tolist():
+                cells = offsets[frame_of == index]
+                local = cells - index * FRAME_ROWS
+                base, codes = self.frames[index].payload
+                codes[local] = column[cells].astype(np.int64) - base[0]
+                self.values[cells] = codes[local].astype(np.int64) + base[0]
         self.pending.clear()
 
     def is_fresh(self) -> bool:
@@ -194,7 +274,8 @@ class StagingCache:
         that tracked every earlier write advances to the new version,
         and the written column's replica records *offset* as pending.
         A replica with a version gap missed a write and is dropped, as
-        is one whose pending bytes reach what re-staging it would ship.
+        is one whose pending bytes reach what re-staging it would ship
+        and one whose new value falls outside its frame.
         """
         for name in fragment.schema.names:
             key = self._key(fragment, name)
@@ -206,7 +287,7 @@ class StagingCache:
                 if name != attribute:
                     continue
                 entry.pending.add(offset)
-                if entry.patch_bytes < entry.nbytes:
+                if entry.patch_bytes < entry.nbytes and entry.fits(offset):
                     continue
             self._drop(key)
             self.invalidations += 1

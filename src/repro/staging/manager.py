@@ -9,6 +9,11 @@ three ways:
   predictions see that a column already has a device replica
   (predicted transfer cost 0, or its patch burst when writes are
   pending) without perturbing cache state;
+* **bytes** — :meth:`payload_bytes` is the one definition of what a
+  column occupies on the device and ships over PCIe (an encoded
+  replica's payload, see :mod:`repro.staging.cache`), and
+  :meth:`stream` folds it into the :class:`Stream` a kernel charges;
+  every staging charge, kernel charge and cost prediction reads it;
 * **serving** — :meth:`stage`, the one path every device operator
   takes: it serves resident fragments in place, probes the rest with
   :meth:`lookup` (per-query hit/miss accounting into the query's
@@ -33,7 +38,8 @@ to give back.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import weakref
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +47,13 @@ from repro.errors import DeviceError
 from repro.faults.injector import SITE_DEVICE_ALLOC
 from repro.hardware.event import Cycles, PerfCounters
 from repro.hardware.memory import MemoryKind
-from repro.staging.cache import StagedColumn, StagingCache
+from repro.staging.cache import (
+    Frames,
+    StagedColumn,
+    StagingCache,
+    decode_frames,
+    encode_frames,
+)
 from repro.staging.scheduler import TransferScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,7 +64,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     #: One operand an operator reads: ``(fragment, attribute, width)``.
     Request = tuple[Fragment, str, int]
 
-__all__ = ["StagingManager"]
+__all__ = ["StagingManager", "Stream"]
+
+
+class Stream(NamedTuple):
+    """One column as a device kernel streams it.
+
+    ``count`` elements of ``width`` decoded bytes each; ``nbytes`` is
+    what the column's device copies hold (and a kernel streams), and
+    ``decoded`` the elements stored encoded, each costing one decode op.
+    """
+
+    count: int
+    width: int
+    nbytes: int
+    decoded: int
 
 
 class StagingManager:
@@ -77,30 +103,97 @@ class StagingManager:
         self.cache = StagingCache()
         self.scheduler = TransferScheduler(platform)
         self.capacity_bytes: int | None = None
+        #: Payload sizes of columns as staged now: fragment ->
+        #: attribute -> (fragment version, bytes).
+        self._sizes: "weakref.WeakKeyDictionary[Fragment, dict[str, tuple[int, int]]]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
-    # Residency (pure: safe for cost predictions)
+    # Residency and bytes (pure: safe for cost predictions)
     # ------------------------------------------------------------------
-    def predicted_transfer_cost(
-        self,
-        nbytes: int,
-        fragment: "Fragment | None" = None,
-        attribute: str | None = None,
-    ) -> Cycles:
+    def predicted_transfer_cost(self, fragment: "Fragment", attribute: str) -> Cycles:
         """Cache-aware transfer-cost prediction, side-effect-free.
 
         Returns 0 when the column already has a clean device replica
         (a warm query pays no PCIe), the burst of its pending patch when
-        writes are pending on it, else the plain link cost of *nbytes* —
-        this is what makes HyPE's device/host decision cache-aware.
+        writes are pending on it, else the link cost of the column's
+        :meth:`payload_bytes` — this is what makes HyPE's device/host
+        decision cache-aware.
         """
-        if fragment is not None and attribute is not None:
-            entry = self.cache.peek(fragment, attribute)
-            if entry is not None:
-                if not entry.pending:
-                    return 0.0
-                return self.scheduler.predicted_cost(entry.patch_bytes)
-        return self.scheduler.predicted_cost(nbytes)
+        entry = self.cache.peek(fragment, attribute)
+        if entry is not None:
+            if not entry.pending:
+                return 0.0
+            return self.scheduler.predicted_cost(entry.patch_bytes)
+        return self.scheduler.predicted_cost(self.payload_bytes(fragment, attribute))
+
+    def payload_bytes(self, fragment: "Fragment", attribute: str) -> int:
+        """Bytes *fragment*'s *attribute* occupies on the device and ships.
+
+        A fresh replica's payload on a hit; on a miss, the size of the
+        payload :meth:`acquire_set` would ship, memoised on the
+        fragment's version; the raw column for device-resident
+        fragments, which serve themselves.  Pure: no cache stats, no
+        LRU movement.
+        """
+        entry = self.cache.peek(fragment, attribute)
+        if entry is not None:
+            return entry.nbytes
+        if fragment.space.kind is MemoryKind.DEVICE:
+            return fragment.filled * fragment.schema.attribute(attribute).width
+        return self._staged_size(fragment, attribute)
+
+    def _staged_size(self, fragment: "Fragment", attribute: str) -> int:
+        """The payload bytes :meth:`_encode` gives, memoised on the version.
+
+        So a column priced or shipped uncached again and again is
+        encoded once per version; the frames are not kept.
+        """
+        sizes = self._sizes.setdefault(fragment, {})
+        known = sizes.get(attribute)
+        if known is None or known[0] != fragment.version:
+            known = sizes[attribute] = (
+                fragment.version,
+                self._encode(fragment, attribute)[0],
+            )
+        return known[1]
+
+    @staticmethod
+    def _encode(fragment: "Fragment", attribute: str) -> "tuple[int, Frames | None]":
+        """``(payload bytes, frames)`` of the column as staged now.
+
+        An integer column is encoded when its frames are strictly
+        smaller than the raw column, the usual lightweight-compression
+        rule; every other column (phantoms included) stays raw, with
+        ``frames`` ``None`` and the raw column as its payload.
+        """
+        raw = fragment.filled * fragment.schema.attribute(attribute).width
+        if fragment.is_phantom or not raw:
+            return raw, None
+        column = fragment.column(attribute)
+        if column.dtype.kind != "i":
+            return raw, None
+        frames = encode_frames(column)
+        size = sum(frame.nbytes for frame in frames)
+        return (size, frames) if size < raw else (raw, None)
+
+    def stream(self, fragments: Sequence["Fragment"], attribute: str) -> Stream:
+        """The :class:`Stream` of *attribute* over *fragments* (pure).
+
+        Built from :meth:`payload_bytes`: a fragment whose payload is
+        smaller than its raw column is encoded, so each of its elements
+        costs a decode op.
+        """
+        width = fragments[0].schema.attribute(attribute).width if fragments else 0
+        count = nbytes = decoded = 0
+        for fragment in fragments:
+            size = self.payload_bytes(fragment, attribute)
+            count += fragment.filled
+            nbytes += size
+            if size < fragment.filled * width:
+                decoded += fragment.filled
+        return Stream(count, width, nbytes, decoded)
 
     # ------------------------------------------------------------------
     # Serving
@@ -206,10 +299,13 @@ class StagingManager:
         in one DMA burst (one link latency for the entire set), instead
         of one burst per operator as the unfused plan pays.
 
-        Charges one retry-wrapped DMA burst for all payloads, allocates
-        device replicas and installs them in the cache — replicas are
-        inserted only **after** the burst survived any injected faults,
-        so a failed transfer never corrupts residency state.
+        Charges one retry-wrapped DMA burst for all payloads
+        (:meth:`payload_bytes`), allocates device replicas of the
+        payload size, encodes each integer column's frames
+        (:meth:`_encode`) and installs the replicas in the cache —
+        replicas are inserted only **after** the burst survived any
+        injected faults, so a failed transfer never corrupts residency
+        state.
 
         Returns the staged entries, or ``None`` when device memory
         cannot hold the columns even after evicting every cached
@@ -230,7 +326,9 @@ class StagingManager:
         ]
         if not staged:
             return []
-        sizes = [fragment.filled * width for fragment, __, width in staged]
+        sizes = [
+            self._staged_size(fragment, attribute) for fragment, attribute, __ in staged
+        ]
         total = sum(sizes)
         device = self.platform.device_memory
 
@@ -278,13 +376,17 @@ class StagingManager:
 
         entries: list[StagedColumn] = []
         for (fragment, attribute, width), allocation in zip(staged, allocations):
-            values = (
-                None
-                if fragment.is_phantom
-                else np.array(fragment.column(attribute), copy=True)
-            )
+            # Encoded only now that the payload has room and crossed.
+            frames = self._encode(fragment, attribute)[1]
+            if frames is not None:
+                values = decode_frames(frames)
+            elif fragment.is_phantom:
+                values = None
+            else:
+                values = np.array(fragment.column(attribute), copy=True)
             entry = StagedColumn(
-                fragment, attribute, width, fragment.version, allocation, values
+                fragment, attribute, width, fragment.version, allocation, values,
+                frames,
             )
             self.cache.insert(entry)
             entries.append(entry)
@@ -296,11 +398,13 @@ class StagingManager:
         """Charge *misses* as one transfer that installs no replica.
 
         The fallback when :meth:`acquire_set` returns ``None``: the same
-        bytes cross the link with the same wire time and fault site as
-        the burst that would have cached them, but the next query
-        misses again.
+        payload bytes cross the link with the same wire time and fault
+        site as the burst that would have cached them, but the next
+        query misses again.
         """
-        total = sum(fragment.filled * width for fragment, __, width in misses)
+        total = sum(
+            self.payload_bytes(fragment, attribute) for fragment, attribute, __ in misses
+        )
         return self._burst(misses, (total,), ctx)
 
     def _burst(

@@ -91,3 +91,18 @@ def fake_plane(monkeypatch):
     monkeypatch.setitem(sys.modules, "fake_plane", module)
     monkeypatch.setitem(verify.PLANES, "fake", "fake_plane")
     return module
+
+
+@pytest.fixture
+def skipped_patch(monkeypatch):
+    """The skipped-patch mutant: a patch clears its offsets, copies no cell.
+
+    Staging still charges the patch burst and scatter kernel, so only an
+    answer computed from the replica, checked against an oracle that
+    reads the host columns, can tell the replica went stale.
+    """
+    from repro.staging.cache import StagedColumn
+
+    monkeypatch.setattr(
+        StagedColumn, "apply_patch", lambda entry: entry.pending.clear()
+    )

@@ -119,14 +119,17 @@ class TestPipelineRouting:
     """HyPE over the fused-operator feature set (repro.fusion.costs)."""
 
     ROWS = 200_000
+    #: Small enough that a cold device route loses to the host: from
+    #: about 100k rows the encoded ``i_im_id`` transfer already wins.
+    COLD_HOST_ROWS = 50_000
 
     @staticmethod
-    def _loaded(platform):
+    def _loaded(platform, rows=ROWS):
         from repro.workload import generate_items
 
         engine = CoGaDBEngine(platform)
         engine.create("item", item_schema())
-        columns = generate_items(TestPipelineRouting.ROWS)
+        columns = generate_items(rows)
         engine.load("item", columns)
         return engine, columns
 
@@ -149,7 +152,7 @@ class TestPipelineRouting:
         assert got == float(np.sum(columns["i_price"][mask]))
 
     def test_route_flips_with_placement(self, platform):
-        engine, __ = self._loaded(platform)
+        engine, __ = self._loaded(platform, self.COLD_HOST_ROWS)
         ctx = ExecutionContext(platform)
         engine.run_pipeline("item", self._pipeline(), ctx)
         assert engine.scheduler.decisions[-1] == "fused-cpu"
@@ -174,9 +177,10 @@ class TestPipelineRouting:
         # then charges: raw prediction within 10% of the observation,
         # so the EMA calibration stays near 1 instead of papering over
         # a drifting model.
-        engine, __ = self._loaded(platform)
+        engine, __ = self._loaded(platform, self.COLD_HOST_ROWS)
         ctx = ExecutionContext(platform)
         engine.run_pipeline("item", self._pipeline(), ctx)
+        assert engine.scheduler.decisions[-1] == "fused-cpu"
         from repro import compile_pipeline
 
         plan = compile_pipeline(self._pipeline())

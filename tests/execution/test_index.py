@@ -10,7 +10,7 @@ from repro.layout.layout import Layout
 from repro.layout.linearization import LinearizationKind
 from repro.layout.region import Region
 from repro.model.datatypes import FLOAT64, INT64
-from repro.model.relation import Relation
+from repro.model.relation import Relation, RowRange
 from repro.model.schema import Schema
 
 
@@ -55,6 +55,41 @@ class TestHashIndex:
         ctx = ExecutionContext(platform)
         index.lookup(9, ctx)
         assert ctx.cycles > 0
+
+
+def multi_fragment_layout(platform, keys):
+    """A PAX-style layout: *keys* cut into fragments of 7 rows, out of order."""
+    relation = Relation("m", Schema.of(("pk", INT64), ("v", FLOAT64)), len(keys))
+    fragments = []
+    for start in range(0, len(keys), 7):
+        stop = min(start + 7, len(keys))
+        fragment = Fragment.from_rows(
+            Region(RowRange(start, stop), ("pk", "v")),
+            relation.schema, LinearizationKind.NSM, platform.host_memory,
+            [(keys[row], float(row)) for row in range(start, stop)],
+        )
+        fragments.append(fragment)
+    return Layout("m", relation, fragments[::-1])
+
+
+class TestBulkBuild:
+    def test_equals_the_per_row_build_on_many_fragments(self, platform, ctx):
+        keys = [(row * 7_919) % 1_000 for row in range(40)]
+        layout = multi_fragment_layout(platform, keys)
+        bulk = HashIndex.build(layout, "pk", ctx)
+        rowwise = HashIndex("pk")
+        for fragment in layout.fragments_for_attribute("pk"):
+            start = fragment.region.rows.start
+            for offset in range(fragment.filled):
+                rowwise.insert(fragment.read_field(offset, "pk"), start + offset)
+        assert list(bulk._positions.items()) == list(rowwise._positions.items())
+        assert ctx.breakdown.parts == {"index-build(pk)": 40 * 12.0}
+
+    def test_duplicate_key_across_fragments_raises(self, platform):
+        keys = list(range(20)) + [3]
+        layout = multi_fragment_layout(platform, keys)
+        with pytest.raises(ExecutionError, match="duplicate key 3 on indexed"):
+            HashIndex.build(layout, "pk")
 
 
 class TestPointQuery:

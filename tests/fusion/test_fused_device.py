@@ -43,11 +43,12 @@ class TestCostEvents:
         assert run_fused_device(plan, store, ctx) == oracle
         counters = ctx.counters
         # Both operand columns cross in ONE coalesced burst; the only
-        # other wire event is the scalar result copy.
+        # other wire event is the scalar result copy.  The int64 keys
+        # (0..999) cross as one frame: an 8 B base and 2 B offsets.
         assert counters.transfers == 2
         assert counters.kernel_launches == 1
         assert counters.staging_misses == 2
-        assert counters.pcie_bytes == 2 * ROWS * 8 + 8
+        assert counters.pcie_bytes == (8 + ROWS * 2) + ROWS * 8 + 8
 
     def test_warm_run_hits_the_cache(self, plan, relation, columns, oracle):
         platform = Platform.paper_testbed()

@@ -187,26 +187,27 @@ class TestEvaluator:
 #: the counts, so this pins the cycles and burn rates.
 PROBE_OVERLOAD_ALERTS = {
     5: [
-        ("shed-rate", "ticket", 197403.24762161094, 8.695652174, 8.695652174),
-        ("shed-rate", "page", 276364.5466702553, 16.666666667, 11.515151515),
-        ("shed-rate", "page", 552729.0933405106, 13.913043478, 13.913043478),
+        ("shed-rate", "ticket", 195545.66887161095, 7.619047619, 7.619047619),
+        ("shed-rate", "page", 273763.93642025534, 17.142857143, 11.515151515),
+        ("shed-rate", "page", 547527.8728405106, 13.684210526, 13.684210526),
     ],
     23: [
-        ("shed-rate", "ticket", 113461.69758722752, 17.142857143, 17.142857143),
-        ("shed-rate", "page", 136154.03710467304, 17.142857143, 17.142857143),
-        ("shed-rate", "page", 226923.39517445507, 13.846153846, 13.846153846),
-        ("shed-rate", "page", 317692.7532442371, 10.588235294, 10.588235294),
-        ("shed-rate", "page", 408462.11131401913, 14.736842105, 14.736842105),
-        ("shed-rate", "page", 499231.46938380116, 12.380952381, 12.380952381),
-        ("shed-rate", "page", 635385.5064884743, 15.0, 15.0),
+        ("shed-rate", "page", 99015.14790311537, 17.142857143, 17.142857143),
+        ("shed-rate", "ticket", 123768.93487889422, 17.142857143, 17.142857143),
+        ("shed-rate", "page", 198030.29580623074, 13.846153846, 14.545454545),
+        ("shed-rate", "page", 396060.5916124615, 14.736842105, 12.352941176),
+        ("shed-rate", "page", 495075.73951557686, 12.380952381, 13.5),
+        ("shed-rate", "page", 643598.46137025, 13.333333333, 14.545454545),
+        ("p99-latency", "ticket", 866382.5441522596, 8.0, 3.333333333),
+        ("p99-latency", "page", 940643.9050795964, 20.0, 20.0),
     ],
     101: [
-        ("shed-rate", "page", 124863.52728380197, 15.0, 15.0),
-        ("shed-rate", "ticket", 208105.8788063366, 15.0, 12.0),
-        ("shed-rate", "page", 249727.05456760392, 11.578947368, 11.578947368),
-        ("shed-rate", "page", 457832.93337394047, 12.258064516, 13.181818182),
-        ("shed-rate", "page", 582696.4606577425, 14.117647059, 14.117647059),
-        ("shed-rate", "page", 665938.8121802771, 12.307692308, 12.307692308),
+        ("shed-rate", "page", 164821.76037840263, 15.0, 15.0),
+        ("shed-rate", "ticket", 206027.20047300326, 15.0, 12.0),
+        ("shed-rate", "page", 247232.64056760396, 11.578947368, 11.578947368),
+        ("shed-rate", "page", 453259.84104060725, 11.333333333, 12.380952381),
+        ("shed-rate", "page", 576876.1613244092, 14.117647059, 14.117647059),
+        ("shed-rate", "page", 659287.0415136105, 13.333333333, 13.333333333),
     ],
 }
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.rebalance import build_skewed_stream, run_rebalance_chaos
+from repro.rebalance import verifier
 
 SMOKE = dict(query_count=24, row_count=512, interleave_count=24)
 
@@ -15,6 +18,31 @@ class TestSkewedStream:
         for spec_a, spec_b in zip(first, second):
             assert spec_a.shape == spec_b.shape
             assert spec_a.positions == spec_b.positions
+
+    def test_first_index_moves_indices_not_positions(self):
+        base = build_skewed_stream(512, 9, seed=7, hot_fraction=0.8)
+        moved = build_skewed_stream(512, 9, seed=7, hot_fraction=0.8, first_index=40)
+        assert [spec.index for spec in moved] == list(range(40, 49))
+        assert [(s.shape, s.positions) for s in moved] == [
+            (s.shape, s.positions) for s in base
+        ]
+
+    @pytest.mark.parametrize("seed", [5, 23, 101])
+    def test_a_runs_streams_share_no_index(self, seed, monkeypatch):
+        built = []
+
+        def recording(*args, **kwargs):
+            stream = build_skewed_stream(*args, **kwargs)
+            built.append({spec.index for spec in stream})
+            return stream
+
+        monkeypatch.setattr(verifier, "build_skewed_stream", recording)
+        result = run_rebalance_chaos(
+            seed=seed, fault_rate=0.0, measure_count=24, **SMOKE
+        )
+        assert result.ok
+        assert [len(indices) for indices in built] == [24, 24, 24]
+        assert len(set().union(*built)) == 72
 
     def test_hot_fraction_targets_the_first_eighth(self):
         stream = build_skewed_stream(512, 32, seed=1, hot_fraction=1.0)

@@ -9,8 +9,16 @@ drift from the first in lookup order, hit accounting or burst shape.
 The device operators also compute only from the arrays ``stage``
 returns.  One that read ``fragment.column`` itself would answer from
 the host copy and hide a stale replica from every answer check.
+
+And every GPU kernel cost or transfer prediction a device operator or
+predictor prices takes its bytes from the staging helper
+(``StagingManager.stream`` / ``payload_bytes``), never from a schema
+width: a kernel charged or predicted on ``count * width`` would price
+raw bytes for an encoded replica, and HyPE would route on bytes that
+never cross.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -64,3 +72,88 @@ def test_device_operators_read_only_what_they_staged():
         "repro.staging.StagingManager.stage returns; host reads found:\n"
         + "\n".join(offenders)
     )
+
+
+#: Modules that charge or predict device kernels and transfers.
+DEVICE_PRICERS = DEVICE_OPERATORS + (
+    "repro/fusion/oracle.py",
+    "repro/fusion/costs.py",
+    "repro/engines/cogadb.py",
+)
+
+#: GPU kernel costs and transfer predictions.
+PRICED_CALLS = {
+    "reduction_cost",
+    "batched_reduction_cost",
+    "fused_pipeline_cost",
+    "select_kernel_cycles",
+    "gather_kernel_cycles",
+    "predicted_transfer_cost",
+    "predicted_cost",
+}
+
+#: A name holding a schema width: ``width``, ``agg_width``, ``widths``...
+WIDTH_NAME = re.compile(r"^([a-z_]+_)?widths?$")
+
+
+def _schema_widths(call: ast.Call) -> list[str]:
+    """The schema widths *call*'s arguments reference, by source text.
+
+    A width read off the helper's result (``column.width``) is allowed;
+    a width name or a ``schema.attribute(...).width`` lookup is not.
+    """
+    found = []
+    for argument in [*call.args, *(keyword.value for keyword in call.keywords)]:
+        for node in ast.walk(argument):
+            if isinstance(node, ast.Name) and WIDTH_NAME.match(node.id):
+                found.append(node.id)
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "width"
+                and isinstance(node.value, ast.Call)
+            ):
+                found.append(ast.unparse(node))
+    return found
+
+
+def _priced_calls(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in PRICED_CALLS:
+                yield node
+
+
+def test_device_pricing_reads_the_staging_helper():
+    src_root = Path(repro.__file__).resolve().parent
+    offenders = []
+    priced = 0
+    for relative in DEVICE_PRICERS:
+        path = src_root.parent / relative
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call in _priced_calls(tree):
+            priced += 1
+            for width in _schema_widths(call):
+                offenders.append(f"{relative}:{call.lineno}: {width}")
+    assert priced >= 15  # the lint sees the calls it is meant to check
+    assert not offenders, (
+        "device kernel costs and transfer predictions must take their "
+        "bytes from StagingManager.stream / payload_bytes, not a schema "
+        "width:\n" + "\n".join(offenders)
+    )
+
+
+def test_the_pricing_lint_flags_a_raw_width():
+    tree = ast.parse(
+        "gpu.reduction_cost(count, width, counters)\n"
+        "staging.predicted_transfer_cost(f.filled * f.schema.attribute(a).width)\n"
+        "gpu.reduction_cost(column.count, column.width, nbytes=column.nbytes)\n"
+        "scheduler.predicted_cost(matches * POSITION_WIDTH)\n"
+    )
+    assert [_schema_widths(call) for call in _priced_calls(tree)] == [
+        ["width"],
+        ["f.schema.attribute(a).width"],
+        [],
+        [],
+    ]

@@ -1,13 +1,15 @@
 """Patched replicas: a write through ``update_field`` keeps the replica.
 
 The hook records the written offset, and the next ``stage`` ships only
-the pending cells (an int64 offset plus a value each, in one burst)
-and scatters them with one kernel.  These tests pin that contract:
-replicas stay byte-identical to their fragments under random writes,
-a patch moves exactly its cells, a replica that would cost as much to
-patch as to re-stage is dropped, a write the hook never sees still
-forces a miss, a fault never leaves a stale or half-patched replica,
-and the cost prediction prices the patch the read then pays.
+the pending cells (an int64 offset plus a payload cell each, in one
+burst) and scatters them with one kernel.  These tests pin that
+contract: replicas stay byte-identical to their fragments under random
+writes, a patch moves exactly its cells (``8 + width`` bytes each for a
+raw replica, ``8 +`` the frame's offset width for an encoded one), a
+write outside its frame or a patch that would cost as much as
+re-staging drops the replica, a write the hook never sees still forces
+a miss, a fault never leaves a stale or half-patched replica, and the
+cost prediction prices the patch the read then pays.
 """
 
 import numpy as np
@@ -33,7 +35,8 @@ from repro.model.schema import Schema
 from repro.serving.batch import run_device_batch
 from repro.serving.server import LayoutBackend
 from repro.serving.verifier import OLAP_ATTRIBUTES, build_item_store
-from repro.staging.cache import OFFSET_WIDTH
+from repro.model.datatypes import INT64
+from repro.staging.cache import FRAME_ROWS, OFFSET_WIDTH, decode_frames
 from repro.workload.queries import QueryShape, QuerySpec
 
 ROWS = 100
@@ -50,6 +53,17 @@ def price_store(platform, label="prices"):
     return Layout(label, relation, [fragment])
 
 
+def key_store(platform):
+    """A 100-row int64 column of 0..99: one frame of 1 B offsets."""
+    relation = Relation("keys", Schema.of(("key", INT64)), ROWS)
+    fragment = Fragment(
+        Region.full(relation), relation.schema, None, platform.host_memory,
+        label="keys",
+    )
+    fragment.append_columns({"key": np.arange(ROWS, dtype=np.int64)})
+    return Layout("keys", relation, [fragment])
+
+
 def host_sum(store, attribute, platform):
     return sum_column(store, attribute, ExecutionContext(platform))
 
@@ -59,7 +73,9 @@ def assert_replicas_match(platform, read=None):
 
     A replica not read since its last write still differs at its
     pending offsets, which are masked out; every *read* attribute's
-    replica (all of them when *read* is None) must have none.
+    replica (all of them when *read* is None) must have none.  An
+    encoded replica's values are also exactly what its payload decodes
+    to.
     """
     for entry in platform.staging.cache:
         if read is None or entry.attribute in read:
@@ -68,12 +84,15 @@ def assert_replicas_match(platform, read=None):
         keep[list(entry.pending)] = False
         column = entry.source.column(entry.attribute)
         assert entry.values[keep].tobytes() == column[keep].tobytes()
+        if entry.frames is not None:
+            decoded = decode_frames(entry.frames)
+            assert decoded[keep].tobytes() == entry.values[keep].tobytes()
 
 
-def warm_sum(store, platform):
+def warm_sum(store, platform, attribute="price"):
     """A read of a clean staged column, in its own context."""
     warm = ExecutionContext(platform)
-    device_sum_column(store, "price", warm)
+    device_sum_column(store, attribute, warm)
     return warm.counters
 
 
@@ -89,10 +108,13 @@ class TestRandomizedWrites:
         ctx = ExecutionContext(platform)
         for attribute in OLAP_ATTRIBUTES:
             device_sum_column(store, attribute, ctx)
-        assert len(platform.staging.cache) == len(OLAP_ATTRIBUTES)
+        cache = platform.staging.cache
+        assert len(cache) == len(OLAP_ATTRIBUTES)
+        (im_id,) = store.fragments_for_attribute("i_im_id")
+        assert cache.peek(im_id, "i_im_id").frames is not None
         rng = np.random.default_rng(27)
         written_since_read: set[tuple[str, int]] = set()
-        rewrites = patched_reads = 0
+        rewrites = patched_reads = encoded_patches = drops = 0
         for __ in range(self.STEPS):
             step = rng.uniform()
             if step < 0.6:
@@ -103,13 +125,32 @@ class TestRandomizedWrites:
                     position = int(rng.integers(self.ROWS))
                 if attribute == "i_price":
                     value = float(rng.uniform(-1e6, 1e6))
+                elif rng.uniform() < 0.9:
+                    value = int(rng.integers(10_000))
                 else:
-                    value = int(rng.integers(-(2**31), 2**31 - 1))
+                    # Often below the frame's base: the replica drops,
+                    # and re-stages encoded around the new minimum.
+                    value = -int(rng.integers(1, 200))
                 rewrites += (attribute, position) in written_since_read
                 written_since_read.add((attribute, position))
+                staged = cache.peek(im_id, "i_im_id")
+                fits = True
+                if attribute == "i_im_id" and staged is not None:
+                    base, codes = staged.frames[position // FRAME_ROWS].payload
+                    delta = value - int(base[0])
+                    fits = 0 <= delta <= np.iinfo(codes.dtype).max
                 update_field(store, position, attribute, value, ctx)
+                if staged is not None and cache.peek(im_id, "i_im_id") is None:
+                    # Only a value outside its frame drops the replica.
+                    assert not fits
+                    drops += 1
+                elif staged is not None:
+                    assert fits
                 continue
-            patched_reads += any(entry.pending for entry in platform.staging.cache)
+            patched_reads += any(entry.pending for entry in cache)
+            encoded_patches += any(
+                entry.pending and entry.frames is not None for entry in cache
+            )
             if step < 0.8:
                 attribute = OLAP_ATTRIBUTES[int(rng.integers(2))]
                 answers = [device_sum_column(store, attribute, ctx)]
@@ -126,10 +167,13 @@ class TestRandomizedWrites:
             assert_replicas_match(platform, read=attributes)
         assert rewrites > 0
         assert patched_reads > 0
-        # Every read was served by a replica: nothing was dropped.
-        assert ctx.counters.staging_misses == len(OLAP_ATTRIBUTES)
-        assert platform.staging.cache.invalidations == 0
-        assert platform.device_memory.used == platform.staging.cache.resident_bytes
+        assert encoded_patches > 0
+        # Every read was served by a replica, except the first read of
+        # i_im_id after each write outside its frame dropped it.
+        assert drops > 0
+        assert ctx.counters.staging_misses == len(OLAP_ATTRIBUTES) + drops
+        assert cache.invalidations == drops
+        assert platform.device_memory.used == cache.resident_bytes
 
 
 class TestPatchCharge:
@@ -155,6 +199,38 @@ class TestPatchCharge:
         again = warm_sum(store, platform)
         assert again.pcie_bytes == clean.pcie_bytes
         assert again.cycles == clean.cycles
+
+    @pytest.mark.parametrize("writes", [1, 5, 11])
+    def test_an_encoded_patch_ships_its_frame_width(self, platform, ctx, writes):
+        store = key_store(platform)
+        device_sum_column(store, "key", ctx)
+        entry = platform.staging.cache.peek(store.fragments[0], "key")
+        # 0..99 is one frame: an 8 B base and 1 B offsets.
+        assert entry.nbytes == 8 + ROWS
+        clean = warm_sum(store, platform, "key")
+        for position in range(writes):
+            update_field(store, position * 3, "key", 50 + position, ctx)
+        patched = ExecutionContext(platform)
+        assert device_sum_column(store, "key", patched) == host_sum(
+            store, "key", platform
+        )
+        counters = patched.counters
+        assert counters.pcie_bytes - clean.pcie_bytes == writes * (OFFSET_WIDTH + 1)
+        assert (counters.staging_hits, counters.staging_misses) == (1, 0)
+        assert_replicas_match(platform)
+
+    def test_a_write_outside_its_frame_drops_the_replica(self, platform, ctx):
+        store = key_store(platform)
+        device_sum_column(store, "key", ctx)
+        update_field(store, 7, "key", 256, ctx)  # past 0 + 255
+        assert platform.staging.cache.peek(store.fragments[0], "key") is None
+        assert platform.staging.cache.invalidations == 1
+        assert platform.device_memory.used == 0
+        reread = ExecutionContext(platform)
+        assert device_sum_column(store, "key", reread) == host_sum(
+            store, "key", platform
+        )
+        assert reread.counters.staging_misses == 1
 
     def test_rewriting_a_cell_ships_it_once_with_the_last_value(
         self, platform, ctx
@@ -339,21 +415,21 @@ class TestPrediction:
         device_sum_column(price_store(platform, label="other"), "price", ctx)
         staging = platform.staging
         nbytes = ROWS * WIDTH
-        assert staging.predicted_transfer_cost(nbytes, fragment, "price") == 0.0
+        assert staging.predicted_transfer_cost(fragment, "price") == 0.0
         for position in (1, 2, 3):
             update_field(store, position, "price", 8.0, ctx)
 
         cache = staging.cache
         before = (cache.hits, cache.misses, [id(entry) for entry in cache])
-        predicted = staging.predicted_transfer_cost(nbytes, fragment, "price")
+        predicted = staging.predicted_transfer_cost(fragment, "price")
         # Pure: no stats, no LRU movement.
         assert (cache.hits, cache.misses, [id(entry) for entry in cache]) == before
         assert predicted == staging.scheduler.predicted_cost(
             3 * (OFFSET_WIDTH + WIDTH)
         )
-        assert 0.0 < predicted < staging.predicted_transfer_cost(nbytes)
+        assert 0.0 < predicted < staging.scheduler.predicted_cost(nbytes)
 
         read = ExecutionContext(platform)
         staging.stage([(fragment, "price", WIDTH)], read)
         assert read.breakdown.parts["pcie-transfer"] == predicted
-        assert staging.predicted_transfer_cost(nbytes, fragment, "price") == 0.0
+        assert staging.predicted_transfer_cost(fragment, "price") == 0.0
