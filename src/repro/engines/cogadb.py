@@ -118,28 +118,14 @@ class HypeScheduler:
             gpu += transfer
         return cpu, gpu
 
-    def predict_sum(
-        self,
-        count: int,
-        width: int,
-        on_device: bool,
-        fragment: Fragment | None = None,
-        attribute: str | None = None,
-    ) -> tuple[float, float]:
-        """Calibrated (cpu_cycles, gpu_cycles) predictions for a column sum."""
-        cpu, gpu = self.raw_predict_sum(count, width, on_device, fragment, attribute)
+    def predict_sum(self, raw: tuple[float, float]) -> tuple[float, float]:
+        """Calibrated (cpu_cycles, gpu_cycles) from a :meth:`raw_predict_sum`."""
+        cpu, gpu = raw
         return cpu * self.cpu_calibration, gpu * self.gpu_calibration
 
-    def choose_sum_device(
-        self,
-        count: int,
-        width: int,
-        on_device: bool,
-        fragment: Fragment | None = None,
-        attribute: str | None = None,
-    ) -> str:
-        """'cpu' or 'gpu', whichever the calibrated prediction favors."""
-        cpu, gpu = self.predict_sum(count, width, on_device, fragment, attribute)
+    def choose_sum_device(self, raw: tuple[float, float]) -> str:
+        """'cpu' or 'gpu', whichever the calibrated *raw* prediction favors."""
+        cpu, gpu = self.predict_sum(raw)
         choice = "gpu" if gpu < cpu else "cpu"
         self.decisions.append(choice)
         return choice
@@ -162,20 +148,14 @@ class HypeScheduler:
         """
         return predicted_route_costs(plan, layout, self.platform, selectivity)
 
-    def predict_pipeline(
-        self,
-        plan: FusedPipeline,
-        layout: Layout,
-        selectivity: float | None = None,
-    ) -> dict[str, float]:
-        """Calibrated predictions: each route scaled by its device's factor.
+    def predict_pipeline(self, raw: dict[str, float]) -> dict[str, float]:
+        """Calibrated predictions: each route's *raw* price scaled by its device's factor.
 
-        A route's calibration is decided by its placement suffix — the
+        *raw* is a :meth:`raw_predict_pipeline` result.  A route's calibration is decided by its placement suffix — the
         ``*-cpu`` routes share the host factor, the ``*-gpu`` routes the
         device factor — so observations from the scalar operators
         (:meth:`observe`) transfer to pipelines and vice versa.
         """
-        raw = self.raw_predict_pipeline(plan, layout, selectivity)
         return {
             route: cost
             * (
@@ -186,14 +166,9 @@ class HypeScheduler:
             for route, cost in raw.items()
         }
 
-    def choose_pipeline_route(
-        self,
-        plan: FusedPipeline,
-        layout: Layout,
-        selectivity: float | None = None,
-    ) -> str:
-        """The cheapest calibrated route for *plan* (recorded in decisions)."""
-        predictions = self.predict_pipeline(plan, layout, selectivity)
+    def choose_pipeline_route(self, raw: dict[str, float]) -> str:
+        """The cheapest calibrated route of *raw* (recorded in decisions)."""
+        predictions = self.predict_pipeline(raw)
         route = min(PIPELINE_ROUTES, key=lambda name: predictions[name])
         self.decisions.append(route)
         return route
@@ -362,9 +337,7 @@ class CoGaDBEngine(StorageEngine):
         cpu_prediction, gpu_prediction = self.scheduler.raw_predict_sum(
             count, width, on_device, fragment, attribute
         )
-        choice = self.scheduler.choose_sum_device(
-            count, width, on_device, fragment, attribute
-        )
+        choice = self.scheduler.choose_sum_device((cpu_prediction, gpu_prediction))
         host_layout = managed.layouts[1]
         # The span annotates HyPE's decision inputs and outcome; the
         # routed operator's own span nests underneath it.
@@ -454,8 +427,9 @@ class CoGaDBEngine(StorageEngine):
         )
         on_device = all(is_device_resident(f) for f in view_fragments)
         before = ctx.counters.cycles
+        # Priced once: the route and HyPE's observation both derive from it.
         raw = self.scheduler.raw_predict_pipeline(plan, gpu_view, selectivity)
-        route = self.scheduler.choose_pipeline_route(plan, gpu_view, selectivity)
+        route = self.scheduler.choose_pipeline_route(raw)
         with ctx.span(
             f"cogadb-pipeline({plan.describe()})",
             "operator",

@@ -10,11 +10,12 @@ The sum reads its column through
 :meth:`~repro.staging.StagingManager.stage` (``platform.staging``) and
 adds up the arrays it returns: a repeat query finds its device replica
 in the staging cache and pays no PCIe beyond a patch of the cells
-written since the last read, and the misses are staged in one coalesced
-burst.  A column that cannot be cached even after evicting every
-replica is still shipped, uncached, through a bounce buffer, with
-charges byte-identical to the pre-cache code, so a cold cache
-reproduces the old cost sequence exactly.
+written since the last read (and takes the replica's sum from the
+replica while its contents are unchanged), and the misses are staged
+in one coalesced burst.  A column that cannot be cached even after
+evicting every replica is still shipped, uncached, through a bounce
+buffer, with charges byte-identical to the pre-cache code, so a cold
+cache reproduces the old cost sequence exactly.
 
 Resilience: staging transfers are retried under the context's
 :class:`~repro.faults.RetryPolicy`, injected device-OOM is absorbed by
@@ -157,7 +158,9 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
     * a device-resident fragment is charged only the kernel cost;
     * a fresh replica in the staging cache serves the read (a staging
       hit); PCIe is charged only for a patch of cells written since
-      its last read;
+      its last read, and its sum is the one it remembers from its
+      current contents
+      (:meth:`~repro.staging.cache.StagedColumn.remembered_sum`);
     * the misses are staged in one coalesced burst, which installs
       cached replicas for the next query;
     * the kernel streams the column's payload
@@ -182,13 +185,15 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
         "operator",
         on_device=all(is_device_resident(fragment) for fragment in fragments),
     ):
-        columns, misses, entries = staging.stage(
+        columns, misses, entries, replicas = staging.stage(
             [(fragment, attribute, width) for fragment in fragments], ctx
         )
         total = 0.0
-        for values in columns:
+        for values, replica in zip(columns, replicas):
             if values is not None and len(values):
-                total += float(np.sum(values))
+                total += (
+                    float(np.sum(values)) if replica is None else replica.remembered_sum()
+                )
         column = staging.stream(fragments, attribute)
         chunks = 1
         if entries is None:

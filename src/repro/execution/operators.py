@@ -280,17 +280,17 @@ def materialize_rows(
     attribute* — the factor that makes the row store win panel 1.
     """
     model = ctx.platform.memory_model
-    schema = layout.relation.schema
     results: list[tuple[Any, ...]] = []
     latency: Cycles = 0.0
     compute: Cycles = 0.0
 
+    # Each cell's owner, found once for both planes.
+    owners = layout.owners(positions)
     # Cost plane: group by (fragment, shape); every attribute of every
     # position must be fetched from its owning fragment.
     fragment_positions: dict[int, tuple[Fragment, set[int]]] = {}
-    for position in positions:
-        for attribute in schema.names:
-            fragment = layout.fragment_for(position, attribute)
+    for position, row_owners in zip(positions, owners):
+        for fragment in row_owners:
             entry = fragment_positions.setdefault(id(fragment), (fragment, set()))
             entry[1].add(position)
     for fragment, rows in fragment_positions.values():
@@ -314,8 +314,7 @@ def materialize_rows(
     # Data plane (skipped when the layout holds phantom fragments:
     # cost-only benchmark runs have no payload to materialize).
     if not any(fragment.is_phantom for fragment in layout.fragments):
-        for position in positions:
-            results.append(layout.read_row(position))
+        results = layout.read_rows(positions, owners)
 
     cycles = ctx.platform.cpu.parallelize(
         compute_cycles=compute,

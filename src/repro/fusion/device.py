@@ -16,6 +16,14 @@ fused plan makes the whole chain one cost event:
   in registers when encoded;
 * only the final scalar crosses the bus back.
 
+When every operand was served by a staged replica, the answer is the
+one those replicas remember for the plan
+(:meth:`~repro.staging.cache.StagedColumn.remembered_answer`): the
+first operand's replica holds it, keyed on the plan's stages (by
+identity, so a stage function is taken to be pure) and on the other
+replicas' content stamps, so any patch or re-staging of an operand
+recomputes it.  Every charge above is made either way.
+
 Fault sites keep firing inside the fused path with exactly-once
 attribution: the PCIe site fires inside the (retry-wrapped) burst, the
 ``device.kernel`` site fires inside the single accounted launch, and
@@ -84,7 +92,7 @@ def run_fused_device(
             for attribute, width in zip(plan.attributes, widths)
             for fragment in layout.fragments_for_attribute(attribute)
         ]
-        columns, misses, entries = staging.stage(requests, ctx)
+        columns, misses, entries, replicas = staging.stage(requests, ctx)
         if entries is None:
             needed = sum(staging.payload_bytes(f, a) for f, a, __ in misses)
             raise CapacityError(
@@ -124,5 +132,21 @@ def run_fused_device(
         def values_of(fragment: "Fragment", attribute: str) -> np.ndarray | None:
             return served[(id(fragment), attribute)]
 
-        result, __ = fused_reduce(plan, layout, values_of)
+        def compute() -> Any:
+            return fused_reduce(plan, layout, values_of)[0]
+
+        if all(replica is not None and replica.values is not None for replica in replicas):
+            # Every operand is a staged replica: the answer is the first
+            # one's to remember, keyed on the plan's stages and the
+            # other replicas' content stamps.
+            result = replicas[0].remembered_answer(
+                ("fused", plan.scan_attribute, plan.op, plan.aggregate_attribute),
+                compute,
+                anchors=tuple(
+                    stage for stage in (plan.filter, *plan.projects) if stage is not None
+                ),
+                stamps=tuple(replica.stamp for replica in replicas[1:]),
+            )
+        else:
+            result = compute()
     return result

@@ -197,7 +197,7 @@ def _serve_column(
     """
     staging = ctx.platform.staging
     fragments = layout.fragments_for_attribute(attribute)
-    columns, misses, entries = staging.stage(
+    columns, misses, entries, __ = staging.stage(
         [(fragment, attribute, width) for fragment in fragments], ctx
     )
     if entries is None:

@@ -39,6 +39,11 @@ __all__ = [
 class FilterStage:
     """A vectorized predicate over the scanned attribute.
 
+    ``predicate`` must be a pure function of its input array: a device
+    replica reuses a fused answer for as long as this stage object and
+    the operand contents are unchanged, so a predicate that reads
+    mutable state would see its later changes ignored on that route.
+
     ``selectivity_hint`` is the planner's estimate of the match
     fraction — HyPE's pipeline cost features use it; the executors
     never do (they see the true matches).
@@ -59,6 +64,9 @@ class FilterStage:
 @dataclass(frozen=True)
 class ProjectStage:
     """An elementwise map over the aggregated values.
+
+    ``fn`` must be a pure function of its input array, as
+    :class:`FilterStage` explains.
 
     ``cycles_per_value`` is the host ALU charge per projected value
     (and the per-element op count the device roofline sees).
@@ -127,7 +135,11 @@ class Pipeline:
         predicate: Callable[[np.ndarray], np.ndarray],
         selectivity_hint: float = 0.5,
     ) -> "Pipeline":
-        """Keep rows whose scanned value satisfies *predicate*."""
+        """Keep rows whose scanned value satisfies *predicate*.
+
+        *predicate* must be pure (see :class:`FilterStage`): build a new
+        pipeline to change it, never mutate what it reads.
+        """
         self._check_open("a filter")
         if self.filter_stage is not None:
             raise UnsupportedPipelineError(
@@ -145,7 +157,10 @@ class Pipeline:
         cycles_per_value: float = 1.0,
         name: str = "project",
     ) -> "Pipeline":
-        """Map the aggregated values elementwise through *fn*."""
+        """Map the aggregated values elementwise through *fn*.
+
+        *fn* must be pure (see :class:`FilterStage`).
+        """
         self._check_open("a projection")
         if self.filter_stage is None:
             raise UnsupportedPipelineError(

@@ -11,7 +11,7 @@ engine properties from.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import LayoutError
 from repro.layout.fragment import Fragment
@@ -148,14 +148,47 @@ class Layout:
             raise LayoutError(f"{self.name}: no fragment covers attribute {attribute!r}")
         return matches
 
+    def owners(self, rows: Iterable[int]) -> list[tuple[Fragment, ...]]:
+        """Each row's owning fragment per attribute (schema order).
+
+        The rule of :meth:`fragment_for`, raising as it does for an
+        uncovered cell, with each attribute's candidates found once for
+        all *rows*.
+        """
+        names = self.relation.schema.names
+        covering = [
+            [fragment for fragment in self.fragments if name in fragment.region.attributes]
+            for name in names
+        ]
+        owners: list[tuple[Fragment, ...]] = []
+        for row in rows:
+            row_owners: list[Fragment] = []
+            for name, fragments in zip(names, covering):
+                for fragment in fragments:
+                    if fragment.region.rows.contains(row):
+                        row_owners.append(fragment)
+                        break
+                else:
+                    raise LayoutError(f"{self.name}: no fragment covers ({row}, {name!r})")
+            owners.append(tuple(row_owners))
+        return owners
+
+    def read_rows(
+        self, rows: Sequence[int], owners: Sequence[tuple[Fragment, ...]]
+    ) -> list[tuple[Any, ...]]:
+        """Materialize *rows* from their :meth:`owners` (schema order)."""
+        names = self.relation.schema.names
+        return [
+            tuple(
+                fragment.read_field(row - fragment.region.rows.start, name)
+                for fragment, name in zip(row_owners, names)
+            )
+            for row, row_owners in zip(rows, owners)
+        ]
+
     def read_row(self, row: int) -> tuple[Any, ...]:
         """Materialize a full logical row across fragments (schema order)."""
-        values: list[Any] = []
-        for attribute in self.relation.schema.names:
-            fragment = self.fragment_for(row, attribute)
-            local = row - fragment.region.rows.start
-            values.append(fragment.read_field(local, attribute))
-        return tuple(values)
+        return self.read_rows((row,), self.owners((row,)))[0]
 
     # ------------------------------------------------------------------
     # Structural predicates (feed the taxonomy classifier)

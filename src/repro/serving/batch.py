@@ -20,7 +20,8 @@ them **per batch**:
 The data plane is deliberately identical to the serial path: each
 distinct column's answer is summed from the arrays
 :meth:`~repro.staging.StagingManager.stage` returned — the device
-replica on a hit — accumulating ``float(np.sum(...))`` per fragment in
+replica on a hit, whose sum the replica remembers while its contents
+are unchanged — accumulating ``float(np.sum(...))`` per fragment in
 fragment order, exactly as
 :func:`~repro.execution.device.device_sum_column` does.  Batching is a
 cost-plane optimization, never a semantics change, and the serving
@@ -82,11 +83,13 @@ def run_device_batch(
             requests += [(fragment, attribute, width) for fragment in fragments]
             operands.append((fragments, attribute))
             result_width += width * attributes.count(attribute)
-        columns, misses, entries = staging.stage(requests, ctx)
+        columns, misses, entries, replicas = staging.stage(requests, ctx)
         totals = dict.fromkeys(distinct, 0.0)
-        for (__, attribute, __), values in zip(requests, columns):
+        for (__, attribute, __), values, replica in zip(requests, columns, replicas):
             if values is not None and len(values):
-                totals[attribute] += float(np.sum(values))
+                totals[attribute] += (
+                    float(np.sum(values)) if replica is None else replica.remembered_sum()
+                )
         if entries is None:
             # The operand set cannot be cached even after eviction: ship
             # the same bytes uncached (same wire time, no replicas

@@ -7,7 +7,8 @@ that qualitative "keep it resident" advice into machinery:
 
 * :class:`StagingCache` — an LRU cache of device replicas of staged
   host columns, keyed by fragment identity + version, so repeated OLAP
-  queries over the same column pay the transfer once
+  queries over the same column pay the transfer once, and each replica
+  remembers the answers computed from it until its contents change
   (:doc:`docs/STAGING.md <../../docs/STAGING>` describes the policy);
 * :class:`TransferScheduler` — the single choke point for PCIe cost
   accounting: coalesced DMA bursts (one latency charge per burst);

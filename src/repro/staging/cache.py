@@ -14,6 +14,15 @@ replica's device allocation is the payload, and its ``values`` — what
 the data plane reads — are decoded from the payload, so a codec or
 patch bug is a wrong answer.  Floats, strings and phantoms stay raw.
 
+A replica remembers the answers the data plane computed from it
+(:meth:`StagedColumn.remembered_sum`, :meth:`StagedColumn.remembered_answer`)
+until its contents change: :meth:`StagedColumn.apply_patch` forgets
+them and takes a new content :attr:`StagedColumn.stamp`, and a dropped
+replica takes its answers with it.  An answer read from several
+replicas lives on one and is keyed on the others' stamps, which come
+from one process-wide counter, so a re-staged replica never matches an
+old answer.
+
 A point write through ``update_field`` does not drop the replica:
 :meth:`StagingCache.record_write` advances the replica's version and
 records the written offset as *pending*, and the staging manager
@@ -32,8 +41,10 @@ pre-cache transfer path.
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
 import numpy as np
 
@@ -60,6 +71,9 @@ FRAME_ROWS = 65_536
 
 #: An encoded payload: one frame-of-reference column per frame, in order.
 Frames = tuple[CompressedColumn, ...]
+
+#: Content stamps: every staged replica and every patch takes the next.
+_STAMPS = itertools.count()
 
 
 def encode_frames(values: np.ndarray) -> Frames:
@@ -112,6 +126,13 @@ class StagedColumn:
     pending:
         Local offsets written since the values were last shipped; the
         staging manager patches them before the replica serves.
+    stamp:
+        The content stamp: unique to these contents of this replica,
+        taken when it is staged and again at every patch.
+    remembered:
+        Answers computed from the current contents, by key: ``(weak
+        references to the anchors, the other operands' stamps,
+        answer)``.  Emptied by every patch.
     """
 
     def __init__(
@@ -132,6 +153,8 @@ class StagedColumn:
         self.values = values
         self.frames = frames
         self.pending: set[int] = set()
+        self.stamp = next(_STAMPS)
+        self.remembered: dict[Hashable, tuple[tuple, tuple[int, ...], Any]] = {}
 
     @property
     def nbytes(self) -> int:
@@ -165,7 +188,8 @@ class StagedColumn:
 
         The cells are read now, so the last write to a cell wins.  An
         encoded replica re-encodes each cell into its frame's payload
-        and decodes ``values`` back from it.
+        and decodes ``values`` back from it.  The new contents take a
+        new stamp and forget every remembered answer.
         """
         offsets = np.fromiter(self.pending, dtype=np.int64, count=len(self.pending))
         column = self.source.column(self.attribute)
@@ -180,6 +204,48 @@ class StagedColumn:
                 codes[local] = column[cells].astype(np.int64) - base[0]
                 self.values[cells] = codes[local].astype(np.int64) + base[0]
         self.pending.clear()
+        self.stamp = next(_STAMPS)
+        self.remembered = {}
+
+    def remembered_answer(
+        self,
+        key: Hashable,
+        compute: Callable[[], Any],
+        anchors: tuple = (),
+        stamps: tuple[int, ...] = (),
+    ) -> Any:
+        """What *compute* answers over these contents, computed once.
+
+        *key* names the computation; *anchors* are the objects it
+        closes over (a plan's stages), matched by identity and held
+        weakly; *stamps* are the content stamps of the other replicas
+        it reads.  The answer is reused while all three match and these
+        contents are unchanged; otherwise *compute* runs and its answer
+        replaces the one held under *key*.  Entries whose anchors have
+        died are dropped then, so the answers held are bounded by the
+        plans still alive.
+        """
+        slot = (key, *map(id, anchors))
+        held = self.remembered.get(slot)
+        if held is not None:
+            refs, held_stamps, answer = held
+            if held_stamps == stamps and all(
+                ref() is anchor for ref, anchor in zip(refs, anchors)
+            ):
+                return answer
+        answer = compute()
+        for dead in [
+            other
+            for other, (refs, __, __) in self.remembered.items()
+            if any(ref() is None for ref in refs)
+        ]:
+            del self.remembered[dead]
+        self.remembered[slot] = (tuple(map(weakref.ref, anchors)), stamps, answer)
+        return answer
+
+    def remembered_sum(self) -> float:
+        """``float(np.sum(values))``, computed once per contents."""
+        return self.remembered_answer("sum", lambda: float(np.sum(self.values)))
 
     def is_fresh(self) -> bool:
         """Whether the replica still mirrors its source fragment."""

@@ -64,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     #: One operand an operator reads: ``(fragment, attribute, width)``.
     Request = tuple[Fragment, str, int]
 
-__all__ = ["StagingManager", "Stream"]
+__all__ = ["Served", "StagingManager", "Stream"]
 
 
 class Stream(NamedTuple):
@@ -79,6 +79,23 @@ class Stream(NamedTuple):
     width: int
     nbytes: int
     decoded: int
+
+
+class Served(NamedTuple):
+    """What :meth:`StagingManager.stage` served one operator, per request.
+
+    ``values`` is the array each kernel reads (the replica on a hit,
+    the fragment's own column otherwise, ``None`` for a phantom);
+    ``misses`` the missed requests; ``entries`` what
+    :meth:`StagingManager.acquire_set` returned for them (``None`` when
+    they cannot be cached); and ``replicas`` the replica that served
+    each request on a hit, ``None`` otherwise.
+    """
+
+    values: list[np.ndarray | None]
+    misses: list[Request]
+    entries: list[StagedColumn] | None
+    replicas: list[StagedColumn | None]
 
 
 class StagingManager:
@@ -221,9 +238,7 @@ class StagingManager:
             )
         return entry
 
-    def stage(
-        self, requests: Sequence["Request"], ctx: "ExecutionContext"
-    ) -> "tuple[list[np.ndarray | None], list[Request], list[StagedColumn] | None]":
+    def stage(self, requests: Sequence["Request"], ctx: "ExecutionContext") -> Served:
         """Serve one operator's operand set, staging its misses in one burst.
 
         *requests* are the ``(fragment, attribute, width)`` triples the
@@ -232,16 +247,16 @@ class StagingManager:
         Hits with pending writes are patched in place by :meth:`_patch`,
         and all misses go to one :meth:`acquire_set` call.
 
-        Returns ``(values, misses, entries)``: per request, the array
-        the kernel reads (the replica on a hit, the fragment's own
-        column otherwise, ``None`` for a phantom); the missed requests;
-        and what :meth:`acquire_set` returned — ``None`` when the misses
-        cannot be cached, in which case each operator gives its own
-        answer (streaming, an uncached burst, or a refusal).
+        Returns the :class:`Served` arrays, misses, staged entries and
+        hit replicas.  When the misses cannot be cached (``entries`` is
+        ``None``) each operator gives its own answer (streaming, an
+        uncached burst, or a refusal); a hit replica's remembered
+        answers are the operator's to reuse.
         """
         values: list[np.ndarray | None] = []
         misses: list[Request] = []
         dirty: list[StagedColumn] = []
+        replicas: list[StagedColumn | None] = []
         for fragment, attribute, width in requests:
             entry = None
             if fragment.space.kind is not MemoryKind.DEVICE:
@@ -250,6 +265,7 @@ class StagingManager:
                     misses.append((fragment, attribute, width))
                 elif entry.pending and entry not in dirty:
                     dirty.append(entry)
+            replicas.append(entry)
             if entry is not None:
                 # The replica serves the read (patched below when writes
                 # are pending): a stale entry here would be a wrong
@@ -262,7 +278,7 @@ class StagingManager:
         if dirty:
             self._patch(dirty, ctx)
         entries = self.acquire_set(misses, ctx) if misses else []
-        return values, misses, entries
+        return Served(values, misses, entries, replicas)
 
     def _patch(self, dirty: Sequence[StagedColumn], ctx: "ExecutionContext") -> None:
         """Ship *dirty* replicas' pending cells, then scatter them.

@@ -54,15 +54,18 @@ class TestPlacement:
 class TestHype:
     def test_prediction_prefers_gpu_when_resident(self, platform):
         scheduler = HypeScheduler(platform)
-        assert scheduler.choose_sum_device(5_000_000, 8, on_device=True) == "gpu"
+        raw = scheduler.raw_predict_sum(5_000_000, 8, on_device=True)
+        assert scheduler.choose_sum_device(raw) == "gpu"
 
     def test_prediction_prefers_cpu_when_transfer_needed(self, platform):
         scheduler = HypeScheduler(platform)
-        assert scheduler.choose_sum_device(5_000_000, 8, on_device=False) == "cpu"
+        raw = scheduler.raw_predict_sum(5_000_000, 8, on_device=False)
+        assert scheduler.choose_sum_device(raw) == "cpu"
 
     def test_prediction_prefers_cpu_for_tiny_inputs(self, platform):
         scheduler = HypeScheduler(platform)
-        assert scheduler.choose_sum_device(100, 8, on_device=True) == "cpu"
+        raw = scheduler.raw_predict_sum(100, 8, on_device=True)
+        assert scheduler.choose_sum_device(raw) == "cpu"
 
     def test_calibration_learns_ratio(self, platform):
         scheduler = HypeScheduler(platform)
@@ -73,13 +76,12 @@ class TestHype:
     def test_calibration_flips_decision(self, platform):
         scheduler = HypeScheduler(platform)
         count = 2_000_000
-        baseline = scheduler.choose_sum_device(count, 8, on_device=True)
-        assert baseline == "gpu"
+        raw = scheduler.raw_predict_sum(count, 8, on_device=True)
+        assert scheduler.choose_sum_device(raw) == "gpu"
         # The GPU turns out 100x slower than modeled; HyPE adapts.
-        raw = scheduler.raw_predict_sum(count, 8, True)[1]
         for __ in range(60):
-            scheduler.observe("gpu", raw, raw * 100)
-        assert scheduler.choose_sum_device(count, 8, on_device=True) == "cpu"
+            scheduler.observe("gpu", raw[1], raw[1] * 100)
+        assert scheduler.choose_sum_device(raw) == "cpu"
 
     def test_bad_observations_rejected(self, platform):
         scheduler = HypeScheduler(platform)

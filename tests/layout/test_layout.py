@@ -112,6 +112,24 @@ class TestRouting:
         layout = Layout("v", relation, [ab, c])
         assert layout.read_row(4) == (4, 40, 400)
 
+    def test_owners_follow_fragment_for(self, relation, space):
+        preferred = make_fragment(relation, space, RowRange(2, 5), ("b",))
+        left = make_fragment(relation, space, RowRange(0, 3), ("a", "b", "c"))
+        right = make_fragment(relation, space, RowRange(3, 6), ("a", "b", "c"))
+        layout = Layout("o", relation, [preferred, left, right], allow_overlap=True)
+        rows = [5, 0, 2, 3]
+        assert layout.owners(rows) == [
+            tuple(layout.fragment_for(row, name) for name in relation.schema.names)
+            for row in rows
+        ]
+
+    def test_owners_reject_an_uncovered_row(self, relation, space):
+        layout = Layout(
+            "v", relation, [make_fragment(relation, space, relation.rows, ("a", "b", "c"))]
+        )
+        with pytest.raises(LayoutError, match=r"\(99, 'a'\)"):
+            layout.owners([0, 99])
+
 
 class TestPredicates:
     def test_sub_relation_layout(self, relation, space):

@@ -16,6 +16,11 @@ predictor prices takes its bytes from the staging helper
 width: a kernel charged or predicted on ``count * width`` would price
 raw bytes for an encoded replica, and HyPE would route on bytes that
 never cross.
+
+Finally, no oracle names the answers a replica remembers
+(``StagedColumn.remembered_sum`` / ``remembered_answer``, its
+``remembered`` map or its content ``stamp``): an oracle that reused
+them would share the state it checks.
 """
 
 import ast
@@ -157,3 +162,68 @@ def test_the_pricing_lint_flags_a_raw_width():
         [],
         [],
     ]
+
+
+#: The remembering API of a staged replica (``repro.staging.cache``).
+REMEMBERING = {"remembered", "remembered_answer", "remembered_sum", "stamp"}
+
+#: The oracles, as ``(module, definition)``; ``None`` is the whole
+#: module.  They compute every answer afresh, so a replica that
+#: remembers a stale answer is still a mismatch.
+ORACLES = (
+    ("repro/serving/verifier.py", "replay_serial"),
+    ("repro/fusion/oracle.py", None),
+    ("repro/sharding/verifier.py", "SingleNodeOracle"),
+    ("repro/execution/operators.py", "sum_column"),
+)
+
+
+def _remembering_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of every name or attribute in *tree* that remembers."""
+    found = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if isinstance(node, (ast.Attribute, ast.Name)) and name in REMEMBERING:
+            found.append((node.lineno, name))
+    return found
+
+
+def _definition(tree: ast.Module, name: str | None) -> ast.AST:
+    if name is None:
+        return tree
+    (node,) = [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    ]
+    return node
+
+
+def test_oracles_never_reach_remembered_answers():
+    src_root = Path(repro.__file__).resolve().parent
+    offenders = []
+    for relative, name in ORACLES:
+        path = src_root.parent / relative
+        node = _definition(ast.parse(path.read_text(encoding="utf-8")), name)
+        offenders += [
+            f"{relative}:{line}: {found}" for line, found in _remembering_names(node)
+        ]
+    assert not offenders, (
+        "oracles must compute every answer afresh, never from what a "
+        "replica remembers:\n" + "\n".join(offenders)
+    )
+
+
+def test_the_oracle_lint_flags_a_remembered_answer():
+    tree = ast.parse(
+        "def replay_serial(store, served):\n"
+        "    entry = store.cache.peek(fragment, 'i_price')\n"
+        "    return entry.remembered_sum(), entry.stamp\n"
+        "def sum_column(layout, attribute, ctx):\n"
+        "    return float(np.sum(layout.column(attribute)))\n"
+    )
+    assert sorted(_remembering_names(_definition(tree, "replay_serial"))) == [
+        (3, "remembered_sum"),
+        (3, "stamp"),
+    ]
+    assert _remembering_names(_definition(tree, "sum_column")) == []
