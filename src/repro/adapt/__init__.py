@@ -1,11 +1,6 @@
-"""Adaptability: workload statistics, layout advice, re-organization, placement."""
+"""Adaptability: workload statistics, layout advice, re-organization."""
 
 from repro.adapt.advisor import GroupProposal, LayoutAdvisor, LayoutProposal
-from repro.adapt.placement import (
-    AllOrNothingPlacement,
-    HotColumnPlacement,
-    PlacementDecision,
-)
 from repro.adapt.reorganizer import build_fragments_for_proposal, reorganize_layout
 from repro.adapt.statistics import AttributeStatistics
 
@@ -16,7 +11,4 @@ __all__ = [
     "LayoutAdvisor",
     "build_fragments_for_proposal",
     "reorganize_layout",
-    "PlacementDecision",
-    "AllOrNothingPlacement",
-    "HotColumnPlacement",
 ]

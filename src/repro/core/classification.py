@@ -4,10 +4,18 @@ Each of the eight classification columns is computed by its own
 function so tests can exercise the derivations independently;
 :func:`classify` assembles the full :class:`Classification` row.  The
 inputs are (a) the engine's fragment population, layouts and memory
-spaces — pure observation — and (b) its
+spaces, plus the columns it pinned in device memory through
+``platform.staging`` — pure observation — and (b) its
 :class:`~repro.engines.base.EngineCapabilities` record for counter-
 factual facts, which :func:`check_capability_consistency` cross-checks
 against the observations.
+
+A pinned replica is a device copy of its host cells: it puts the
+relation in device memory too (a mixed location), it is a second owner
+of each cell it copies (replication, unless a delegation policy
+decides the scheme), and the pinned columns together are one more
+layout (the device-accelerated view CoGaDB and the reference design
+route analytics through).
 """
 
 from __future__ import annotations
@@ -134,10 +142,14 @@ def derive_location(
     population = engine.fragment_population(name)
     if not population:
         raise ClassificationError(f"{engine.name}: no fragments to locate")
-    spaces = {id(f.space): f.space for f in population}.values()
-    kinds = {space.kind for space in spaces}
+    spaces = {id(f.space): f.space for f in population}
+    if _pinned(engine, name):
+        # Pinned replicas live in the platform's device memory.
+        device = engine.platform.device_memory
+        spaces[id(device)] = device
+    kinds = {space.kind for space in spaces.values()}
     per_kind: dict[MemoryKind, int] = {}
-    for space in spaces:
+    for space in spaces.values():
         per_kind[space.kind] = per_kind.get(space.kind, 0) + 1
 
     if kinds == {MemoryKind.HOST}:
@@ -180,8 +192,9 @@ def derive_scheme(engine: StorageEngine, name: str) -> FragmentScheme:
     """Delegation (a policy object exists) beats replication (copies).
 
     Replication is detected observationally: some cell of the relation
-    is covered by two *distinct* fragment objects across the engine's
-    layouts (shared fragment objects are views, not copies).
+    is covered by two *distinct* copies — fragment objects across the
+    engine's layouts, or a pinned device replica of one (shared
+    fragment objects are views, not copies).
     """
     if engine.delegation_policy(name) is not None:
         return FragmentScheme.DELEGATION
@@ -189,15 +202,26 @@ def derive_scheme(engine: StorageEngine, name: str) -> FragmentScheme:
     if relation.row_count == 0:
         return FragmentScheme.NONE
     probe_row = 0
+    pins = _pinned(engine, name)
     for attribute in relation.schema.names:
         owners: set[int] = set()
         for layout in engine.layouts(name):
             for fragment in layout.fragments:
                 if fragment.region.contains(probe_row, attribute):
                     owners.add(id(fragment))
-        if len(owners) >= 2:
+        copies = sum(
+            1
+            for fragment, pinned in pins
+            if pinned == attribute and fragment.region.contains(probe_row, attribute)
+        )
+        if len(owners) + copies >= 2:
             return FragmentScheme.REPLICATION
     return FragmentScheme.NONE
+
+
+def _pinned(engine: StorageEngine, name: str) -> list[tuple[Fragment, str]]:
+    """The ``(fragment, attribute)`` columns *engine* pinned in device memory."""
+    return engine.platform.staging.cache.pins(engine.fragment_population(name))
 
 
 def derive_processors(capabilities: EngineCapabilities) -> ProcessorSupport:
@@ -273,7 +297,7 @@ def classify(engine: StorageEngine, name: str) -> Classification:
     return Classification(
         engine=engine.name,
         layout_handling=derive_layout_handling(
-            len(engine.layouts(name)), capabilities
+            len(engine.layouts(name)) + bool(_pinned(engine, name)), capabilities
         ),
         flexibility=derive_flexibility(capabilities),
         adaptability=derive_adaptability(engine),

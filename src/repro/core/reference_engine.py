@@ -10,16 +10,17 @@ once (the survey shows no existing engine does):
 2. **Responsive** — :meth:`reorganize` merges the delta into the main
    columns and re-derives device placements from workload statistics.
 3. **Mixed location, distributed locality** — hot main columns are
-   replicated to device memory (all-or-nothing per column), the rest
-   stay on the host.
+   replicated to device memory as pinned staging replicas
+   (all-or-nothing per column), the rest stay on the host.
 4. **Linearization covering NSM and DSM** — fat NSM delta tiles plus
    DSM(-emulated) main columns, with both formats available per
    fragment.
-5. **Built-in multi layout** — the unified host layout and the
-   device-accelerated layout are both complete views of the relation.
+5. **Built-in multi layout** — the unified host layout, plus the
+   device copies of the placed main columns.
 6. **Delegation** — a region policy assigns every row exclusively to
    the delta or the main (no redundancy between them); only the
-   device placement is replicated, and writes keep replicas coherent.
+   device placement is replicated, and each write is recorded on the
+   pinned replica and patched into it on its next device read.
 
 Beyond the six requirements, the engine integrates the
 :mod:`repro.mvcc` snapshot mechanism for challenge (b.iii): updates
@@ -46,7 +47,7 @@ from repro.engines.base import (
 from repro.errors import EngineError
 from repro.execution.access import AccessKind
 from repro.execution.context import ExecutionContext
-from repro.execution.device import device_sum_column, is_device_resident
+from repro.execution.device import device_sum_column
 from repro.execution.operators import sum_column
 from repro.faults.policy import FallbackChain, FallbackStep
 from repro.layout.fragment import Fragment
@@ -147,18 +148,15 @@ class ReferenceEngine(StorageEngine):
         self._delegations[relation.name] = RegionDelegation(relation.row_count)
         unified = Layout(f"{relation.name}/unified", relation, main_columns)
         self._snapshot_managers[relation.name] = SnapshotManager(unified)
-        accelerated = Layout(
-            f"{relation.name}/accelerated",
-            relation,
-            list(main_columns),
-            allow_overlap=True,
-        )
-        return [unified, accelerated]
+        return [unified]
 
     def _after_load(self, managed) -> None:
         super()._after_load(managed)
         if self.auto_place and managed.relation.row_count:
-            self._place_hottest(managed.relation.name)
+            # Loading charges nothing, and neither does its placement.
+            self._place_hottest(
+                managed.relation.name, ExecutionContext(self.platform)
+            )
 
     def delegation_policy(self, name: str) -> RegionDelegation:
         return self._delegations[name]
@@ -194,17 +192,27 @@ class ReferenceEngine(StorageEngine):
             if attribute.dtype.numpy_dtype().kind in ("i", "f")
         ]
 
+    def _main_columns(self, name: str) -> dict[str, Fragment]:
+        """The main column of each attribute, by attribute."""
+        return {
+            fragment.region.attributes[0]: fragment
+            for fragment in self.managed(name).primary_layout.fragments
+            if fragment.region.rows.start < self._delegations[name].main_rows
+        }
+
     def placed_columns(self, name: str) -> list[str]:
-        """Attributes currently replicated in device memory."""
-        accelerated = self.managed(name).layouts[1]
+        """Attributes whose main column is pinned in device memory."""
+        staging = self.platform.staging
         return [
-            fragment.region.attributes[0]
-            for fragment in accelerated.fragments
-            if is_device_resident(fragment) and fragment.region.is_column
+            attribute
+            for attribute, fragment in self._main_columns(name).items()
+            if staging.cache.is_pinned(fragment, attribute)
         ]
 
-    def _place_hottest(self, name: str, limit: int | None = None) -> list[str]:
-        """Replicate the hottest numeric main columns to the device.
+    def _place_hottest(
+        self, name: str, ctx: ExecutionContext, limit: int | None = None
+    ) -> list[str]:
+        """Pin the hottest numeric main columns in device memory.
 
         Ranking comes from the workload trace when it has events, and
         falls back to schema order otherwise.  All-or-nothing per
@@ -212,7 +220,6 @@ class ReferenceEngine(StorageEngine):
         """
         managed = self.managed(name)
         relation = managed.relation
-        unified, accelerated = managed.layouts
         stats = AttributeStatistics.from_events(
             relation.schema, managed.trace.window()
         )
@@ -227,41 +234,15 @@ class ReferenceEngine(StorageEngine):
             ranked = candidates
         placed: list[str] = []
         already = set(self.placed_columns(name))
-        device = self.platform.device_memory
+        main = self._main_columns(name)
         for attribute in ranked:
             if limit is not None and len(placed) >= limit:
                 break
-            if attribute in already:
-                continue
-            host_fragment = None
-            for fragment in unified.fragments:
-                if (
-                    fragment.region.attributes == (attribute,)
-                    and not is_device_resident(fragment)
-                ):
-                    host_fragment = fragment
-                    break
-            if host_fragment is None or not device.fits(host_fragment.nbytes):
-                continue
-            replica = host_fragment.copy_to(
-                device, f"ref:{name}:main:{attribute}@device"
-            )
-            accelerated.replace_fragments(
-                [replica, *accelerated.fragments]
-            )
-            placed.append(attribute)
+            if attribute not in already and self.platform.staging.pin(
+                main[attribute], attribute, ctx
+            ):
+                placed.append(attribute)
         return placed
-
-    def _unplace_all(self, name: str) -> None:
-        """Drop every device replica (before a merge invalidates them)."""
-        accelerated = self.managed(name).layouts[1]
-        keep = []
-        for fragment in accelerated.fragments:
-            if is_device_resident(fragment):
-                fragment.free()
-            else:
-                keep.append(fragment)
-        accelerated.replace_fragments(keep)
 
     # ------------------------------------------------------------------
     # Writes: OLTP goes to the NSM delta
@@ -274,7 +255,7 @@ class ReferenceEngine(StorageEngine):
             raise EngineError(
                 f"{self.name}: row has {len(row)} values, schema needs {schema.arity}"
             )
-        unified, accelerated = managed.layouts
+        unified = managed.primary_layout
         position = relation.row_count
         tile = None
         for fragment in unified.fragments:
@@ -296,11 +277,9 @@ class ReferenceEngine(StorageEngine):
                 label=f"ref:{name}:delta:[{rows.start},{rows.stop})",
             )
             unified.add_fragment(tile)
-            accelerated.add_fragment(tile)
         tile.append_rows([tuple(row)])
         managed.relation = relation.resized(position + 1)
         unified.relation = managed.relation
-        accelerated.relation = managed.relation
         if managed.primary_index is not None:
             managed.primary_index.insert(row[0], position)
         self.record_access(name, AccessKind.WRITE, schema.names, 1)
@@ -320,31 +299,24 @@ class ReferenceEngine(StorageEngine):
         self.record_access(
             name, AccessKind.READ, (attribute,), managed.relation.row_count
         )
-        unified, accelerated = managed.layouts
-        device_fragment = None
-        for fragment in accelerated.fragments:
-            if (
-                fragment.region.attributes == (attribute,)
-                and is_device_resident(fragment)
-            ):
-                device_fragment = fragment
-                break
-        if device_fragment is None:
+        unified = managed.primary_layout
+        main = self._main_columns(name).get(attribute)
+        if main is None or not self.platform.staging.cache.is_pinned(main, attribute):
             return sum_column(unified, attribute, ctx)
 
         def device_path() -> float:
             view = Layout(
                 f"{name}/device-view",
                 managed.relation,
-                [device_fragment],
+                [main],
                 allow_overlap=True, validate=False,
             )
             total = device_sum_column(view, attribute, ctx)
-            # Patch in the delta rows beyond the device replica's range.
+            # Patch in the delta rows beyond the main column's range.
             delta_view_fragments = [
                 fragment
                 for fragment in unified.fragments
-                if fragment.region.rows.start >= device_fragment.region.rows.stop
+                if fragment.region.rows.start >= main.region.rows.stop
                 and attribute in fragment.region.attributes
             ]
             if delta_view_fragments:
@@ -384,7 +356,7 @@ class ReferenceEngine(StorageEngine):
         """
         managed = self.managed(name)
         relation = managed.relation
-        unified, accelerated = managed.layouts
+        unified = managed.primary_layout
         delegation = self._delegations[name]
         manager = self._snapshot_managers[name]
         if manager.live_snapshots:
@@ -399,10 +371,6 @@ class ReferenceEngine(StorageEngine):
         ]
         changed = False
         if delta_tiles:
-            self._unplace_all(name)
-            # The merge rewrites every main column in place; any staged
-            # device replicas of the old fragments are now stale.
-            ctx.platform.staging.invalidate_all()
             schema = relation.schema
             old_columns = [
                 fragment
@@ -427,22 +395,15 @@ class ReferenceEngine(StorageEngine):
             ]
             cost = 2 * ctx.platform.memory_model.sequential(relation.nsm_bytes)
             ctx.charge(f"ref-merge({name})", cost)
+            # The merge replaces every main column: the old fragments'
+            # replicas go with them, pins included.
+            ctx.platform.staging.release(unified.fragments)
             for fragment in unified.fragments:
                 fragment.free()
             unified.replace_fragments(new_columns)
             unified.validate()
-            accelerated.replace_fragments(list(new_columns))
             delegation.main_rows = relation.row_count
             changed = True
-        placed = self._place_hottest(name)
-        if placed:
-            for attribute in placed:
-                replica_bytes = relation.row_count * relation.schema.attribute(
-                    attribute
-                ).width
-                cost = ctx.platform.staging.scheduler.transfer(
-                    replica_bytes, ctx.counters
-                )
-                ctx.note(f"ref-place({attribute})", cost)
+        if self._place_hottest(name, ctx):
             changed = True
         return changed

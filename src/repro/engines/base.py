@@ -316,17 +316,20 @@ class StorageEngine(abc.ABC):
     def drop(self, name: str) -> None:
         """Remove a relation, freeing every fragment's simulated memory.
 
-        Engines with auxiliary structures (tails, DFS files, device
-        replicas) free them by overriding :meth:`_drop_extras`.
+        The staged device replicas of the freed fragments, pinned or
+        not, are released with them.  Engines with auxiliary structures
+        (tails, DFS files) free them by overriding :meth:`_drop_extras`.
         """
         managed = self.managed(name)
         self._drop_extras(managed)
-        freed: set[int] = set()
-        for layout in managed.layouts:
-            for fragment in layout.fragments:
-                if id(fragment) not in freed:
-                    fragment.free()
-                    freed.add(id(fragment))
+        fragments = {
+            id(fragment): fragment
+            for layout in managed.layouts
+            for fragment in layout.fragments
+        }.values()
+        self.platform.staging.release(fragments)
+        for fragment in fragments:
+            fragment.free()
         del self._relations[name]
 
     def _drop_extras(self, managed: ManagedRelation) -> None:

@@ -12,13 +12,15 @@ Classification targets (Table 1): built-in multi-layout, weak flexible,
 static, Mixed + distributed, thin DSM-emulated, replication-based
 scheme, CPU/GPU, OLAP.
 
-Mechanisms here: the host layout (one thin column per attribute), a
-second *mixed* layout whose placed columns are device replicas (built
-by :meth:`place_columns`, all-or-nothing per column), and
+Mechanisms here: the host layout (one thin column per attribute),
+device replicas of placed columns, pinned in the platform's staging
+cache by :meth:`place_columns` (all-or-nothing per column), and
 :class:`HypeScheduler`, which predicts CPU and GPU cost per operator
 from the platform's analytic models, corrects each prediction with a
 learned per-device calibration factor, and routes to the cheaper
-device.
+device.  Every device operator reads the host columns through
+``platform.staging``, so a placed column serves from its pinned
+replica and a write to it is patched there on the next device read.
 """
 
 from __future__ import annotations
@@ -38,18 +40,14 @@ from repro.engines.base import (
 from repro.errors import EngineError
 from repro.execution.access import AccessKind
 from repro.execution.context import ExecutionContext
-from repro.execution.device import (
-    device_sum_column,
-    ensure_resident,
-    is_device_resident,
-)
+from repro.execution.device import device_sum_column
 from repro.faults.policy import (
     TRANSIENT_DEVICE_ERRORS,
     CircuitBreaker,
     FallbackChain,
     FallbackStep,
 )
-from repro.execution.operators import materialize_rows, sum_at_positions, sum_column
+from repro.execution.operators import sum_column
 from repro.fusion.compiler import FusedPipeline, compile_pipeline
 from repro.fusion.costs import PIPELINE_ROUTES, predicted_route_costs
 from repro.fusion.device import run_fused_device
@@ -87,7 +85,6 @@ class HypeScheduler:
         self,
         count: int,
         width: int,
-        on_device: bool,
         fragment: Fragment | None = None,
         attribute: str | None = None,
     ) -> tuple[float, float]:
@@ -97,10 +94,11 @@ class HypeScheduler:
         device terms price the bytes its device copy holds
         (``platform.staging.stream``), and the transfer term is
         cache-aware: a column with a fresh replica in the staging cache
-        is predicted to pay only the patch of its pending writes, none
-        when it is clean — the device looks exactly as cheap as it will
-        actually be on the warm path.  Without them the column is
-        priced raw, from *count* and *width* alone.  Predictions stay
+        (a placed column's pinned replica included) is predicted to pay
+        only the patch of its pending writes, none when it is clean —
+        the device looks exactly as cheap as it will actually be on the
+        warm path.  Without them the column is priced raw, from *count*
+        and *width* alone, transfer included.  Predictions stay
         side-effect-free (no cache stats, no fault draws).
         """
         staging = self.platform.staging
@@ -114,9 +112,7 @@ class HypeScheduler:
         gpu = self.platform.gpu.reduction_cost(
             column.count, column.width, nbytes=column.nbytes, decoded=column.decoded
         )
-        if not on_device:
-            gpu += transfer
-        return cpu, gpu
+        return cpu, gpu + transfer
 
     def predict_sum(self, raw: tuple[float, float]) -> tuple[float, float]:
         """Calibrated (cpu_cycles, gpu_cycles) from a :meth:`raw_predict_sum`."""
@@ -261,16 +257,7 @@ class CoGaDBEngine(StorageEngine):
             )
             fill_fragment(fragment, columns)
             host_fragments.append(fragment)
-        host_layout = Layout(f"{relation.name}/host-columns", relation, host_fragments)
-        # The mixed layout starts as a second view of the host columns;
-        # place_columns swaps device replicas in, column by column.
-        mixed_layout = Layout(
-            f"{relation.name}/mixed-columns",
-            relation,
-            list(host_fragments),
-            allow_overlap=True,
-        )
-        return [mixed_layout, host_layout]
+        return [Layout(f"{relation.name}/host-columns", relation, host_fragments)]
 
     # ------------------------------------------------------------------
     # All-or-nothing device placement (replication-based)
@@ -280,44 +267,35 @@ class CoGaDBEngine(StorageEngine):
     ) -> list[PlacementReport]:
         """Try to replicate whole columns into device memory.
 
-        Each column either fits entirely (a device replica is created
-        and routed ahead of the host copy in the mixed layout) or the
+        Each column either fits entirely — its replica is staged and
+        pinned in the staging cache beside the host copy — or the
         fallback leaves it in host memory.
         """
-        managed = self.managed(name)
-        mixed = managed.primary_layout
-        device = self.platform.device_memory
+        layout = self.managed(name).primary_layout
+        staging = self.platform.staging
         reports = []
         for attribute in attributes:
-            host_fragment = None
-            for fragment in mixed.fragments:
-                if fragment.region.attributes == (attribute,):
-                    host_fragment = fragment
-                    break
-            if host_fragment is None:
+            fragment = next(
+                (f for f in layout.fragments if f.region.attributes == (attribute,)),
+                None,
+            )
+            if fragment is None:
                 raise EngineError(f"{self.name}: no column {attribute!r} in {name!r}")
-            if is_device_resident(host_fragment):
+            if staging.cache.is_pinned(fragment, attribute):
                 reports.append(PlacementReport(attribute, False, "already placed"))
-                continue
-            if not device.fits(host_fragment.nbytes):
+            elif staging.pin(fragment, attribute, ctx):
+                reports.append(PlacementReport(attribute, True, "placed on device"))
+            else:
                 reports.append(
                     PlacementReport(
                         attribute,
                         False,
-                        f"fallback: column of {host_fragment.nbytes} B does not "
-                        f"fit free device memory ({device.available} B)",
+                        f"fallback: column of "
+                        f"{staging.payload_bytes(fragment, attribute)} B does not "
+                        f"fit free device memory "
+                        f"({self.platform.device_memory.available} B)",
                     )
                 )
-                continue
-            replica = ensure_resident(
-                host_fragment, device, ctx, f"cogadb:{name}:{attribute}@device"
-            )
-            mixed.replace_fragments(
-                [replica]
-                + [f for f in mixed.fragments if f is not host_fragment]
-                + [host_fragment]
-            )
-            reports.append(PlacementReport(attribute, True, "placed on device"))
         return reports
 
     # ------------------------------------------------------------------
@@ -328,17 +306,15 @@ class CoGaDBEngine(StorageEngine):
         self.record_access(name, AccessKind.READ, (attribute,), managed.relation.row_count)
         if managed.relation.row_count == 0:
             return 0.0
-        mixed = managed.primary_layout
-        fragment = mixed.fragments_for_attribute(attribute)[0]
-        on_device = is_device_resident(fragment)
+        layout = managed.primary_layout
+        fragment = layout.fragments_for_attribute(attribute)[0]
         width = fragment.schema.attribute(attribute).width
         count = managed.relation.row_count
         before = ctx.counters.cycles
         cpu_prediction, gpu_prediction = self.scheduler.raw_predict_sum(
-            count, width, on_device, fragment, attribute
+            count, width, fragment, attribute
         )
         choice = self.scheduler.choose_sum_device((cpu_prediction, gpu_prediction))
-        host_layout = managed.layouts[1]
         # The span annotates HyPE's decision inputs and outcome; the
         # routed operator's own span nests underneath it.
         with ctx.span(
@@ -347,19 +323,11 @@ class CoGaDBEngine(StorageEngine):
             hype_choice=choice,
             cpu_predicted=cpu_prediction,
             gpu_predicted=gpu_prediction,
-            on_device=on_device,
         ) as span:
             if choice == "gpu":
-                # A single-fragment view: the mixed layout holds both the
-                # device replica and the host fallback for placed columns,
-                # and summing both would double-count.
-                view = Layout(
-                    f"{name}/gpu-view", managed.relation, [fragment],
-                    allow_overlap=True, validate=False,
-                )
                 chain = self._device_chain(
-                    lambda: device_sum_column(view, attribute, ctx),
-                    lambda: sum_column(host_layout, attribute, ctx),
+                    lambda: device_sum_column(layout, attribute, ctx),
+                    lambda: sum_column(layout, attribute, ctx),
                 )
                 result, served_by = chain.run(ctx)
                 if span is not None:
@@ -379,7 +347,7 @@ class CoGaDBEngine(StorageEngine):
                         "cpu", cpu_prediction, ctx.counters.cycles - before
                     )
             else:
-                result = sum_column(host_layout, attribute, ctx)
+                result = sum_column(layout, attribute, ctx)
                 if span is not None:
                     span.attrs["served_by"] = "cpu"
                 self.scheduler.observe(
@@ -412,37 +380,23 @@ class CoGaDBEngine(StorageEngine):
         )
         if managed.relation.row_count == 0:
             return plan.identity
-        mixed = managed.primary_layout
-        host_layout = managed.layouts[1]
-        # One fragment per operand attribute: the mixed layout keeps the
-        # device replica routed ahead of its host fallback, and a fused
-        # kernel reading both copies would double-count.
-        view_fragments = [
-            mixed.fragments_for_attribute(attribute)[0]
-            for attribute in plan.attributes
-        ]
-        gpu_view = Layout(
-            f"{name}/gpu-view", managed.relation, view_fragments,
-            allow_overlap=True, validate=False,
-        )
-        on_device = all(is_device_resident(f) for f in view_fragments)
+        layout = managed.primary_layout
         before = ctx.counters.cycles
         # Priced once: the route and HyPE's observation both derive from it.
-        raw = self.scheduler.raw_predict_pipeline(plan, gpu_view, selectivity)
+        raw = self.scheduler.raw_predict_pipeline(plan, layout, selectivity)
         route = self.scheduler.choose_pipeline_route(raw)
         with ctx.span(
             f"cogadb-pipeline({plan.describe()})",
             "operator",
             hype_route=route,
-            on_device=on_device,
         ) as span:
             if route.endswith("-gpu"):
                 fused = route == "fused-gpu"
                 device_run = run_fused_device if fused else run_unfused_device
                 host_run = run_fused_host if fused else run_unfused_host
                 chain = self._device_chain(
-                    lambda: device_run(plan, gpu_view, ctx),
-                    lambda: host_run(plan, host_layout, ctx),
+                    lambda: device_run(plan, layout, ctx),
+                    lambda: host_run(plan, layout, ctx),
                 )
                 result, served_by = chain.run(ctx)
                 if span is not None:
@@ -460,26 +414,10 @@ class CoGaDBEngine(StorageEngine):
                     )
             else:
                 runner = run_fused_host if route == "fused-cpu" else run_unfused_host
-                result = runner(plan, host_layout, ctx)
+                result = runner(plan, layout, ctx)
                 if span is not None:
                     span.attrs["served_by"] = "cpu"
                 self.scheduler.observe(
                     "cpu", raw[route], ctx.counters.cycles - before
                 )
         return result
-
-    # ------------------------------------------------------------------
-    # Record-centric paths stay on the host copy (the mixed layout's
-    # device replicas would otherwise be priced as host accesses).
-    # ------------------------------------------------------------------
-    def materialize(self, name, positions, ctx):
-        managed = self.managed(name)
-        self.record_access(
-            name, AccessKind.READ, managed.relation.schema.names, len(positions)
-        )
-        return materialize_rows(managed.layouts[1], positions, ctx)
-
-    def sum_at(self, name, attribute, positions, ctx):
-        managed = self.managed(name)
-        self.record_access(name, AccessKind.READ, (attribute,), len(positions))
-        return sum_at_positions(managed.layouts[1], attribute, positions, ctx)

@@ -162,10 +162,6 @@ class RecoveryError(ReproError):
     """
 
 
-class PlacementError(ReproError):
-    """A data placement decision could not be applied."""
-
-
 class WorkloadError(ReproError):
     """A workload specification is invalid."""
 

@@ -3,11 +3,7 @@
 from repro.execution.access import AccessDescriptor, AccessKind
 from repro.execution.bulk import BulkPipeline, bulk_sum
 from repro.execution.context import CounterScope, ExecutionContext
-from repro.execution.device import (
-    device_sum_column,
-    is_device_resident,
-    transfer_fragment,
-)
+from repro.execution.device import device_sum_column, is_device_resident
 from repro.execution.index import HashIndex, SecondaryIndex, point_query
 from repro.execution.operators import (
     aggregate_column,
@@ -47,7 +43,6 @@ __all__ = [
     "filter_scan",
     "update_field",
     "device_sum_column",
-    "transfer_fragment",
     "is_device_resident",
     "HashIndex",
     "SecondaryIndex",

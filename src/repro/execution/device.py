@@ -32,62 +32,20 @@ import math
 
 import numpy as np
 
-from repro.errors import CapacityError, PlacementError
+from repro.errors import CapacityError
 from repro.execution.context import ExecutionContext
 from repro.hardware.event import Cycles, PerfCounters
-from repro.hardware.memory import MemoryKind, MemorySpace
+from repro.hardware.memory import MemoryKind
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 from repro.staging.manager import Stream
 
-__all__ = [
-    "device_sum_column",
-    "transfer_fragment",
-    "ensure_resident",
-    "is_device_resident",
-]
+__all__ = ["device_sum_column", "is_device_resident"]
 
 
 def is_device_resident(fragment: Fragment) -> bool:
     """Whether a fragment's payload lives in device memory."""
     return fragment.space.kind is MemoryKind.DEVICE
-
-
-def transfer_fragment(
-    fragment: Fragment, space: MemorySpace, ctx: ExecutionContext, label: str = ""
-) -> Fragment:
-    """Copy a fragment into *space*, charging the PCIe transfer.
-
-    Raises :class:`~repro.errors.CapacityError` when the target space
-    cannot hold it — the trigger of CoGaDB's all-or-nothing fallback —
-    and :class:`~repro.errors.PlacementError` when the fragment already
-    lives there (use :func:`ensure_resident` for the idempotent form).
-    """
-    if fragment.space is space:
-        raise PlacementError(
-            f"{fragment.label}: already resident in {space.name}"
-        )
-    clone = fragment.copy_to(space, label)
-    cost = ctx.platform.staging.scheduler.transfer(fragment.nbytes, ctx.counters)
-    ctx.note(f"transfer({fragment.label})", cost)
-    return clone
-
-
-def ensure_resident(
-    fragment: Fragment, space: MemorySpace, ctx: ExecutionContext, label: str = ""
-) -> Fragment:
-    """Idempotent placement: the fragment in *space*, transferring if needed.
-
-    Returns *fragment* unchanged (and charges nothing) when it already
-    lives in *space*; otherwise behaves exactly like
-    :func:`transfer_fragment`.  This is the helper engines deduplicate
-    their copy-then-charge sequences onto — re-placing an
-    already-placed column is a no-op, not a
-    :class:`~repro.errors.PlacementError`.
-    """
-    if fragment.space is space:
-        return fragment
-    return transfer_fragment(fragment, space, ctx, label)
 
 
 def _chunked_reduction_cost(

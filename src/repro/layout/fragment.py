@@ -490,46 +490,6 @@ class Fragment:
         """Release the fragment's memory back to its space."""
         self.allocation.space.free(self.allocation)
 
-    def copy_to(self, space: MemorySpace, label: str = "") -> "Fragment":
-        """A deep copy of this fragment allocated in another space.
-
-        This is the substrate of host<->device placement: the copy has
-        identical shape, linearization and contents, only its allocation
-        lives elsewhere.  Transfer *cost* is charged by the execution
-        layer, not here.
-        """
-        clone = Fragment(
-            self.region,
-            # The fragment schema already projects the relation schema;
-            # projecting again with its own names is the identity.
-            self.schema,
-            self.linearization
-            if self.linearization is not LinearizationKind.DIRECT
-            else None,
-            space,
-            label or f"{self.label}@{space.name}",
-            materialize=not self.is_phantom,
-        )
-        if self.is_phantom:
-            clone._filled = self._filled
-            return clone
-        if self._compressed is not None:
-            assert clone._columns is not None
-            clone._columns[self.schema.names[0]][: self._filled] = (
-                self._compressed.decode()
-            )
-            clone._filled = self._filled
-            return clone
-        if self._records is not None:
-            assert clone._records is not None
-            clone._records[: self._filled] = self._records[: self._filled]
-        else:
-            assert self._columns is not None and clone._columns is not None
-            for name, values in self._columns.items():
-                clone._columns[name][: self._filled] = values[: self._filled]
-        clone._filled = self._filled
-        return clone
-
     @property
     def space(self) -> MemorySpace:
         """The memory space holding this fragment."""

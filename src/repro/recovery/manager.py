@@ -22,9 +22,11 @@ records:
 
 Afterwards the engine's :meth:`~repro.engines.base.StorageEngine.on_recovered`
 hook runs (L-Store merges replayed tails through its lineage, HyPer
-compacts the redo-touched hot tail) and every staged device replica is
-invalidated — a recovered layout must not serve reads from replicas
-staged against pre-crash state.
+compacts the redo-touched hot tail) and every unpinned staged device
+replica is invalidated — a recovered layout must not serve reads from
+replicas staged against pre-crash state.  Pinned replicas stay: the
+fresh engine placed them while loading the checkpoint image, and redo
+and undo reached them through the ordinary write path.
 
 Everything is cycle-charged on the *recovering* machine's context:
 log scan and checkpoint image as sequential disk reads, replay through
@@ -209,8 +211,8 @@ class RecoveryManager:
             engine.on_recovered(name, ctx)
             # Staged device replicas captured pre-crash state (including
             # loser-transaction writes that undo just rolled back): drop
-            # them all so post-restart reads re-stage from the recovered
-            # columns.
+            # them so post-restart reads re-stage from the recovered
+            # columns.  Pins survive: they carry every replayed write.
             ctx.platform.staging.invalidate_all()
 
         replayed = len({record.txn_id for record in redo if record.txn_id in committed})

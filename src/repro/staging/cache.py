@@ -31,7 +31,13 @@ re-encoded into its frame.  A replica whose version skipped a write
 (one the hook never saw) is dropped, and so is one whose pending cells
 would cost as many bytes as re-staging it whole, or whose new value
 falls outside its frame.  The re-organizer and recovery drop every
-replica with :meth:`StagingCache.invalidate_all`.
+unpinned replica with :meth:`StagingCache.invalidate_all`.
+
+An engine's device placement is a *pin* on a column
+(:meth:`StagingCache.pin`): its replica is never evicted and survives
+:meth:`StagingCache.invalidate_all`, a replica a write dropped is
+staged again pinned, and only :meth:`StagingCache.release` drops the
+pin, with every replica of the fragments released.
 
 The cache holds **no cost logic**: insertion and eviction charge zero
 cycles (a discard is free; the re-transfer on the next miss is where
@@ -44,7 +50,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -266,6 +272,10 @@ class StagingCache:
 
     def __init__(self) -> None:
         self._entries: "OrderedDict[tuple[int, str], StagedColumn]" = OrderedDict()
+        #: Pinned columns: fragment -> attributes whose replica stays.
+        self._pins: "weakref.WeakKeyDictionary[Fragment, set[str]]" = (
+            weakref.WeakKeyDictionary()
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -287,6 +297,40 @@ class StagingCache:
     @staticmethod
     def _key(fragment: "Fragment", attribute: str) -> tuple[int, str]:
         return (id(fragment), attribute)
+
+    # ------------------------------------------------------------------
+    # Pins (engine placements)
+    # ------------------------------------------------------------------
+    def pin(self, fragment: "Fragment", attribute: str) -> None:
+        """Pin *fragment*'s *attribute*: its replica is never evicted."""
+        self._pins.setdefault(fragment, set()).add(attribute)
+
+    def is_pinned(self, fragment: "Fragment", attribute: str) -> bool:
+        """Whether *fragment*'s *attribute* is pinned."""
+        return attribute in self._pins.get(fragment, ())
+
+    def pins(self, fragments: "Iterable[Fragment]") -> list[tuple["Fragment", str]]:
+        """The pinned ``(fragment, attribute)`` columns of *fragments*."""
+        return [
+            (fragment, attribute)
+            for fragment in fragments
+            for attribute in sorted(self._pins.get(fragment, ()))
+        ]
+
+    def release(self, fragments: "Iterable[Fragment]") -> int:
+        """Drop every replica of *fragments*, pinned or not, and their pins.
+
+        Returns the number of replicas dropped.  A release is neither
+        an eviction nor an invalidation, so neither counter moves.
+        """
+        released = set()
+        for fragment in fragments:
+            self._pins.pop(fragment, None)
+            released.add(id(fragment))
+        keys = [key for key in self._entries if key[0] in released]
+        for key in keys:
+            self._drop(key)
+        return len(keys)
 
     # ------------------------------------------------------------------
     # Lookup / insert
@@ -366,26 +410,35 @@ class StagingCache:
         entry.allocation.space.free(entry.allocation)
 
     def evict_lru(self) -> StagedColumn | None:
-        """Discard the least-recently-used replica; None when empty.
+        """Discard the least-recently-used unpinned replica.
 
-        The discard is free (replicas are clean copies); the cost of
-        losing it is the re-transfer on the next miss.
+        Returns ``None`` when every replica is pinned or none is
+        staged.  The discard is free (replicas are clean copies); the
+        cost of losing it is the re-transfer on the next miss.
         """
-        if not self._entries:
-            return None
-        key = next(iter(self._entries))
-        entry = self._entries[key]
-        self._drop(key)
-        self.evictions += 1
-        return entry
+        for key, entry in self._entries.items():
+            if not self.is_pinned(entry.source, entry.attribute):
+                self._drop(key)
+                self.evictions += 1
+                return entry
+        return None
 
     def invalidate_all(self) -> int:
-        """Drop every replica (reorganization / recovery hook)."""
-        count = len(self._entries)
-        for key in list(self._entries):
+        """Drop every unpinned replica (reorganization / recovery hook).
+
+        Pinned replicas stay: every write reaches them through
+        :meth:`record_write`, like any replica, so their contents track
+        their sources.
+        """
+        keys = [
+            key
+            for key, entry in self._entries.items()
+            if not self.is_pinned(entry.source, entry.attribute)
+        ]
+        for key in keys:
             self._drop(key)
-        self.invalidations += count
-        return count
+        self.invalidations += len(keys)
+        return len(keys)
 
     def stats(self) -> dict[str, int]:
         """Counters snapshot: hits, misses, evictions, invalidations, entries."""

@@ -3,7 +3,7 @@
 One :class:`StagingManager` is created per
 :class:`~repro.hardware.platform.Platform` (in ``__post_init__``), so a
 fresh platform always starts with a cold cache.  Engines talk to it in
-three ways:
+five ways:
 
 * **residency** — :meth:`predicted_transfer_cost` lets HyPE's cost
   predictions see that a column already has a device replica
@@ -26,20 +26,25 @@ three ways:
 * **writes** — :meth:`record_write`, fired by ``update_field`` per
   touched fragment, keeps the fragment's replicas and records the
   written cell for the next :meth:`stage`; :meth:`invalidate_all`,
-  fired by the re-organizer and the recovery manager, drops them all.
+  fired by the re-organizer and the recovery manager, drops every
+  unpinned one;
+* **placement** — :meth:`pin` stages a column as a pinned replica, all
+  or nothing, which is how CoGaDB and the reference design put a
+  column in device memory; :meth:`release`, fired when an engine
+  frees fragments, drops their replicas and pins.
 
 OOM resilience: an injected ``device.alloc`` fault during
-:meth:`acquire_set` is absorbed by evicting the LRU replica (recorded as a
-*recovered* fault — the discard itself is free, the cost resurfaces as
-a re-transfer on that column's next miss); the fault only surfaces —
-engaging the caller's fallback chain — when the cache has nothing left
-to give back.
+:meth:`acquire_set` is absorbed by evicting the LRU unpinned replica
+(recorded as a *recovered* fault — the discard itself is free, the
+cost resurfaces as a re-transfer on that column's next miss); the
+fault only surfaces — engaging the caller's fallback chain — when the
+cache has no unpinned replica left to give back.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -331,9 +336,9 @@ class StagingManager:
         :class:`~repro.errors.CapacityError` itself.
 
         An injected ``device.alloc`` fault is recovered in place by
-        evicting the LRU replica (free discard); it is re-raised only
-        when the cache is empty, handing the query to the engine's
-        fallback chain exactly as the pre-cache path did.
+        evicting the LRU unpinned replica (free discard); it is
+        re-raised only when there is none, handing the query to the
+        engine's fallback chain exactly as the pre-cache path did.
         """
         staged = [
             (fragment, attribute, width)
@@ -353,12 +358,11 @@ class StagingManager:
             try:
                 injector.check(SITE_DEVICE_ALLOC, ctx.counters)
             except DeviceError:
-                if len(self.cache) == 0:
-                    raise
-                # Device OOM with replicas to give back: the discard is
+                # Device OOM with a replica to give back: the discard is
                 # free; the cost resurfaces as a re-transfer on the
                 # evicted column's next miss.
-                self.cache.evict_lru()
+                if self.cache.evict_lru() is None:
+                    raise
                 self._trace_eviction(ctx.counters, reason="device-oom")
                 injector.report.record_recovered()
                 ctx.counters.fault_recoveries += 1
@@ -445,16 +449,17 @@ class StagingManager:
         return cost
 
     def _make_room(self, nbytes: int, device, counters: PerfCounters) -> bool:
-        """Evict LRU replicas until *nbytes* more fit; False if impossible."""
+        """Evict LRU unpinned replicas until *nbytes* more fit; False if impossible."""
         cap = self.capacity_bytes
 
         def over_cap() -> bool:
             return cap is not None and self.cache.resident_bytes + nbytes > cap
 
-        while len(self.cache) and (not device.fits(nbytes) or over_cap()):
-            self.cache.evict_lru()
+        while not device.fits(nbytes) or over_cap():
+            if self.cache.evict_lru() is None:
+                return False
             self._trace_eviction(counters, reason="capacity")
-        return device.fits(nbytes) and not over_cap()
+        return True
 
     def _trace_eviction(self, counters: PerfCounters, reason: str) -> None:
         """Record one replica eviction as an instant trace event."""
@@ -474,8 +479,36 @@ class StagingManager:
         self.cache.record_write(fragment, attribute, offset)
 
     def invalidate_all(self) -> int:
-        """Drop every replica (fired by reorganization and recovery)."""
+        """Drop every unpinned replica (fired by reorganization and recovery)."""
         return self.cache.invalidate_all()
+
+    # ------------------------------------------------------------------
+    # Placement: pinned replicas
+    # ------------------------------------------------------------------
+    def pin(self, fragment: "Fragment", attribute: str, ctx: "ExecutionContext") -> bool:
+        """Place *fragment*'s *attribute* in device memory, all or nothing.
+
+        A column with a fresh replica is pinned where it is; any other
+        is staged by one :meth:`acquire_set` burst first.  Returns
+        False, pinning nothing, when the column's payload cannot fit
+        even after evicting every unpinned replica.  A pinned replica
+        is served, patched and priced like any other; only eviction
+        and :meth:`invalidate_all` pass it by.
+        """
+        if self.cache.peek(fragment, attribute) is None:
+            width = fragment.schema.attribute(attribute).width
+            if not self.acquire_set([(fragment, attribute, width)], ctx):
+                return False
+        self.cache.pin(fragment, attribute)
+        return True
+
+    def release(self, fragments: Iterable["Fragment"]) -> int:
+        """Drop every replica of *fragments*, pinned or not, and unpin them.
+
+        Fired before an engine frees the fragments (``drop``, the
+        reference design's merge), so no replica outlives its source.
+        """
+        return self.cache.release(fragments)
 
     def stats(self) -> dict[str, int]:
         """The cache's counters snapshot (hits/misses/evictions/...)."""

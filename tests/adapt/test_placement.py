@@ -1,12 +1,8 @@
-"""Placement policy tests: all-or-nothing and hot-column."""
+"""Device placement tests: all-or-nothing pins, hottest column first."""
 
 import numpy as np
-import pytest
 
-from repro.adapt.placement import AllOrNothingPlacement, HotColumnPlacement
-from repro.adapt.statistics import AttributeStatistics
-from repro.errors import PlacementError
-from repro.execution.access import AccessDescriptor, AccessKind
+from repro.core.reference_engine import ReferenceEngine
 from repro.execution.context import ExecutionContext
 from repro.hardware.platform import Platform
 from repro.layout.fragment import Fragment
@@ -15,6 +11,7 @@ from repro.layout.partitioning import one_region_per_attribute
 from repro.model.datatypes import FLOAT64, INT64
 from repro.model.relation import Relation
 from repro.model.schema import Schema
+from repro.workload import generate_items, item_schema
 
 
 def columnar(platform, rows=1000):
@@ -26,61 +23,47 @@ def columnar(platform, rows=1000):
         values = np.arange(rows, dtype=np.float64 if name == "p" else np.int64)
         fragment.append_columns({name: values})
         fragments.append(fragment)
-    return relation, Layout("t", relation, fragments, allow_overlap=True)
+    return relation, Layout("t", relation, fragments)
 
 
 class TestAllOrNothing:
     def test_placement_succeeds_when_fits(self, platform, ctx):
         relation, layout = columnar(platform)
-        policy = AllOrNothingPlacement(platform.device_memory)
-        decision = policy.try_place(layout, layout.fragments[1], ctx)
-        assert decision.placed
-        assert layout.fragments[0].space is platform.device_memory
+        price = layout.fragments[1]
+        assert platform.staging.pin(price, "p", ctx)
+        assert platform.staging.cache.pins(layout.fragments) == [(price, "p")]
+        assert platform.device_memory.used == 8000
         assert ctx.counters.bytes_transferred == 8000
 
     def test_fallback_when_too_big(self, ctx):
         platform = Platform.paper_testbed(device_capacity=100)
         relation, layout = columnar(platform)
-        policy = AllOrNothingPlacement(platform.device_memory)
         local_ctx = ExecutionContext(platform)
-        decision = policy.try_place(layout, layout.fragments[1], local_ctx)
-        assert not decision.placed
-        assert "fallback" in decision.reason
-        # All-or-nothing: nothing was transferred.
+        assert not platform.staging.pin(layout.fragments[1], "p", local_ctx)
+        # All-or-nothing: nothing was transferred, allocated or pinned.
         assert local_ctx.counters.bytes_transferred == 0
+        assert platform.device_memory.used == 0
+        assert platform.staging.cache.pins(layout.fragments) == []
 
     def test_already_placed(self, platform, ctx):
         relation, layout = columnar(platform)
-        policy = AllOrNothingPlacement(platform.device_memory)
-        policy.try_place(layout, layout.fragments[1], ctx)
-        again = policy.try_place(layout, layout.fragments[0], ctx)
-        assert not again.placed
-
-    def test_foreign_fragment_rejected(self, platform, ctx):
-        relation, layout = columnar(platform)
-        __, other_layout = columnar(platform)
-        policy = AllOrNothingPlacement(platform.device_memory)
-        with pytest.raises(PlacementError):
-            policy.try_place(layout, other_layout.fragments[0], ctx)
-
-    def test_host_target_rejected(self, platform):
-        with pytest.raises(PlacementError):
-            AllOrNothingPlacement(platform.host_memory)
+        platform.staging.pin(layout.fragments[1], "p", ctx)
+        shipped = ctx.counters.bytes_transferred
+        # The resident replica is pinned where it is: no second copy.
+        assert platform.staging.pin(layout.fragments[1], "p", ctx)
+        assert ctx.counters.bytes_transferred == shipped
+        assert len(platform.staging.cache) == 1
 
 
 class TestHotColumn:
-    def test_hottest_placed_first(self, platform, ctx):
-        relation, layout = columnar(platform)
-        stats = AttributeStatistics.from_events(
-            relation.schema,
-            [
-                AccessDescriptor(AccessKind.READ, ("p",), 1000, 1000, 2),
-                AccessDescriptor(AccessKind.READ, ("a",), 10, 1000, 2),
-            ],
-        )
-        policy = HotColumnPlacement(platform.device_memory)
-        decisions = policy.place_hottest(layout, stats, ctx, limit=1)
-        placed = [d.fragment_label for d in decisions if d.placed]
-        assert len(placed) == 1 and ":p" in placed[0] or "p" in placed[0]
-        assert layout.fragment_for(0, "p").space is platform.device_memory
-        assert layout.fragment_for(0, "a").space is platform.host_memory
+    def test_hottest_placed_first(self):
+        platform = Platform.paper_testbed()
+        reference = ReferenceEngine(platform, auto_place=False)
+        reference.create("item", item_schema())
+        reference.load("item", generate_items(1000))
+        ctx = ExecutionContext(platform)
+        for __ in range(3):
+            reference.sum("item", "i_im_id", ctx)
+        reference.sum("item", "i_price", ctx)
+        assert reference._place_hottest("item", ctx, limit=1) == ["i_im_id"]
+        assert reference.placed_columns("item") == ["i_im_id"]

@@ -149,6 +149,22 @@ class TestLocationAndScheme:
         engine, __ = loaded_item_engine_factory(HyriseEngine)
         assert derive_scheme(engine, "item") is FragmentScheme.NONE
 
+    def test_a_pinned_replica_is_a_device_copy(self, loaded_item_engine_factory):
+        from repro.core.classification import classify
+        from repro.engines import CoGaDBEngine
+        from repro.execution import ExecutionContext
+
+        engine, platform = loaded_item_engine_factory(CoGaDBEngine)
+        host_only = classify(engine, "item")
+        assert host_only.location_target is LocationTarget.HOST_MEMORY_ONLY
+        assert host_only.scheme is FragmentScheme.NONE
+        assert host_only.layout_handling is LayoutHandling.SINGLE
+        engine.place_columns("item", ("i_price",), ExecutionContext(platform))
+        placed = classify(engine, "item")
+        assert placed.location_target is LocationTarget.MIXED
+        assert placed.scheme is FragmentScheme.REPLICATION
+        assert placed.layout_handling is LayoutHandling.MULTI_BUILT_IN
+
     def test_shared_fragments_are_not_replication(self, loaded_item_engine_factory):
         """Peloton's logical layout shares physical tiles: views, not
         copies — scheme must not degrade to replication (it is

@@ -123,10 +123,13 @@ class TestResponsiveness:
         reference.reorganize("item", ctx)
         placed = reference.placed_columns("item")
         assert placed  # re-placed after the merge
-        accelerated = reference.layouts("item")[1]
-        replica = accelerated.fragments_for_attribute(placed[0])[0]
-        assert replica.space.kind is MemoryKind.DEVICE
-        assert replica.capacity == 505
+        (unified,) = reference.layouts("item")
+        main = unified.fragments_for_attribute(placed[0])[0]
+        replica = platform.staging.cache.peek(main, placed[0])
+        assert replica.allocation.space.kind is MemoryKind.DEVICE
+        assert main.capacity == 505 and len(replica.values) == 505
+        # The merge released the old main columns' replicas.
+        assert len(platform.staging.cache) == len(placed)
 
     def test_empty_delta_merge_still_replaces_placements(self, engine):
         reference, platform = engine

@@ -7,6 +7,11 @@ from repro.engines.cogadb import CoGaDBEngine, HypeScheduler
 from repro.errors import EngineError
 from repro.execution import ExecutionContext
 from repro.hardware import Platform
+from repro.layout.fragment import Fragment
+from repro.layout.region import Region
+from repro.model.datatypes import FLOAT64
+from repro.model.relation import Relation
+from repro.model.schema import Schema
 from repro.workload import item_schema
 
 
@@ -23,8 +28,10 @@ class TestPlacement:
         assert report.placed
         assert platform.device_memory.used == 500 * 8
         # Host copy still present (replication, not migration).
-        host_layout = cogadb.layouts("item")[1]
+        (host_layout,) = cogadb.layouts("item")
         assert all(f.space is platform.host_memory for f in host_layout.fragments)
+        (fragment,) = host_layout.fragments_for_attribute("i_price")
+        assert platform.staging.cache.pins(host_layout.fragments) == [(fragment, "i_price")]
 
     def test_all_or_nothing_fallback(self, small_items):
         platform = Platform.paper_testbed(device_capacity=100)
@@ -51,20 +58,39 @@ class TestPlacement:
             cogadb.place_columns("item", ("ghost",), ExecutionContext(platform))
 
 
+def phantom_column(platform, count, pinned):
+    """A phantom ``price`` column of *count* rows, pinned on the device or not."""
+    relation = Relation("prices", Schema.of(("price", FLOAT64)), count)
+    fragment = Fragment(
+        Region.full(relation), relation.schema, None, platform.host_memory,
+        materialize=False,
+    )
+    fragment.fill_phantom(count)
+    if pinned:
+        assert platform.staging.pin(fragment, "price", ExecutionContext(platform))
+    return fragment
+
+
+def predict(platform, count, pinned):
+    """HyPE's raw sum prediction for a phantom column of *count* rows."""
+    fragment = phantom_column(platform, count, pinned)
+    return HypeScheduler(platform).raw_predict_sum(count, 8, fragment, "price")
+
+
 class TestHype:
     def test_prediction_prefers_gpu_when_resident(self, platform):
         scheduler = HypeScheduler(platform)
-        raw = scheduler.raw_predict_sum(5_000_000, 8, on_device=True)
+        raw = predict(platform, 5_000_000, pinned=True)
         assert scheduler.choose_sum_device(raw) == "gpu"
 
     def test_prediction_prefers_cpu_when_transfer_needed(self, platform):
         scheduler = HypeScheduler(platform)
-        raw = scheduler.raw_predict_sum(5_000_000, 8, on_device=False)
+        raw = predict(platform, 5_000_000, pinned=False)
         assert scheduler.choose_sum_device(raw) == "cpu"
 
     def test_prediction_prefers_cpu_for_tiny_inputs(self, platform):
         scheduler = HypeScheduler(platform)
-        raw = scheduler.raw_predict_sum(100, 8, on_device=True)
+        raw = predict(platform, 100, pinned=True)
         assert scheduler.choose_sum_device(raw) == "cpu"
 
     def test_calibration_learns_ratio(self, platform):
@@ -75,8 +101,7 @@ class TestHype:
 
     def test_calibration_flips_decision(self, platform):
         scheduler = HypeScheduler(platform)
-        count = 2_000_000
-        raw = scheduler.raw_predict_sum(count, 8, on_device=True)
+        raw = predict(platform, 2_000_000, pinned=True)
         assert scheduler.choose_sum_device(raw) == "gpu"
         # The GPU turns out 100x slower than modeled; HyPE adapts.
         for __ in range(60):
@@ -111,10 +136,13 @@ class TestRoutedQueries:
         ctx = ExecutionContext(platform)
         cogadb.place_columns("item", ("i_price",), ctx)
         cogadb.update("item", 3, "i_price", 42.0, ctx)
-        mixed = cogadb.layouts("item")[0]
-        replica = mixed.fragments_for_attribute("i_price")[0]
-        assert replica.space is platform.device_memory
-        assert replica.read_field(3, "i_price") == 42.0
+        (fragment,) = cogadb.layouts("item")[0].fragments_for_attribute("i_price")
+        replica = platform.staging.cache.peek(fragment, "i_price")
+        assert replica.allocation.space is platform.device_memory
+        # The write waits on the pinned replica until its next read.
+        assert replica.pending == {3}
+        platform.staging.stage([(fragment, "i_price", 8)], ctx)
+        assert replica.values[3] == 42.0 and not replica.pending
 
 
 class TestPipelineRouting:
@@ -186,7 +214,7 @@ class TestPipelineRouting:
         from repro import compile_pipeline
 
         plan = compile_pipeline(self._pipeline())
-        host_layout = engine.layouts("item")[1]
+        (host_layout,) = engine.layouts("item")
         raw = engine.scheduler.raw_predict_pipeline(plan, host_layout)
         assert raw["fused-cpu"] == pytest.approx(ctx.cycles, rel=0.10)
         assert 0.9 <= engine.scheduler.cpu_calibration <= 1.1
@@ -202,18 +230,9 @@ class TestPipelineRouting:
         from repro import compile_pipeline
 
         plan = compile_pipeline(self._pipeline())
-        # Predict over the engine's single-fragment device view: the
-        # mixed layout also holds the host fallback copies, which would
-        # (correctly) predict a transfer the placed route never pays.
-        from repro.layout.layout import Layout
-
-        mixed = engine.layouts("item")[0]
-        view = Layout(
-            "view", mixed.relation,
-            [mixed.fragments_for_attribute(a)[0] for a in plan.attributes],
-            allow_overlap=True, validate=False,
-        )
-        raw = engine.scheduler.raw_predict_pipeline(plan, view)
+        # The placed columns' pinned replicas price no transfer.
+        (host_layout,) = engine.layouts("item")
+        raw = engine.scheduler.raw_predict_pipeline(plan, host_layout)
         assert raw["fused-gpu"] == pytest.approx(warm.cycles, rel=0.10)
         assert 0.9 <= engine.scheduler.gpu_calibration <= 1.1
 

@@ -16,6 +16,7 @@ from repro.engines import (
 )
 from repro.errors import EngineError
 from repro.execution import ExecutionContext
+from repro.execution.device import device_sum_column
 from repro.hardware import Platform
 from repro.workload import generate_items, item_schema
 
@@ -44,18 +45,24 @@ def test_drop_frees_all_simulated_memory(name):
         ]
     if name == "Frac. Mirrors":
         spaces = list(engine.disks) + [platform.host_memory]
+    if platform.device_memory not in spaces:
+        spaces.append(platform.device_memory)
     baseline = [space.used for space in spaces]
 
     engine.create("item", item_schema())
     engine.load("item", generate_items(300))
     ctx = ExecutionContext(platform)
     engine.sum("item", "i_price", ctx)
+    # A device sum stages a replica of the primary layout's column.
+    device_sum_column(engine.layouts("item")[0], "i_price", ctx)
     engine.update("item", 3, "i_price", 1.0, ctx)  # creates L-Store tails
     if name == "CoGaDB":
-        engine.place_columns("item", ("i_price",), ctx)
+        engine.place_columns("item", ("i_im_id",), ctx)
 
     engine.drop("item")
     assert [space.used for space in spaces] == baseline, name
+    # Every replica of the dropped fragments went with them, pins included.
+    assert len(platform.staging.cache) == 0
     with pytest.raises(EngineError):
         engine.sum("item", "i_price", ctx)
     # The name is reusable after the drop.

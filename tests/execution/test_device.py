@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import PlacementError
 from repro.execution.context import ExecutionContext
-from repro.execution.device import (
-    device_sum_column,
-    is_device_resident,
-    transfer_fragment,
-)
+from repro.execution.device import device_sum_column
 from repro.layout.fragment import Fragment
 from repro.layout.layout import Layout
 from repro.layout.region import Region
@@ -23,27 +18,12 @@ def relation():
     return Relation("prices", Schema.of(("price", FLOAT64)), 1000)
 
 
-def host_column(relation, platform, values):
+def host_column(relation, platform, values, space=None):
     fragment = Fragment(
-        Region.full(relation), relation.schema, None, platform.host_memory
+        Region.full(relation), relation.schema, None, space or platform.host_memory
     )
     fragment.append_columns({"price": values})
     return fragment
-
-
-class TestTransfer:
-    def test_transfer_charges_pcie(self, relation, platform, ctx):
-        values = np.ones(1000)
-        fragment = host_column(relation, platform, values)
-        clone = transfer_fragment(fragment, platform.device_memory, ctx)
-        assert is_device_resident(clone)
-        assert ctx.counters.bytes_transferred == fragment.nbytes
-        assert ctx.cycles > 0
-
-    def test_transfer_to_same_space_rejected(self, relation, platform, ctx):
-        fragment = host_column(relation, platform, np.ones(1000))
-        with pytest.raises(PlacementError):
-            transfer_fragment(fragment, platform.host_memory, ctx)
 
 
 class TestDeviceSum:
@@ -59,7 +39,9 @@ class TestDeviceSum:
         host_fragment = host_column(relation, platform, values)
         staged = ExecutionContext(platform)
         resident_ctx = ExecutionContext(platform)
-        device_fragment = host_fragment.copy_to(platform.device_memory)
+        device_fragment = host_column(
+            relation, platform, values, platform.device_memory
+        )
         device_sum_column(Layout("h", relation, [host_fragment]), "price", staged)
         device_sum_column(Layout("d", relation, [device_fragment]), "price", resident_ctx)
         assert resident_ctx.cycles < staged.cycles

@@ -45,7 +45,7 @@ class TestCountWhere:
 
     def test_only_scalar_returns_when_resident(self, relation, platform):
         values = np.arange(2000, dtype=np.float64)
-        fragment = column(relation, platform, values).copy_to(platform.device_memory)
+        fragment = column(relation, platform.device_memory, values)
         layout = Layout("t", relation, [fragment])
         ctx = ExecutionContext(platform)
         device_count(layout, lambda v: v > 0, ctx)

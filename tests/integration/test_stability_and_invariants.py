@@ -70,11 +70,13 @@ class TestMemoryAccounting:
             engine.insert("item", (500 + i, 1, "AA", "B", 1.0), ctx)
         engine.reorganize("item", ctx)
         # Replicas were rebuilt for the grown relation, not leaked.
-        expected = sum(
-            505 * item_schema().attribute(a).width
-            for a in engine.placed_columns("item")
+        pins = platform.staging.cache.pins(engine.layouts("item")[0].fragments)
+        assert [attribute for __, attribute in pins] == engine.placed_columns("item")
+        assert all(fragment.filled == 505 for fragment, __ in pins)
+        assert platform.device_memory.used == sum(
+            platform.staging.payload_bytes(fragment, attribute)
+            for fragment, attribute in pins
         )
-        assert platform.device_memory.used == expected
 
 
 class TestES2FailureInjection:
@@ -116,8 +118,9 @@ class TestES2FailureInjection:
 
 class TestCoGaDBCapacityExhaustion:
     def test_placement_fills_device_then_falls_back(self):
-        # Device fits exactly two 400-row columns of 8 bytes.
-        platform = Platform.paper_testbed(device_capacity=2 * 400 * 8)
+        # Device fits exactly two 400-row columns: i_price raw (8 B a
+        # row) and i_id frame-encoded (a 2 B offset a row, one 8 B base).
+        platform = Platform.paper_testbed(device_capacity=400 * 8 + 400 * 2 + 8)
         engine = CoGaDBEngine(platform)
         engine.create("item", item_schema())
         engine.load("item", generate_items(400))

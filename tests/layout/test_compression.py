@@ -185,12 +185,6 @@ class TestCompressedFragment:
         assert not fragment.is_compressed
         fragment.update_field(0, "v", 1.0)  # still writable
 
-    def test_copy_decompresses(self, fragment, space):
-        fragment.compress()
-        clone = fragment.copy_to(space)
-        assert not clone.is_compressed
-        assert list(clone.column("v")) == list(fragment.column("v"))
-
     def test_scan_cost_drops(self, fragment, platform, space):
         from repro.execution.context import ExecutionContext
         from repro.execution.operators import column_scan_cost

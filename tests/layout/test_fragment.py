@@ -234,36 +234,8 @@ class TestPhantom:
         with pytest.raises(StorageError):
             fragment.fill_phantom(1)
 
-    def test_phantom_copy(self, schema, space):
-        device = MemorySpace("dev", MemoryKind.DEVICE, 1 << 20)
-        fragment = Fragment(
-            fat_region(schema), schema, LinearizationKind.NSM, space, materialize=False
-        )
-        fragment.fill_phantom(2)
-        clone = fragment.copy_to(device)
-        assert clone.is_phantom and clone.filled == 2
-        assert clone.space is device
-
 
 class TestCopy:
-    def test_copy_preserves_data_and_format(self, schema, space, rows):
-        device = MemorySpace("dev", MemoryKind.DEVICE, 1 << 20)
-        fragment = Fragment.from_rows(
-            fat_region(schema), schema, LinearizationKind.DSM, space, rows
-        )
-        clone = fragment.copy_to(device)
-        assert clone.space is device
-        assert clone.serialize() == fragment.serialize()
-        assert clone.linearization is LinearizationKind.DSM
-
-    def test_copy_is_independent(self, schema, space, rows):
-        fragment = Fragment.from_rows(
-            fat_region(schema), schema, LinearizationKind.NSM, space, rows
-        )
-        clone = fragment.copy_to(space)
-        clone.update_field(0, "price", 99.0)
-        assert fragment.read_field(0, "price") == 1.5
-
     def test_free_returns_memory(self, schema, space, rows):
         fragment = Fragment.from_rows(
             fat_region(schema), schema, LinearizationKind.NSM, space, rows
