@@ -53,7 +53,6 @@ from repro.errors import (
 from repro.execution import (
     MULTI_THREADED_8,
     SINGLE_THREADED,
-    CounterScope,
     ExecutionContext,
     ThreadingPolicy,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "ResilienceReport",
     "Platform",
     "ExecutionContext",
-    "CounterScope",
     "ThreadingPolicy",
     "SINGLE_THREADED",
     "MULTI_THREADED_8",

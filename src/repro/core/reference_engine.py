@@ -152,7 +152,7 @@ class ReferenceEngine(StorageEngine):
 
     def _after_load(self, managed) -> None:
         super()._after_load(managed)
-        if self.auto_place and managed.relation.row_count:
+        if self.auto_place:
             # Loading charges nothing, and neither does its placement.
             self._place_hottest(
                 managed.relation.name, ExecutionContext(self.platform)
@@ -192,12 +192,20 @@ class ReferenceEngine(StorageEngine):
             if attribute.dtype.numpy_dtype().kind in ("i", "f")
         ]
 
+    def _is_main(self, name: str, fragment: Fragment) -> bool:
+        """Whether *fragment* is a main column (it ends at the cut).
+
+        Main columns cover ``[0, main_rows)``, empty when nothing has
+        been merged yet; every delta tile ends past the cut.
+        """
+        return fragment.region.rows.stop <= self._delegations[name].main_rows
+
     def _main_columns(self, name: str) -> dict[str, Fragment]:
         """The main column of each attribute, by attribute."""
         return {
             fragment.region.attributes[0]: fragment
             for fragment in self.managed(name).primary_layout.fragments
-            if fragment.region.rows.start < self._delegations[name].main_rows
+            if self._is_main(name, fragment)
         }
 
     def placed_columns(self, name: str) -> list[str]:
@@ -216,8 +224,11 @@ class ReferenceEngine(StorageEngine):
 
         Ranking comes from the workload trace when it has events, and
         falls back to schema order otherwise.  All-or-nothing per
-        column; returns the attributes newly placed.
+        column; returns the attributes newly placed (none while the
+        main columns are empty).
         """
+        if not self._delegations[name].main_rows:
+            return []
         managed = self.managed(name)
         relation = managed.relation
         stats = AttributeStatistics.from_events(
@@ -367,7 +378,7 @@ class ReferenceEngine(StorageEngine):
         delta_tiles = [
             fragment
             for fragment in unified.fragments
-            if fragment.region.rows.start >= delegation.main_rows
+            if not self._is_main(name, fragment)
         ]
         changed = False
         if delta_tiles:

@@ -33,7 +33,7 @@ from repro.execution.operators import (
     materialize_rows,
     sum_at_positions,
     sum_column,
-    update_field,
+    update_fragments,
 )
 from repro.hardware.platform import Platform
 from repro.layout.layout import Layout
@@ -416,15 +416,21 @@ class StorageEngine(abc.ABC):
         value: Any,
         ctx: ExecutionContext,
     ) -> None:
-        """Point update of one field (kept coherent across all layouts)."""
+        """Point update of one field (kept coherent across all layouts).
+
+        Layouts may share fragment objects (Peloton's logical tiles are
+        views of its physical tiles), so each distinct fragment covering
+        the cell is written and charged once.
+        """
         self._check_update_allowed(name, attribute)
         self._maintain_secondary_indexes(name, position, attribute, value)
         self.record_access(name, AccessKind.WRITE, (attribute,), 1)
-        for layout in self.managed(name).layouts:
-            try:
-                update_field(layout, position, attribute, value, ctx)
-            except EngineError:  # pragma: no cover - defensive
-                raise
+        copies = {
+            id(fragment): fragment
+            for layout in self.managed(name).layouts
+            for fragment in layout.fragments
+        }
+        update_fragments(list(copies.values()), position, attribute, value, ctx)
 
     def point_query(
         self, name: str, key: Any, ctx: ExecutionContext

@@ -2,7 +2,7 @@
 
 from repro.execution.access import AccessDescriptor, AccessKind
 from repro.execution.bulk import BulkPipeline, bulk_sum
-from repro.execution.context import CounterScope, ExecutionContext
+from repro.execution.context import ExecutionContext
 from repro.execution.device import device_sum_column, is_device_resident
 from repro.execution.index import HashIndex, SecondaryIndex, point_query
 from repro.execution.operators import (
@@ -29,7 +29,6 @@ from repro.execution.volcano import (
 
 __all__ = [
     "ExecutionContext",
-    "CounterScope",
     "ThreadingPolicy",
     "SINGLE_THREADED",
     "MULTI_THREADED_8",

@@ -6,29 +6,19 @@ bundle and a threading policy.  Operators read data out of fragments
 through this object, so a benchmark series is just "same plan, different
 context".
 
-Concurrent serving (``repro.serving``) interleaves many queries on one
-simulated timeline, so one flat counter bundle is not enough: every
-query needs its *own* counters (for per-query latency and metrics
-attribution) while the platform still needs an exact total.
-:class:`CounterScope` is that mechanism.  A scope is opened at a point
-on the timeline (:meth:`ExecutionContext.open_scope`), *activated* to
-receive every charge the operators make while it runs
-(:meth:`ExecutionContext.activate` swaps the context's counter bundle —
-operators read ``ctx.counters`` dynamically, so nothing else changes),
-and finally *settled* into the root counters exactly once
-(:meth:`ExecutionContext.settle`).  The invariant the serving tier's
-property tests pin down: after every scope is settled, the root totals
-equal the element-wise sum of all scope deltas — no charge is lost and
-none is double-counted, under any interleaving.
+A query that needs its own counters runs on its own context:
+:meth:`ExecutionContext.fork` shares the platform, policy, retry policy
+and log and starts fresh counters.  The serving loop
+(:mod:`repro.serving.server`) forks one per dispatched unit and merges
+each unit's counters and breakdown into its root context once.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
-from repro.errors import ExecutionError
 from repro.hardware.event import CostBreakdown, Cycles, PerfCounters
 from repro.hardware.platform import Platform
 from repro.execution.threading import SINGLE_THREADED, ThreadingPolicy
@@ -37,60 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.policy import RetryPolicy
     from repro.recovery.wal import WriteAheadLog
 
-__all__ = ["CounterScope", "ExecutionContext"]
-
-
-class CounterScope:
-    """One query's (or one batch's) private slice of the counter plane.
-
-    Attributes
-    ----------
-    name:
-        Scope label — the metrics registry observes the scope's delta
-        under this name.
-    counters:
-        The scope's own :class:`~repro.hardware.event.PerfCounters`.
-        Its ``cycles`` field is *seeded* with the timeline position the
-        scope opened at, so tracer spans recorded inside the scope are
-        stamped at the right simulated instant; :meth:`delta` subtracts
-        the seed again.
-    breakdown:
-        The scope's own labelled cost decomposition.
-    baseline_cycles:
-        The timeline position the scope opened at (the cycles seed).
-    settled:
-        Whether the scope's delta has been folded into the root
-        counters; a scope settles exactly once.
-    """
-
-    def __init__(self, name: str, at_cycles: Cycles = 0.0) -> None:
-        self.name = name
-        self.counters = PerfCounters(cycles=at_cycles)
-        self.breakdown = CostBreakdown()
-        self.baseline_cycles = at_cycles
-        self.settled = False
-
-    def delta(self) -> PerfCounters:
-        """The scope's own charges: its counters minus the cycles seed.
-
-        Every field except ``cycles`` started at zero, so the snapshot
-        is the delta; ``cycles`` subtracts the opening baseline.  Safe
-        to call at any time (it copies).
-        """
-        bundle = PerfCounters(**self.counters.snapshot())
-        bundle.cycles -= self.baseline_cycles
-        return bundle
-
-    @property
-    def cycles(self) -> Cycles:
-        """Cycles charged inside the scope so far (baseline excluded)."""
-        return self.counters.cycles - self.baseline_cycles
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CounterScope({self.name!r}, cycles={self.cycles!r}, "
-            f"settled={self.settled})"
-        )
+__all__ = ["ExecutionContext"]
 
 
 @dataclass
@@ -129,89 +66,11 @@ class ExecutionContext:
     call_overhead_cycles: Cycles = 20.0
     retry: "RetryPolicy | None" = None
     wal: "WriteAheadLog | None" = None
-    #: Activation stack: ``(saved_counters, saved_breakdown, scope)``
-    #: per active scope; the bottom entry holds the root bundles.
-    _scope_stack: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def cycles(self) -> Cycles:
         """Total cycles charged so far."""
         return self.counters.cycles
-
-    # ------------------------------------------------------------------
-    # Counter scopes (interleaved-query accounting)
-    # ------------------------------------------------------------------
-    def open_scope(
-        self, name: str, at_cycles: Cycles | None = None
-    ) -> CounterScope:
-        """A fresh :class:`CounterScope` positioned on the timeline.
-
-        *at_cycles* seeds the scope's cycle counter (an event loop
-        passes its simulated *now* so spans inside the scope are
-        stamped at the dispatch instant); omitted, the scope opens at
-        the currently-active bundle's cycle position.  Opening does not
-        activate: charges keep landing wherever they landed before.
-        """
-        start = self.counters.cycles if at_cycles is None else at_cycles
-        return CounterScope(name, start)
-
-    @contextmanager
-    def activate(self, scope: CounterScope) -> Iterator[CounterScope]:
-        """Route every charge to *scope* for the duration of the block.
-
-        Swaps the context's ``counters``/``breakdown`` for the scope's
-        own bundles — operators resolve ``ctx.counters`` dynamically,
-        so every charge, span, and fault tally inside the block lands
-        in the scope.  Activations nest (a rebalance scope may wrap
-        interleaved per-query scopes) and restore the previous bundles
-        on exit even when the block raises.  A settled scope cannot be
-        re-activated: its delta is already in the root totals, and new
-        charges would be lost.
-        """
-        if scope.settled:
-            raise ExecutionError(
-                f"scope {scope.name!r} is already settled; "
-                "charges made now would never reach the root totals"
-            )
-        self._scope_stack.append((self.counters, self.breakdown, scope))
-        self.counters = scope.counters
-        self.breakdown = scope.breakdown
-        try:
-            yield scope
-        finally:
-            saved_counters, saved_breakdown, __ = self._scope_stack.pop()
-            self.counters = saved_counters
-            self.breakdown = saved_breakdown
-
-    def settle(self, scope: CounterScope) -> PerfCounters:
-        """Fold *scope*'s delta into the root totals, exactly once.
-
-        Merges the scope's counter delta and breakdown into the *root*
-        bundles (the bottom of the activation stack — the context's
-        original counters, wherever the call happens in a nest) and
-        marks the scope settled.  Settling twice, or settling a scope
-        that is still active, is a hard error: either would break the
-        exactly-once attribution invariant the serving metrics gate
-        asserts.  Returns the delta so callers can observe it (e.g.
-        into a :class:`~repro.obs.MetricsRegistry`) without recomputing.
-        """
-        if scope.settled:
-            raise ExecutionError(f"scope {scope.name!r} already settled")
-        if any(active is scope for __, __, active in self._scope_stack):
-            raise ExecutionError(
-                f"scope {scope.name!r} is still active; deactivate before "
-                "settling"
-            )
-        scope.settled = True
-        delta = scope.delta()
-        if self._scope_stack:
-            root_counters, root_breakdown, __ = self._scope_stack[0]
-        else:
-            root_counters, root_breakdown = self.counters, self.breakdown
-        root_counters.merge(delta)
-        for label, cycles in scope.breakdown.parts.items():
-            root_breakdown.add(label, cycles)
-        return delta
 
     def charge(self, label: str, cycles: Cycles) -> None:
         """Charge raw cycles under a breakdown label."""
@@ -269,7 +128,11 @@ class ExecutionContext:
         return "\n".join(lines)
 
     def fork(self) -> "ExecutionContext":
-        """A context sharing platform/policy/log but with fresh counters."""
+        """A context sharing platform, policies and log, with fresh counters.
+
+        The serving loop runs each dispatched unit on one, so the unit's
+        charges stay its own until the loop merges them.
+        """
         return ExecutionContext(
             platform=self.platform,
             threading=self.threading,

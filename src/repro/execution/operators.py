@@ -38,6 +38,7 @@ __all__ = [
     "materialize_rows",
     "filter_scan",
     "update_field",
+    "update_fragments",
     "column_scan_cost",
 ]
 
@@ -381,15 +382,32 @@ def update_field(
 
     Every fragment of the layout covering the cell is updated (an
     overlapping layout keeps replicas coherent by construction here;
-    replication-based engines charge the extra writes).  Each touched
-    fragment's device replicas stay staged: the write is recorded on
-    them, and the next device read ships only the written cell.
+    replication-based engines charge the extra writes); see
+    :func:`update_fragments`.
+    """
+    update_fragments(layout.fragments, position, attribute, value, ctx)
+
+
+def update_fragments(
+    fragments: Sequence[Fragment],
+    position: int,
+    attribute: str,
+    value: Any,
+    ctx: ExecutionContext,
+) -> None:
+    """Write one cell into every fragment of *fragments* covering it.
+
+    A fragment listed twice is written and charged twice, so a caller
+    writing through several layouts passes each distinct fragment once.
+    Each touched fragment's device replicas stay staged: the write is
+    recorded on them, and the next device read ships only the written
+    cell.  Raises when no fragment covers the cell.
     """
     model = ctx.platform.memory_model
     staging = ctx.platform.staging
     touched = 0
     with ctx.span(f"update({attribute})", "operator", position=position):
-        for fragment in layout.fragments:
+        for fragment in fragments:
             if fragment.region.contains(position, attribute):
                 local = position - fragment.region.rows.start
                 fragment.update_field(local, attribute, value)

@@ -23,8 +23,7 @@ class PerfCounters:
     """Mutable bundle of simulated performance counters.
 
     The ``cycles`` field is the headline cost; the remaining fields
-    explain where it came from.  Counters add with ``+`` and support
-    in-place merge via :meth:`merge`.
+    explain where it came from.  Bundles add in place with :meth:`merge`.
     """
 
     cycles: Cycles = 0.0
@@ -58,41 +57,18 @@ class PerfCounters:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
-    def __add__(self, other: "PerfCounters") -> "PerfCounters":
-        result = PerfCounters()
-        result.merge(self)
-        result.merge(other)
-        return result
-
     def charge(self, cycles: Cycles) -> None:
         """Add raw cycles with no associated event."""
         self.cycles += cycles
-
-    def seconds(self, frequency_hz: float) -> float:
-        """Convert the cycle total to wall-clock seconds at *frequency_hz*."""
-        return self.cycles / frequency_hz
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all counters (for reports and tests)."""
         return {name: getattr(self, name) for name in COUNTER_NAMES}
 
-    def reset(self) -> None:
-        """Zero every counter, preserving each field's declared type.
 
-        Under ``from __future__ import annotations`` a field's ``type``
-        is the *string* ``"int"``, so comparing it against the ``int``
-        class would silently reset integer counters to floats; deriving
-        the zero from the field's default keeps int counters int.
-        """
-        for name, kind in _COUNTER_KINDS:
-            setattr(self, name, kind())
-
-
-#: ``(name, type of its default)`` per counter field, computed once:
+#: Every counter field's name, in declaration order, computed once:
 #: ``dataclasses.fields`` on every merge was a host-time hot spot.
-_COUNTER_KINDS = tuple((spec.name, type(spec.default)) for spec in fields(PerfCounters))
-#: Every counter field's name, in declaration order.
-COUNTER_NAMES = tuple(name for name, __ in _COUNTER_KINDS)
+COUNTER_NAMES = tuple(spec.name for spec in fields(PerfCounters))
 
 
 @dataclass

@@ -144,29 +144,11 @@ class GPUModel:
         if count == 0:
             return 0.0
         streamed = count * element_width if nbytes is None else nbytes
-        blocks = _pass1_blocks(count)
-        pass1_seconds = self.streaming_kernel_seconds(
-            nbytes=streamed, ops=count + decoded
-        )
-        pass2_seconds = self.streaming_kernel_seconds(
-            nbytes=blocks * element_width, ops=blocks
-        )
-        total_seconds = pass1_seconds + pass2_seconds + 2 * self.launch_latency_s
-        cost = self.seconds_to_host_cycles(total_seconds)
-        if counters is not None:
-            counters.cycles += cost
-            counters.device_cycles += total_seconds * self.clock_hz
-            counters.kernel_launches += 2
-            counters.bytes_read += streamed
-            # Prediction calls (no counters) must stay side-effect-free,
-            # so injection only applies to accounted launches.
-            if self.injector is not None:
-                self.injector.check(_SITE_KERNEL_LAUNCH, counters)
-        return cost
+        return self._two_pass([(count, element_width, streamed, decoded)], counters)
 
     def batched_reduction_cost(
         self,
-        columns: "Sequence[tuple[int, int]]",
+        columns: "Sequence[tuple[int, int, int, int]]",
         counters: PerfCounters | None = None,
     ) -> Cycles:
         """Host-cycle cost of ONE batched two-pass reduction over many columns.
@@ -201,9 +183,22 @@ class GPUModel:
                 streamed.append((count, width, nbytes, decoded))
         if not streamed:
             return 0.0
+        return self._two_pass(streamed, counters)
+
+    def _two_pass(
+        self,
+        columns: "Sequence[tuple[int, int, int, int]]",
+        counters: PerfCounters | None,
+    ) -> Cycles:
+        """One two-pass reduction grid over non-empty *columns*.
+
+        Each ``(count, element_width, nbytes, decoded)`` column adds its
+        pass-1 stream and its pass-2 partials to one grid, which pays
+        two launch latencies in all.
+        """
         pass_seconds = 0.0
         total_bytes = 0
-        for count, width, nbytes, decoded in streamed:
+        for count, width, nbytes, decoded in columns:
             blocks = _pass1_blocks(count)
             pass_seconds += self.streaming_kernel_seconds(
                 nbytes=nbytes, ops=count + decoded

@@ -12,7 +12,7 @@ to its hot paths if it can *see* them.  Three cooperating pieces:
 * :class:`~repro.obs.metrics.MetricsRegistry` — named counters and
   dimensional time series sampled on the cycle timeline (the serving
   loop's ``serving.*`` events, and ``platform.*`` series of the
-  :class:`~repro.hardware.event.PerfCounters` deltas it settles), one
+  :class:`~repro.hardware.event.PerfCounters` deltas it merges), one
   half-open window reader, an exact counter-closure check, and the
   rates an adaptive scheduler reads (staging hit rate, PCIe
   utilization, fault retry rate, WAL group-commit size);

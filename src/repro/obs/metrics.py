@@ -19,7 +19,7 @@ the same dimensions and readers can filter on them.  Unknown label keys
 are a hard error: an open vocabulary would silently fragment series.
 
 **Feeds.**  The serving loop records its ``serving.*`` series and hands
-every counter delta it settles to :meth:`MetricsRegistry.observe_query`,
+every counter delta it merges to :meth:`MetricsRegistry.observe_query`,
 which lands it in the ``platform.*`` series, one per
 :class:`~repro.hardware.event.PerfCounters` field.  Those series are the
 registry's only copy of the counters: :attr:`MetricsRegistry.totals` is
@@ -34,8 +34,9 @@ the rates an adaptive scheduler wants without walking a trace:
 
 **Closure.**  :meth:`MetricsRegistry.verify_closure` checks every
 :class:`~repro.hardware.event.PerfCounters` field against its
-``platform.<field>`` series total with ``==`` (the same exactly-once
-discipline :class:`~repro.execution.context.CounterScope` enforces).
+``platform.<field>`` series total with ``==``: the serving loop merges
+each unit's counters into its root context and observes them in one
+step, so the two agree exactly.
 
 **Zero observer effect.**  Like the tracer, the registry is strictly
 read-only with respect to the simulation: recording a sample never
@@ -176,7 +177,7 @@ class MetricsRegistry:
     """Named counters plus labelled time series on the cycle timeline.
 
     :meth:`record` lands one labelled sample and :meth:`values` reads a
-    window back; :meth:`observe_query` folds one settled counter delta
+    window back; :meth:`observe_query` folds one merged counter delta
     into the ``platform.*`` series, which :attr:`totals`,
     :meth:`derive_rates` and :meth:`verify_closure` read.  Pass one as
     the serving loop's registry and the loop feeds it both.  The
@@ -221,10 +222,10 @@ class MetricsRegistry:
         series.append(cycle, value)
 
     def observe_query(self, delta: PerfCounters, cycle: Cycles) -> None:
-        """Feed one settled counter delta into the ``platform.*`` series.
+        """Feed one merged counter delta into the ``platform.*`` series.
 
         Every non-zero field lands as a counter sample at *cycle*, so
-        after a run in which **every** charge settles through here, each
+        after a run in which **every** charge is observed here, each
         ``platform.<field>`` series total equals the root
         :class:`~repro.hardware.event.PerfCounters` field — the closure
         :meth:`verify_closure` gates.
@@ -314,10 +315,10 @@ class MetricsRegistry:
         """Check every *totals* field against its series; returns the problems.
 
         The comparison is exact: the series add the deltas in the order
-        they settled, which is the order the root counters merged them.
-        A field no observed delta carried has no ``platform.<field>``
-        series and totals 0, so a charge that never settled through
-        :meth:`observe_query` is reported too.
+        the root counters merged them.  A field no observed delta
+        carried has no ``platform.<field>`` series and totals 0, so a
+        charge that never went through :meth:`observe_query` is
+        reported too.
         """
         observed = self.totals
         return [

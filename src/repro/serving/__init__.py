@@ -14,8 +14,9 @@ streams concurrently — on the simulated cycle timeline:
   queries share one coalesced PCIe burst, one batched kernel grid, and
   one result copy, and are answered from the staged replicas;
 * :mod:`repro.serving.server` — the discrete-event loop tying them
-  together with per-query :class:`~repro.execution.CounterScope`
-  accounting and write barriers for serial equivalence;
+  together, running each dispatched unit on its own forked
+  :class:`~repro.execution.ExecutionContext` and keeping write
+  barriers for serial equivalence;
 * :mod:`repro.serving.verifier` — the gates ``python -m repro.verify
   serving`` runs (byte identity against a host-column replay, >=2x
   batched throughput, bounded p99/p50, exactly-once attribution).

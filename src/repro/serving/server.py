@@ -9,12 +9,15 @@ a single query, or a batch of compatible device queries grouped under
 the :class:`BatchPolicy`; the clock advances by each unit's measured
 service cycles; per-query latency is ``finish - arrival``.
 
-**Serial-equivalence discipline.**  Every unit runs inside its own
-:class:`~repro.execution.context.CounterScope` (opened at the dispatch
-instant, settled into the root totals exactly once, and observed in the
-:class:`~repro.obs.MetricsRegistry` when the loop has one), and
-dispatch respects **write barriers**: reads may reorder freely between
-two writes (they commute), but a write executes only once every
+**Serial-equivalence discipline.**  Every unit runs on its own
+:class:`~repro.execution.context.ExecutionContext`, forked from the
+loop's root context with its cycle counter seeded at the dispatch
+instant (so spans inside the unit are stamped on the loop's timeline);
+when the unit returns, its counters minus the seed are merged into the
+root context once and observed in the
+:class:`~repro.obs.MetricsRegistry` when the loop has one.  Dispatch
+respects **write barriers**: reads may reorder freely between two
+writes (they commute), but a write executes only once every
 earlier-arriving query has — so the interleaved, batched execution
 produces answers byte-identical to a serial replay of the same
 admitted queries in arrival order.
@@ -217,10 +220,12 @@ class ServingLoop:
         A :class:`LayoutBackend` (or anything with ``run`` /
         ``run_batch`` / ``batchable`` / ``is_write``).
     ctx:
-        The root execution context; all scope deltas settle into its
-        counters, so after a run ``ctx.counters`` is the platform
-        total, which a registry's ``platform.*`` series must close
-        against exactly (the exactly-once gate).
+        The root execution context.  Each unit runs on a fork of it,
+        and the unit's counters and breakdown are merged into it once,
+        as are admission's counters when the run ends; after a run
+        ``ctx.counters`` is the platform total, which a registry's
+        ``platform.*`` series must close against exactly (the
+        exactly-once gate).
     queue:
         The admission queue (owns backlog bound and fairness policy).
     policy:
@@ -228,7 +233,7 @@ class ServingLoop:
     registry:
         Optional metrics sink.  Given one, the loop records the
         per-tenant ``serving.latency``/``served``/``shed`` series and
-        feeds every settled scope delta to
+        feeds every counter delta it merges to
         :meth:`~repro.obs.MetricsRegistry.observe_query` at the loop's
         *now*; ``None`` (the default) records nothing.
     """
@@ -248,7 +253,7 @@ class ServingLoop:
         self.registry = registry
         self.now: Cycles = 0.0
         self._report = ServingReport()
-        self._admission_scope = None
+        self._admission = PerfCounters()
 
     # ------------------------------------------------------------------
     # Admission
@@ -256,28 +261,28 @@ class ServingLoop:
     def _admit_due(self, arrivals: list[QueryArrival], cursor: int) -> int:
         """Admit every arrival with ``cycle <= now``; returns new cursor.
 
-        Admissions run inside the loop's long-lived admission scope so
-        injected overflow tallies roll up exactly once; an injected
-        shed is recorded *recovered* (shedding is the designed
-        response), an organic shed is just counted.
+        Admissions charge the run's admission counters, which
+        :meth:`run` merges once at the end, so injected overflow
+        tallies roll up exactly once; an injected shed is recorded
+        *recovered* (shedding is the designed response), an organic
+        shed is just counted.
         """
         injector = self.ctx.platform.injector
         while cursor < len(arrivals) and arrivals[cursor].cycle <= self.now:
             arrival = arrivals[cursor]
             cursor += 1
-            with self.ctx.activate(self._admission_scope):
-                try:
-                    victim = self.queue.admit(arrival, self.ctx.counters)
-                except AdmissionRejected as error:
-                    injected = bool(getattr(error, "injected", False))
-                    if injected and injector is not None:
-                        injector.report.record_recovered()
-                        self.ctx.counters.fault_recoveries += 1
-                    self._report.shed.append(
-                        ShedQuery(arrival.seq, arrival.tenant, self.now, injected)
-                    )
-                    self._sample_shed(arrival.tenant)
-                    continue
+            try:
+                victim = self.queue.admit(arrival, self._admission)
+            except AdmissionRejected as error:
+                injected = bool(getattr(error, "injected", False))
+                if injected and injector is not None:
+                    injector.report.record_recovered()
+                    self._admission.fault_recoveries += 1
+                self._report.shed.append(
+                    ShedQuery(arrival.seq, arrival.tenant, self.now, injected)
+                )
+                self._sample_shed(arrival.tenant)
+                continue
             if victim is not None:
                 self._report.shed.append(
                     ShedQuery(victim.seq, victim.tenant, self.now, False)
@@ -292,8 +297,14 @@ class ServingLoop:
                 "serving.shed", 1.0, cycle=self.now, tenant=tenant
             )
 
-    def _observe(self, delta: PerfCounters) -> None:
-        """Observe one settled scope delta at *now* (no-op without a registry)."""
+    def _merge(self, delta: PerfCounters) -> None:
+        """Fold *delta* into the root counters and observe it at *now*.
+
+        The registry (when the loop has one) sees exactly what the root
+        counters gain, which is the closure its ``platform.*`` series
+        are checked against.
+        """
+        self.ctx.counters.merge(delta)
         if self.registry is not None:
             self.registry.observe_query(delta, self.now)
 
@@ -330,10 +341,10 @@ class ServingLoop:
     def _dispatch_unit(self) -> bool:
         """Serve one unit (query or batch); returns False when idle.
 
-        The unit runs in its own scope opened at the current clock;
-        the scope's cycle delta is the unit's service time, the clock
-        advances by it, and every member's latency is
-        ``finish - arrival``.
+        The unit runs on its own fork of the root context, its cycle
+        counter seeded at the current clock; its cycles minus the seed
+        are the unit's service time, the clock advances by them, and
+        every member's latency is ``finish - arrival``.
         """
         eligible = self._eligible()
         if not eligible:
@@ -351,22 +362,23 @@ class ServingLoop:
             self.queue.take(entry)
         batched = len(unit) > 1
         unit_id = self._report.units
-        name = (
-            f"batch.{unit_id}"
-            if batched
-            else f"q{head.seq}.{head.tenant}"
-        )
-        scope = self.ctx.open_scope(name, at_cycles=self.now)
-        with self.ctx.activate(scope):
-            if batched:
-                answers = self.backend.run_batch(
-                    [entry.spec for entry in unit], self.ctx
-                )
-            else:
-                answers = [self.backend.run(head.spec, self.ctx)]
-        delta = self.ctx.settle(scope)
-        self._observe(delta)
         start = self.now
+        unit_ctx = self.ctx.fork()
+        # Seeded at the dispatch instant so spans inside the unit are
+        # stamped on the loop's timeline; the seed comes off before the
+        # merge.
+        delta = unit_ctx.counters
+        delta.cycles = start
+        if batched:
+            answers = self.backend.run_batch(
+                [entry.spec for entry in unit], unit_ctx
+            )
+        else:
+            answers = [self.backend.run(head.spec, unit_ctx)]
+        delta.cycles -= start
+        self._merge(delta)
+        for label, cycles in unit_ctx.breakdown.parts.items():
+            self.ctx.breakdown.add(label, cycles)
         finish = start + delta.cycles
         for entry, answer in zip(unit, answers):
             latency = finish - entry.cycle
@@ -408,10 +420,10 @@ class ServingLoop:
         """Serve the whole arrival sequence; returns the report.
 
         Drains every admitted query (open-loop: late arrivals keep
-        landing while earlier ones are served), then settles the
-        admission scope so the exactly-once attribution closes.
+        landing while earlier ones are served), then merges the
+        admission counters so the exactly-once attribution closes.
         """
-        self._admission_scope = self.ctx.open_scope("admission", at_cycles=0.0)
+        self._admission = PerfCounters()
         cursor = 0
         while True:
             cursor = self._admit_due(arrivals, cursor)
@@ -422,8 +434,7 @@ class ServingLoop:
                 self.now = max(self.now, arrivals[cursor].cycle)
                 continue
             self._dispatch_unit()
-        delta = self.ctx.settle(self._admission_scope)
-        self._observe(delta)
+        self._merge(self._admission)
         self._report.makespan_cycles = self.now
         return self._report
 

@@ -176,7 +176,7 @@ def serve_once(
     *registry* goes to the :class:`ServingLoop` unchanged: given a
     :class:`~repro.obs.MetricsRegistry`, the loop records its
     ``serving.*`` series there, and the ``platform.*`` series from
-    every delta it settles; ``None`` records nothing.  Either way the
+    every delta it merges; ``None`` records nothing.  Either way the
     cell is the same (the zero-observer-effect gate runs it both ways).
     """
     platform = Platform.paper_testbed()

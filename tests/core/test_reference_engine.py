@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.reference_engine import ReferenceEngine, RegionDelegation
 from repro.execution import ExecutionContext
+from repro.execution.operators import sum_column
 from repro.hardware import Platform
 from repro.hardware.memory import MemoryKind
-from repro.workload import item_schema
+from repro.workload import generate_items, item_schema
 
 
 @pytest.fixture
@@ -135,6 +136,47 @@ class TestResponsiveness:
         reference, platform = engine
         ctx = ExecutionContext(platform)
         assert not reference.reorganize("item", ctx)  # nothing to do
+
+
+def _empty_reference(platform):
+    reference = ReferenceEngine(platform, delta_tile_rows=4)
+    reference.create("item", item_schema())
+    reference.load("item", generate_items(0))
+    return reference
+
+
+class TestEmptyRelation:
+    """A relation loaded with zero rows has empty main columns."""
+
+    def test_reorganize_on_an_empty_relation_is_a_no_op(self):
+        platform = Platform.paper_testbed()
+        reference = _empty_reference(platform)
+        assert not reference.reorganize("item", ExecutionContext(platform))
+        assert reference.placed_columns("item") == []
+
+    @pytest.mark.parametrize("inserted", [1, 9])
+    def test_inserts_into_an_empty_relation_merge(self, small_items, inserted):
+        platform = Platform.paper_testbed()
+        reference = _empty_reference(platform)
+        ctx = ExecutionContext(platform)
+        names = item_schema().names
+        for position in range(inserted):
+            reference.insert(
+                "item", tuple(small_items[name][position] for name in names), ctx
+            )
+        assert reference.reorganize("item", ctx)
+        assert reference.delegation_policy("item").main_rows == inserted
+        assert reference.placed_columns("item")
+        oracle = ReferenceEngine(Platform.paper_testbed(), auto_place=False)
+        oracle.create("item", item_schema())
+        oracle.load(
+            "item", {name: small_items[name][:inserted] for name in names}
+        )
+        (oracle_layout,) = oracle.layouts("item")
+        for attribute in ("i_im_id", "i_price"):
+            assert reference.sum("item", attribute, ctx) == sum_column(
+                oracle_layout, attribute, ExecutionContext(oracle.platform)
+            )
 
 
 class TestRegionDelegation:

@@ -27,12 +27,6 @@ NAMES = (
     "CoGaDB", "L-Store", "Peloton", "Reference",
 )
 
-#: Peloton's logical-tile layout shares its physical tiles, and
-#: ``StorageEngine.update`` writes each layout, so one copy is charged
-#: twice (16 B).
-DOUBLE_CHARGED = {"Peloton"}
-
-
 @pytest.fixture(scope="module")
 def instances():
     built = build_reference_instances(ROWS)
@@ -45,20 +39,7 @@ def instances():
     return engines
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(
-            name,
-            marks=pytest.mark.xfail(
-                strict=True, reason="shared physical tiles are written per layout"
-            ),
-        )
-        if name in DOUBLE_CHARGED
-        else name
-        for name in NAMES
-    ],
-)
+@pytest.mark.parametrize("name", NAMES)
 def test_a_point_update_is_charged_once_per_host_copy(instances, name):
     engine = instances[name]
     copies = {

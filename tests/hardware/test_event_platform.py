@@ -14,37 +14,12 @@ class TestPerfCounters:
         a.merge(b)
         assert a.cycles == 15 and a.l1_hits == 3 and a.bytes_read == 64
 
-    def test_add_operator(self):
-        total = PerfCounters(cycles=1) + PerfCounters(cycles=2)
-        assert total.cycles == 3
-
-    def test_seconds(self):
-        assert PerfCounters(cycles=2.6e9).seconds(2.6e9) == pytest.approx(1.0)
-
-    def test_snapshot_and_reset(self):
+    def test_snapshot_copies_every_counter(self):
         counters = PerfCounters(cycles=7, tlb_misses=3)
         snap = counters.snapshot()
         assert snap["cycles"] == 7 and snap["tlb_misses"] == 3
-        counters.reset()
-        assert counters.cycles == 0 and counters.tlb_misses == 0
-
-    def test_reset_preserves_declared_counter_types(self):
-        """Regression: under ``from __future__ import annotations`` a
-        field's ``type`` is the string ``"int"``, so the old
-        ``spec.type is int`` check silently reset every integer counter
-        to ``0.0`` — after which snapshots and reports rendered event
-        counts as floats and byte-identity checks across resets failed."""
-        counters = PerfCounters(cycles=12.5, instructions=42, pcie_bytes=1024)
-        counters.reset()
-        assert counters.cycles == 0.0 and type(counters.cycles) is float
-        for name in ("instructions", "pcie_bytes", "staging_hits", "transfers"):
-            value = getattr(counters, name)
-            assert value == 0 and type(value) is int
-        # The whole snapshot must be byte-identical to a fresh bundle's.
-        assert counters.snapshot() == PerfCounters().snapshot()
-        assert [type(v) for v in counters.snapshot().values()] == [
-            type(v) for v in PerfCounters().snapshot().values()
-        ]
+        counters.tlb_misses += 1
+        assert snap["tlb_misses"] == 3
 
 
 class TestCostBreakdown:
