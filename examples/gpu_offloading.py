@@ -14,6 +14,7 @@ from repro.core.report import render_table
 from repro.engines import CoGaDBEngine
 from repro.execution import ExecutionContext
 from repro.hardware import Platform
+from repro.obs import Tracer, explain
 from repro.workload import generate_items, item_schema
 
 ROWS = 1_000_000
@@ -40,13 +41,16 @@ def main() -> None:
     print(f"device memory used: {platform.device_memory.used / 1e6:.1f} MB; "
           f"placement moved {ctx.counters.bytes_transferred / 1e6:.1f} MB over PCIe")
 
-    # Resident columns flip HyPE's decision.
+    # Resident columns flip HyPE's decision; tracing this one run says
+    # where its time went.
+    tracer = platform.tracer = Tracer()
     ctx = ExecutionContext(platform)
     total = engine.sum("item", "i_price", ctx)
+    platform.tracer = None
     print(f"\nresident sum = {total:,.2f}: HyPE chose "
           f"{engine.scheduler.decisions[-1]!r}, {ctx.seconds() * 1e3:.3f} simulated ms")
     print("where the time went:")
-    print(ctx.render_breakdown(top=3))
+    print(explain(ctx, tracer))
 
     # The panel 3 vs 4 story, as one table.
     from repro.bench import (

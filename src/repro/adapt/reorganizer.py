@@ -163,7 +163,7 @@ def reorganize_layout(
                     migrated / (relation.row_count * max(len(new_fragments), 1))
                 )
                 cost = 2 * ctx.platform.memory_model.sequential(int(wasted))
-                ctx.charge(f"reorganize-aborted({relation.name})", cost)
+                ctx.counters.cycles += cost
             if wal is not None:
                 from repro.recovery.wal import LogRecordKind
 
@@ -174,7 +174,7 @@ def reorganize_layout(
             payload = relation.nsm_bytes
             cost = ctx.platform.memory_model.sequential(payload)  # read old
             cost += ctx.platform.memory_model.sequential(payload)  # write new
-            ctx.charge(f"reorganize({relation.name})", cost)
+            ctx.counters.cycles += cost
             ctx.counters.bytes_written += payload
 
         old_fragments = list(layout.fragments)

@@ -380,7 +380,7 @@ def snapshot_isolation_sweep(
         copy_ctx = ExecutionContext(platform)
         payload = sum(f.nbytes for f in store.fragments)
         for __ in range(analytic_queries):
-            copy_ctx.charge("full-copy", platform.memory_model.sequential(2 * payload))
+            copy_ctx.counters.cycles += platform.memory_model.sequential(2 * payload)
             sum_column(store, "i_price", copy_ctx)
         copy_ms = platform.seconds(copy_ctx.cycles) * 1e3
 

@@ -297,7 +297,7 @@ class ReferenceEngine(StorageEngine):
         cost = ctx.platform.memory_model.random(
             count=1, touched=schema.record_width, footprint=max(tile.nbytes, 1)
         )
-        ctx.charge(f"ref-insert({name})", cost)
+        ctx.counters.cycles += cost
         ctx.counters.bytes_written += schema.record_width
         return position
 
@@ -405,7 +405,7 @@ class ReferenceEngine(StorageEngine):
                 for attribute in schema.names
             ]
             cost = 2 * ctx.platform.memory_model.sequential(relation.nsm_bytes)
-            ctx.charge(f"ref-merge({name})", cost)
+            ctx.counters.cycles += cost
             # The merge replaces every main column: the old fragments'
             # replicas go with them, pins included.
             ctx.platform.staging.release(unified.fragments)

@@ -217,10 +217,7 @@ class ES2Engine(StorageEngine):
                     value.item() if hasattr(value, "item") else value,
                     start + offset,
                 )
-        ctx.charge(
-            f"es2-index-build({attribute})",
-            managed.relation.row_count * 12.0,
-        )
+        ctx.counters.cycles += managed.relation.row_count * 12.0
         self._secondary.setdefault(name, {})[attribute] = shards
 
     def lookup_secondary(
@@ -241,10 +238,9 @@ class ES2Engine(StorageEngine):
             hits = shard.lookup(key, ctx)
             positions.extend(hits)
             if node_name != self.coordinator.name:
-                cost = self.cluster.network.transfer_cost(
+                self.cluster.network.transfer_cost(
                     max(len(hits), 1) * 8, ctx.counters
                 )
-                ctx.note("es2-network", cost)
         return tuple(sorted(positions))
 
     # ------------------------------------------------------------------
@@ -261,10 +257,7 @@ class ES2Engine(StorageEngine):
             except EngineError:
                 continue  # replica-layout fragments are not delegated
             if owner != self.coordinator.name:
-                cost = self.cluster.network.transfer_cost(
-                    per_fragment_bytes, ctx.counters
-                )
-                ctx.note("es2-network", cost)
+                self.cluster.network.transfer_cost(per_fragment_bytes, ctx.counters)
 
     def sum(self, name, attribute, ctx):
         """Distributed aggregation, surviving injected node crashes.
@@ -281,12 +274,7 @@ class ES2Engine(StorageEngine):
         # Keep the store's injector in sync: the injector may have been
         # installed on the platform after this engine was built.
         self.dfs.injector = self.platform.injector
-        before = ctx.counters.cycles
-        victim = self.dfs.inject_node_crash(
-            ctx.counters, exclude=(self.coordinator.name,)
-        )
-        if victim is not None:
-            ctx.note("es2-re-replication", ctx.counters.cycles - before)
+        self.dfs.inject_node_crash(ctx.counters, exclude=(self.coordinator.name,))
         layout = managed.primary_layout
         result = sum_column(layout, attribute, ctx)
         # Each remote partition ships one partial aggregate back.
@@ -309,8 +297,7 @@ class ES2Engine(StorageEngine):
         for position in positions:
             owner = delegation.owner_of(position, managed.relation.schema.names[0])
             if owner != self.coordinator.name:
-                cost = self.cluster.network.transfer_cost(record, ctx.counters)
-                ctx.note("es2-network", cost)
+                self.cluster.network.transfer_cost(record, ctx.counters)
         return rows
 
     def sum_at(self, name, attribute, positions, ctx):
@@ -322,8 +309,7 @@ class ES2Engine(StorageEngine):
         for position in positions:
             owner = delegation.owner_of(position, attribute)
             if owner != self.coordinator.name:
-                cost = self.cluster.network.transfer_cost(16, ctx.counters)
-                ctx.note("es2-network", cost)
+                self.cluster.network.transfer_cost(16, ctx.counters)
         return result
 
     # ------------------------------------------------------------------
@@ -389,10 +375,7 @@ class ES2Engine(StorageEngine):
             previous = old_owners[index] if index < len(old_owners) else None
             if previous != delegation.node_of(fragment):
                 migrated += 1
-                cost = self.cluster.network.transfer_cost(
-                    fragment.nbytes, ctx.counters
-                )
-                ctx.note("es2-migration", cost)
+                self.cluster.network.transfer_cost(fragment.nbytes, ctx.counters)
         return migrated
 
     # ------------------------------------------------------------------
@@ -443,7 +426,7 @@ class ES2Engine(StorageEngine):
         managed.layouts = [primary, replica]
         payload = managed.relation.nsm_bytes
         cost = 2 * ctx.platform.memory_model.sequential(payload)
-        ctx.charge(f"es2-readapt({name})", cost)
+        ctx.counters.cycles += cost
         return True
 
     # ------------------------------------------------------------------

@@ -189,10 +189,7 @@ class GpuTxEngine(StorageEngine):
         waves = self.plan_waves(transactions)
         results: list[Any] = [None] * len(transactions)
         count = len(transactions)
-        params = ctx.platform.staging.scheduler.transfer(
-            count * TX_PARAM_BYTES, ctx.counters
-        )
-        ctx.note("gputx-params", params)
+        ctx.platform.staging.scheduler.transfer(count * TX_PARAM_BYTES, ctx.counters)
 
         for wave in waves:
             touched_bytes = 0
@@ -227,7 +224,7 @@ class GpuTxEngine(StorageEngine):
                 ctx.platform.gpu.seconds_to_host_cycles(kernel_seconds)
                 + ctx.platform.gpu.launch_latency_cycles
             )
-            ctx.charge("gputx-kernel", kernel)
+            ctx.counters.cycles += kernel
             ctx.counters.kernel_launches += 1
 
         result_bytes = count * TX_RESULT_BYTES
@@ -236,8 +233,7 @@ class GpuTxEngine(StorageEngine):
                 f"{self.name}: {result_bytes} B of results exceed the "
                 f"{self.result_pool.size} B result pool"
             )
-        pool = ctx.platform.staging.scheduler.transfer(result_bytes, ctx.counters)
-        ctx.note("gputx-results", pool)
+        ctx.platform.staging.scheduler.transfer(result_bytes, ctx.counters)
         return results
 
     # ------------------------------------------------------------------

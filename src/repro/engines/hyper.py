@@ -189,7 +189,7 @@ class HyperEngine(StorageEngine):
         write_cost = ctx.platform.memory_model.random(
             count=schema.arity, touched=8, footprint=max(relation.nsm_bytes, 1)
         )
-        ctx.charge(f"hyper-insert({name})", write_cost)
+        ctx.counters.cycles += write_cost
         ctx.counters.bytes_written += schema.record_width
         return position
 
@@ -243,7 +243,7 @@ class HyperEngine(StorageEngine):
                         )
                     moved = sum(fragment.nbytes for fragment in batch)
                     cost = 2 * ctx.platform.memory_model.sequential(moved)
-                    ctx.charge(f"hyper-compaction({name})", cost)
+                    ctx.counters.cycles += cost
                     if self.compress_frozen and not phantom and merged.is_full:
                         merged.compress()
                     for fragment in batch:

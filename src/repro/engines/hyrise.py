@@ -173,7 +173,7 @@ class HyriseEngine(StorageEngine):
         fragments = self._build_containers(managed.relation, specs, columns)
         payload = managed.relation.nsm_bytes
         cost = 2 * ctx.platform.memory_model.sequential(payload)
-        ctx.charge(f"hyrise-readapt({name})", cost)
+        ctx.counters.cycles += cost
         old = list(layout.fragments)
         layout.replace_fragments(fragments)
         layout.validate()

@@ -225,7 +225,7 @@ class LStoreEngine(StorageEngine):
         cost = ctx.platform.memory_model.random(
             count=1, touched=width, footprint=max(tail.nbytes, 1)
         )
-        ctx.charge(f"lstore-tail-append({attribute})", cost)
+        ctx.counters.cycles += cost
         ctx.counters.bytes_written += width
 
     def read_field(self, name: str, position: int, attribute: str,
@@ -241,7 +241,7 @@ class LStoreEngine(StorageEngine):
             count=1, touched=width, footprint=max(base.nbytes, 1)
         )
         if offset is None:
-            ctx.charge(f"lstore-read({attribute})", cost)
+            ctx.counters.cycles += cost
             local = position - base.region.rows.start
             return base.read_field(local, attribute)
         # Dereferencing into the tail is the extra cache miss the paper
@@ -249,7 +249,7 @@ class LStoreEngine(StorageEngine):
         cost += ctx.platform.memory_model.random(
             count=1, touched=width, footprint=max(self.tail_capacity * width, 1)
         )
-        ctx.charge(f"lstore-read({attribute})", cost)
+        ctx.counters.cycles += cost
         return self._tail_value(name, attribute, offset)
 
     def materialize(self, name, positions, ctx):
@@ -304,7 +304,7 @@ class LStoreEngine(StorageEngine):
                 count=patched, touched=width,
                 footprint=max(self.tail_capacity * width, 1),
             )
-            ctx.charge(f"lstore-tail-patch({attribute})", cost)
+            ctx.counters.cycles += cost
         return base_total + correction
 
     # ------------------------------------------------------------------
@@ -324,7 +324,7 @@ class LStoreEngine(StorageEngine):
             count=1 + len(chain), touched=width,
             footprint=max(base.nbytes, 1),
         )
-        ctx.charge(f"lstore-history({attribute})", cost)
+        ctx.counters.cycles += cost
         history = [base.read_field(local, attribute)]
         history.extend(self._tail_value(name, attribute, offset) for offset in chain)
         return history
@@ -368,7 +368,7 @@ class LStoreEngine(StorageEngine):
             moved_bytes += fresh.nbytes
             new_fragments.append(fresh)
         cost = 2 * ctx.platform.memory_model.sequential(moved_bytes)
-        ctx.charge(f"lstore-merge({name})", cost)
+        ctx.counters.cycles += cost
         for fragment in layout.fragments:
             fragment.free()
         for tails in self._tails[name].values():

@@ -80,17 +80,13 @@ class BufferPool:
             self.hits += 1
             return
         self.misses += 1
-        cost = ctx.platform.disk_model.random_read_cost(nbytes, ctx.counters)
-        ctx.note(f"disk-read({page_label})", cost)
+        ctx.platform.disk_model.random_read_cost(nbytes, ctx.counters)
         if len(self._resident) >= self.capacity_pages:
             victim, victim_dirty = next(iter(self._resident.items()))
             self._resident.pop(victim)  # evict LRU
             if victim_dirty:
                 self.write_backs += 1
-                write_cost = ctx.platform.disk_model.random_read_cost(
-                    self.page_size, ctx.counters
-                )
-                ctx.note(f"disk-write({victim})", write_cost)
+                ctx.platform.disk_model.random_read_cost(self.page_size, ctx.counters)
                 ctx.counters.bytes_written += self.page_size
         self._resident[page_label] = dirty
 
@@ -101,10 +97,7 @@ class BufferPool:
             if dirty:
                 flushed += 1
                 self.write_backs += 1
-                cost = ctx.platform.disk_model.random_read_cost(
-                    self.page_size, ctx.counters
-                )
-                ctx.note(f"disk-write({label})", cost)
+                ctx.platform.disk_model.random_read_cost(self.page_size, ctx.counters)
                 ctx.counters.bytes_written += self.page_size
                 self._resident[label] = False
         return flushed

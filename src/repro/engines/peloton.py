@@ -267,7 +267,7 @@ class PelotonEngine(StorageEngine):
             count=len(open_tiles), touched=schema.record_width,
             footprint=max(sum(tile.nbytes for tile in open_tiles), 1),
         )
-        ctx.charge(f"peloton-insert({name})", cost)
+        ctx.counters.cycles += cost
         ctx.counters.bytes_written += schema.record_width
         return position
 
@@ -319,7 +319,7 @@ class PelotonEngine(StorageEngine):
                     [tile.read_row(local) for local in range(tile.filled)]
                 )
             cost = 2 * ctx.platform.memory_model.sequential(tile.nbytes)
-            ctx.charge(f"peloton-reformat(g{group_index})", cost)
+            ctx.counters.cycles += cost
             for layout in (physical_layout, logical_layout):
                 layout.remove_fragment(tile)
                 layout.add_fragment(replacement)

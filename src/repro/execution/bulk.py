@@ -77,5 +77,5 @@ def bulk_sum(layout: Layout, attribute: str, ctx: ExecutionContext,
     pipeline = BulkPipeline(layout, attribute, vector_size)
     values = pipeline.collect(ctx)
     count = len(values)
-    ctx.charge("bulk-final-add", math.ceil(count / max(vector_size, 1)) * ADD_CYCLES_PER_VALUE)
+    ctx.counters.cycles += math.ceil(count / max(vector_size, 1)) * ADD_CYCLES_PER_VALUE
     return float(np.sum(values)) if count else 0.0

@@ -10,7 +10,10 @@ A query that needs its own counters runs on its own context:
 :meth:`ExecutionContext.fork` shares the platform, policy, retry policy
 and log and starts fresh counters.  The serving loop
 (:mod:`repro.serving.server`) forks one per dispatched unit and merges
-each unit's counters and breakdown into its root context once.
+each unit's counters into its root context once.
+
+Counters say how many cycles a query cost; only the traced spans it
+opened (:meth:`ExecutionContext.span`) say where they went.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.hardware.event import CostBreakdown, Cycles, PerfCounters
+from repro.hardware.event import Cycles, PerfCounters
 from repro.hardware.platform import Platform
 from repro.execution.threading import SINGLE_THREADED, ThreadingPolicy
 
@@ -42,11 +45,6 @@ class ExecutionContext:
         Host threading policy for parallelizable operators.
     counters:
         Accumulates cycles and explanatory events across the query.
-    breakdown:
-        Labelled cost decomposition for reports.
-    call_overhead_cycles:
-        Cost of one operator-interface call (next()/function call); the
-        Volcano model pays it per tuple, the bulk model per vector.
     retry:
         Optional :class:`~repro.faults.RetryPolicy` applied by
         fault-aware operators (device staging transfers); ``None``
@@ -62,8 +60,6 @@ class ExecutionContext:
     platform: Platform
     threading: ThreadingPolicy = SINGLE_THREADED
     counters: PerfCounters = field(default_factory=PerfCounters)
-    breakdown: CostBreakdown = field(default_factory=CostBreakdown)
-    call_overhead_cycles: Cycles = 20.0
     retry: "RetryPolicy | None" = None
     wal: "WriteAheadLog | None" = None
 
@@ -71,15 +67,6 @@ class ExecutionContext:
     def cycles(self) -> Cycles:
         """Total cycles charged so far."""
         return self.counters.cycles
-
-    def charge(self, label: str, cycles: Cycles) -> None:
-        """Charge raw cycles under a breakdown label."""
-        self.counters.charge(cycles)
-        self.breakdown.add(label, cycles)
-
-    def note(self, label: str, cycles: Cycles) -> None:
-        """Record a breakdown entry for cycles already counted."""
-        self.breakdown.add(label, cycles)
 
     # ------------------------------------------------------------------
     # Tracing hooks (no-ops when the platform carries no tracer)
@@ -109,24 +96,6 @@ class ExecutionContext:
         """Wall-clock seconds of the charged total on this platform."""
         return self.platform.seconds(self.counters.cycles)
 
-    def render_breakdown(self, top: int = 10) -> str:
-        """A human-readable table of the largest cost components.
-
-        Shows up to *top* labels by cycles with their share of the
-        total — what the examples print when explaining where a
-        configuration's time went.
-        """
-        parts = sorted(
-            self.breakdown.parts.items(), key=lambda item: -item[1]
-        )[: max(top, 0)]
-        total = self.breakdown.total or 1.0
-        lines = [
-            f"{label:<40s} {cycles / self.platform.cpu.frequency_hz * 1e3:10.4f} ms "
-            f"{cycles / total * 100:5.1f}%"
-            for label, cycles in parts
-        ]
-        return "\n".join(lines)
-
     def fork(self) -> "ExecutionContext":
         """A context sharing platform, policies and log, with fresh counters.
 
@@ -136,7 +105,6 @@ class ExecutionContext:
         return ExecutionContext(
             platform=self.platform,
             threading=self.threading,
-            call_overhead_cycles=self.call_overhead_cycles,
             retry=self.retry,
             wal=self.wal,
         )

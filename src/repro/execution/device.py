@@ -48,9 +48,9 @@ def is_device_resident(fragment: Fragment) -> bool:
     return fragment.space.kind is MemoryKind.DEVICE
 
 
-def _chunked_reduction_cost(
+def _charge_chunked_reduction(
     ctx: ExecutionContext, column: Stream, per_chunk: int
-) -> Cycles:
+) -> None:
     """Charge a chunked reduction without pricing every chunk separately.
 
     A chunked staging loop runs full chunks of *per_chunk* elements and
@@ -91,11 +91,9 @@ def _chunked_reduction_cost(
     device_cycles.append(probe.device_cycles)
     launches += probe.kernel_launches
     counters = ctx.counters
-    kernel_cost = _seeded_sum(0.0, costs)
     counters.cycles = _seeded_sum(counters.cycles, costs)
     counters.device_cycles = _seeded_sum(counters.device_cycles, device_cycles)
     counters.kernel_launches += launches
-    return kernel_cost
 
 
 def _seeded_sum(seed: float, values: list[float]) -> float:
@@ -182,7 +180,7 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
                 chunks=chunks,
             ):
                 if chunks == 1:
-                    kernel_cost = ctx.platform.gpu.reduction_cost(
+                    ctx.platform.gpu.reduction_cost(
                         column.count,
                         column.width,
                         ctx.counters,
@@ -191,9 +189,7 @@ def device_sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> 
                     )
                 else:
                     per_chunk = math.ceil(column.count / chunks)
-                    kernel_cost = _chunked_reduction_cost(ctx, column, per_chunk)
-                ctx.note(f"gpu-reduce({attribute})", kernel_cost)
+                    _charge_chunked_reduction(ctx, column, per_chunk)
         # Returning the scalar to the host is one tiny device->host copy.
-        result_cost = staging.scheduler.transfer(width, ctx.counters)
-        ctx.note("result-copy", result_cost)
+        staging.scheduler.transfer(width, ctx.counters)
     return total

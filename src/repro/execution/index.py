@@ -62,7 +62,7 @@ class HashIndex:
                         index.insert(key, start + offset)
         if ctx is not None:
             count = layout.relation.row_count
-            ctx.charge(f"index-build({attribute})", count * HASH_CYCLES)
+            ctx.counters.cycles += count * HASH_CYCLES
         return index
 
     def insert(self, key: Hashable, position: int) -> None:
@@ -92,7 +92,7 @@ class HashIndex:
             probe = ctx.platform.memory_model.random(
                 count=1, touched=ENTRY_BYTES, footprint=footprint
             )
-            ctx.charge(f"index-probe({self.attribute})", probe + HASH_CYCLES)
+            ctx.counters.cycles += probe + HASH_CYCLES
         return self._positions.get(key)
 
     def __len__(self) -> int:
@@ -148,10 +148,7 @@ class SecondaryIndex:
                     start + offset,
                 )
         if ctx is not None:
-            ctx.charge(
-                f"index-build({attribute})",
-                layout.relation.row_count * HASH_CYCLES,
-            )
+            ctx.counters.cycles += layout.relation.row_count * HASH_CYCLES
         return index
 
     def insert(self, key: Hashable, position: int) -> None:
@@ -188,7 +185,7 @@ class SecondaryIndex:
                 count=1, touched=ENTRY_BYTES, footprint=footprint
             )
             walk = ctx.platform.memory_model.sequential(len(bucket) * ENTRY_BYTES)
-            ctx.charge(f"index-probe({self.attribute})", probe + HASH_CYCLES + walk)
+            ctx.counters.cycles += probe + HASH_CYCLES + walk
         return tuple(bucket)
 
     @property

@@ -44,6 +44,9 @@ __all__ = [
 
 #: ALU cycles to add one value into an accumulator (scalar, no SIMD).
 ADD_CYCLES_PER_VALUE: Cycles = 1.0
+#: Cycles of one operator-interface call (``next()``/function call); the
+#: Volcano model pays it per tuple, the bulk model per vector.
+CALL_OVERHEAD_CYCLES: Cycles = 20.0
 #: ALU cycles to copy one field during materialization.
 COPY_CYCLES_PER_FIELD: Cycles = 2.0
 #: ALU cycles to evaluate one predicate during a filter scan.
@@ -121,7 +124,7 @@ def sum_column(layout: Layout, attribute: str, ctx: ExecutionContext) -> float:
     # time accrues at this single point, so the span's begin/end cycles
     # bracket exactly the operator's cost (zero observer effect).
     with ctx.span(f"sum({attribute})", "operator", rows=layout.relation.row_count):
-        ctx.charge(f"sum({attribute})", cycles)
+        ctx.counters.cycles += cycles
         ctx.counters.instructions += int(compute)
     return total
 
@@ -207,7 +210,7 @@ def aggregate_column(
         threads=ctx.threading.threads,
     )
     with ctx.span(f"{op}({attribute})", "operator", rows=layout.relation.row_count):
-        ctx.charge(f"{op}({attribute})", cycles)
+        ctx.counters.cycles += cycles
     return combine_partials(op, partials, counts)
 
 
@@ -266,7 +269,7 @@ def sum_at_positions(
     with ctx.span(
         f"sum({attribute})@positions", "operator", rows=len(positions)
     ):
-        ctx.charge(f"sum({attribute})@{len(positions)}pos", cycles)
+        ctx.counters.cycles += cycles
     return total
 
 
@@ -324,7 +327,7 @@ def materialize_rows(
         latency_bound_cycles=latency,
     )
     with ctx.span("materialize", "operator", rows=len(positions)):
-        ctx.charge(f"materialize@{len(positions)}pos", cycles)
+        ctx.counters.cycles += cycles
     return results
 
 
@@ -371,7 +374,7 @@ def filter_scan(
     with ctx.span(
         f"filter({attribute})", "operator", rows=layout.relation.row_count
     ):
-        ctx.charge(f"filter({attribute})", cycles)
+        ctx.counters.cycles += cycles
     return matches
 
 
@@ -419,7 +422,7 @@ def update_fragments(
                 cycles = model.random(
                     count=1, touched=width, footprint=fragment.nbytes
                 )
-                ctx.charge(f"update({attribute})", cycles)
+                ctx.counters.cycles += cycles
                 ctx.counters.bytes_written += width
                 touched += 1
     if touched == 0:

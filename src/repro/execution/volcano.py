@@ -4,8 +4,8 @@ Section II-A: "NSM combined with the Volcano-style processing model
 suits well for [the record-centric] access pattern in case the costs
 for function calls can be hidden by data access costs."  This module
 makes that trade measurable: every ``next()`` crossing an operator
-boundary costs :attr:`ExecutionContext.call_overhead_cycles`, on top of
-the data-access costs the scan charges.
+boundary costs :data:`~repro.execution.operators.CALL_OVERHEAD_CYCLES`,
+on top of the data-access costs the scan charges.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, Callable, Sequence
 
 from repro.errors import ExecutionError
 from repro.execution.context import ExecutionContext
-from repro.execution.operators import column_scan_cost
+from repro.execution.operators import CALL_OVERHEAD_CYCLES, column_scan_cost
 from repro.layout.layout import Layout
 
 __all__ = ["VolcanoOperator", "VolcanoScan", "VolcanoSelect", "VolcanoSum", "run_volcano"]
@@ -60,7 +60,7 @@ class VolcanoOperator:
         """Fetch one row from the child, paying the call overhead."""
         if self.child is None:
             raise ExecutionError(f"{type(self).__name__} has no child to pull from")
-        self.ctx.charge("volcano-calls", self.ctx.call_overhead_cycles)
+        self.ctx.counters.cycles += CALL_OVERHEAD_CYCLES
         return self.child.next()
 
 
@@ -91,7 +91,7 @@ class VolcanoScan(VolcanoOperator):
                 )
                 memory += fragment_memory
                 compute += fragment_compute
-        ctx.charge("volcano-scan", memory + compute)
+        ctx.counters.cycles += memory + compute
 
     def next(self) -> Row | None:
         if self._cursor >= self.layout.relation.row_count:
@@ -118,7 +118,7 @@ class VolcanoSelect(VolcanoOperator):
             row = self._pull()
             if row is None:
                 return None
-            self.ctx.charge("volcano-predicate", 2.0)
+            self.ctx.counters.cycles += 2.0
             if self.predicate(row):
                 return row
 
@@ -143,7 +143,7 @@ class VolcanoSum(VolcanoOperator):
             row = self._pull()
             if row is None:
                 break
-            self.ctx.charge("volcano-add", 1.0)
+            self.ctx.counters.cycles += 1.0
             total += float(row[self.column_index])
         self._done = True
         return (total,)
@@ -155,7 +155,7 @@ def run_volcano(root: VolcanoOperator, ctx: ExecutionContext) -> list[Row]:
     try:
         rows: list[Row] = []
         while True:
-            ctx.charge("volcano-calls", ctx.call_overhead_cycles)
+            ctx.counters.cycles += CALL_OVERHEAD_CYCLES
             row = root.next()
             if row is None:
                 return rows

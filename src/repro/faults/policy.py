@@ -121,7 +121,7 @@ class RetryPolicy:
         """Run *operation*, retrying transient failures.
 
         Each absorbed failure charges one backoff delay to *ctx* (when
-        given) under the breakdown label ``retry-backoff(<label>)``.
+        given); *label* names the operation in a deadline error.
         The final failure — attempts exhausted — propagates to the
         caller un-tallied, so a downstream fallback chain (or the
         harness) attributes its outcome exactly once.  When
@@ -164,7 +164,7 @@ class RetryPolicy:
                         self.report.record_retried()
                 if ctx is not None:
                     ctx.counters.fault_retries += 1
-                    ctx.charge(f"retry-backoff({label})", jittered)
+                    ctx.counters.cycles += jittered
                 delay *= self.multiplier
         raise AssertionError("unreachable")  # pragma: no cover
 

@@ -116,7 +116,7 @@ def run_fused_device(
                 elements=count,
                 operands=len(plan.attributes),
             ):
-                kernel_cost = ctx.platform.gpu.fused_pipeline_cost(
+                ctx.platform.gpu.fused_pipeline_cost(
                     count,
                     [stream.width for stream in streams],
                     ops_per_element=plan.ops_per_element,
@@ -124,10 +124,8 @@ def run_fused_device(
                     nbytes=sum(stream.nbytes for stream in streams),
                     decoded=sum(stream.decoded for stream in streams),
                 )
-                ctx.note(f"gpu-fused({plan.describe()})", kernel_cost)
         # Returning the scalar to the host is one tiny device->host copy.
-        result_cost = staging.scheduler.transfer(8, ctx.counters)
-        ctx.note("result-copy", result_cost)
+        staging.scheduler.transfer(8, ctx.counters)
 
         def values_of(fragment: "Fragment", attribute: str) -> np.ndarray | None:
             return served[(id(fragment), attribute)]

@@ -34,6 +34,7 @@ import numpy as np
 from repro.errors import FusionError
 from repro.execution.operators import (
     ADD_CYCLES_PER_VALUE,
+    CALL_OVERHEAD_CYCLES,
     PREDICATE_CYCLES_PER_VALUE,
     aggregate_reducer,
     column_scan_cost,
@@ -197,7 +198,7 @@ def run_fused_host(
         rows=layout.relation.row_count,
         matches=aggregated,
     ):
-        ctx.charge(f"fused({plan.describe()})", cycles)
+        ctx.counters.cycles += cycles
     return result
 
 
@@ -240,13 +241,13 @@ def vector_pass(
                 vector = np.asarray(stage(vector))
                 compute += len(vector) * cycles_per_value
             outputs.append(vector)
-    overhead = vectors * (len(stages) + 1) * ctx.call_overhead_cycles
+    overhead = vectors * (len(stages) + 1) * CALL_OVERHEAD_CYCLES
     cycles = ctx.platform.cpu.parallelize(
         compute_cycles=compute + overhead,
         memory_cycles=memory,
         threads=ctx.threading.threads,
     )
-    ctx.charge(f"bulk({attribute})", cycles)
+    ctx.counters.cycles += cycles
     if not outputs:
         return np.empty(0)
     return np.concatenate(outputs)

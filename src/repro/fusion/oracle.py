@@ -137,9 +137,7 @@ def aggregate_at_positions(
         "operator",
         rows=len(positions),
     ):
-        ctx.charge(
-            f"{plan.op}({plan.aggregate_attribute})@{len(positions)}pos", cycles
-        )
+        ctx.counters.cycles += cycles
     if not partials:
         return identity
     return combine_partials(plan.op, partials, counts)
@@ -245,18 +243,14 @@ def _device_aggregate_unfiltered(
             with ctx.span(
                 f"gpu-reduce({attribute})", "kernel", elements=column.count
             ):
-                kernel_cost = gpu.reduction_cost(
+                gpu.reduction_cost(
                     column.count,
                     column.width,
                     ctx.counters,
                     nbytes=column.nbytes,
                     decoded=column.decoded,
                 )
-                ctx.note(f"gpu-reduce({attribute})", kernel_cost)
-        result_cost = ctx.platform.staging.scheduler.transfer(
-            POSITION_WIDTH, ctx.counters
-        )
-        ctx.note("result-copy", result_cost)
+        ctx.platform.staging.scheduler.transfer(POSITION_WIDTH, ctx.counters)
     if not partials:
         return identity
     return combine_partials(plan.op, partials, counts)
@@ -309,7 +303,7 @@ def _device_filtered(
                 f"gpu-select({plan.scan_attribute})", "kernel", elements=scan.count
             ):
                 kernel = select_kernel_cycles(gpu, scan, matches)
-                ctx.charge(f"gpu-select({plan.scan_attribute})", kernel)
+                ctx.counters.cycles += kernel
                 ctx.counters.kernel_launches += 2
                 ctx.counters.device_cycles += (
                     (kernel - 2 * gpu.launch_latency_cycles)
@@ -319,10 +313,8 @@ def _device_filtered(
         # crosses the bus twice (device -> host for the optimizer/next
         # operator, host -> device for the gather).
         if matches:
-            down = scheduler.transfer(matches * POSITION_WIDTH, ctx.counters)
-            ctx.note("positions-to-host", down)
-            up = scheduler.transfer(matches * POSITION_WIDTH, ctx.counters)
-            ctx.note("positions-to-device", up)
+            scheduler.transfer(matches * POSITION_WIDTH, ctx.counters)
+            scheduler.transfer(matches * POSITION_WIDTH, ctx.counters)
         # Operator 2: gather + project + reduce. Stages the aggregate
         # column with a SECOND burst, gathers at scattered offsets, then
         # runs the two-pass reduction over the gathered buffer.
@@ -339,7 +331,7 @@ def _device_filtered(
                 kernel = gather_kernel_cycles(
                     gpu, aggregate, matches, len(plan.projects)
                 )
-                ctx.charge(f"gpu-gather({plan.aggregate_attribute})", kernel)
+                ctx.counters.cycles += kernel
                 ctx.counters.kernel_launches += 1
                 ctx.counters.device_cycles += (
                     (kernel - gpu.launch_latency_cycles) / gpu.host_frequency_hz
@@ -349,12 +341,8 @@ def _device_filtered(
                 "kernel",
                 elements=matches,
             ):
-                kernel_cost = gpu.reduction_cost(
-                    matches, aggregate.width, ctx.counters
-                )
-                ctx.note(f"gpu-reduce({plan.aggregate_attribute})", kernel_cost)
-        result_cost = scheduler.transfer(POSITION_WIDTH, ctx.counters)
-        ctx.note("result-copy", result_cost)
+                gpu.reduction_cost(matches, aggregate.width, ctx.counters)
+        scheduler.transfer(POSITION_WIDTH, ctx.counters)
         # Data plane: identical partial construction to the host oracle
         # (and therefore to the fused plane), values served from the
         # replicas that would live on the device.

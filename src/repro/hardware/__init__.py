@@ -8,7 +8,7 @@ from repro.hardware.cache import (
 )
 from repro.hardware.cpu import CPUModel
 from repro.hardware.disk import DiskModel
-from repro.hardware.event import CostBreakdown, Cycles, PerfCounters
+from repro.hardware.event import Cycles, PerfCounters
 from repro.hardware.gpu import GPUModel
 from repro.hardware.interconnect import InterconnectModel
 from repro.hardware.memory import Allocation, MemoryKind, MemorySpace
@@ -17,7 +17,6 @@ from repro.hardware.platform import Platform
 __all__ = [
     "Cycles",
     "PerfCounters",
-    "CostBreakdown",
     "MemoryKind",
     "MemorySpace",
     "Allocation",

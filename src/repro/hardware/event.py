@@ -10,7 +10,7 @@ each series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 __all__ = ["COUNTER_NAMES", "Cycles", "PerfCounters"]
 
@@ -53,49 +53,16 @@ class PerfCounters:
 
     def merge(self, other: "PerfCounters") -> "PerfCounters":
         """Add *other*'s counts into ``self`` and return ``self``."""
-        for name in COUNTER_NAMES:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        mine = self.__dict__
+        for name, value in other.__dict__.items():
+            mine[name] += value
         return self
-
-    def charge(self, cycles: Cycles) -> None:
-        """Add raw cycles with no associated event."""
-        self.cycles += cycles
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy of all counters (for reports and tests)."""
         return {name: getattr(self, name) for name in COUNTER_NAMES}
 
 
-#: Every counter field's name, in declaration order, computed once:
-#: ``dataclasses.fields`` on every merge was a host-time hot spot.
+#: Every counter field's name, in declaration order, computed once.
 COUNTER_NAMES = tuple(spec.name for spec in fields(PerfCounters))
 
-
-@dataclass
-class CostBreakdown:
-    """A labelled decomposition of a cost for explanatory reports.
-
-    Benchmarks attach one of these per series point so EXPERIMENTS.md can
-    show *why* a configuration won (e.g. "transfer: 83% of total").
-    """
-
-    parts: dict[str, Cycles] = field(default_factory=dict)
-
-    def add(self, label: str, cycles: Cycles) -> None:
-        """Accumulate *cycles* under *label*."""
-        self.parts[label] = self.parts.get(label, 0.0) + cycles
-
-    @property
-    def total(self) -> Cycles:
-        """Sum of all parts."""
-        return sum(self.parts.values())
-
-    def share(self, label: str) -> float:
-        """Fraction of the total contributed by *label* (0 when empty)."""
-        total = self.total
-        if total == 0:
-            return 0.0
-        return self.parts.get(label, 0.0) / total
-
-
-__all__.append("CostBreakdown")

@@ -153,7 +153,7 @@ class Snapshot:
             memory_cycles=memory,
             threads=ctx.threading.threads,
         )
-        ctx.charge(f"snapshot-sum({attribute})", cycles)
+        ctx.counters.cycles += cycles
         return total
 
 
@@ -191,7 +191,7 @@ class SnapshotManager:
         payload = sum(fragment.nbytes for fragment in self.layout.fragments)
         pages = math.ceil(payload / PAGE_BYTES)
         cost = pages * PTE_COPY_CYCLES
-        ctx.charge("snapshot-fork", cost)
+        ctx.counters.cycles += cost
         snapshot = Snapshot(layout=self.layout, manager=self)
         self._live.append(snapshot)
         return snapshot
@@ -228,5 +228,5 @@ class SnapshotManager:
                     FAULT_OVERHEAD_CYCLES
                     + ctx.platform.memory_model.sequential(2 * PAGE_BYTES)
                 )
-                ctx.charge("cow-fault", copy_cost)
+                ctx.counters.cycles += copy_cost
                 ctx.counters.bytes_written += PAGE_BYTES

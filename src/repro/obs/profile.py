@@ -1,13 +1,12 @@
 """Query profiling: the ``explain(query)`` report and layer attribution.
 
 Turns a traced run into the explanatory artifacts EXPERIMENTS.md used
-to hand-write: an ASCII operator tree annotated with simulated cycles,
-percent-of-total and the dominant
-:class:`~repro.hardware.event.CostBreakdown` part (so claims like
-"transfer: 83% of total" are *generated* from the trace), plus a
-per-layer cycle attribution that sums each span's **self time** (its
-duration minus its children's) under its layer category — the numbers
-BENCH_obs.json tracks per push.
+to hand-write: an ASCII operator tree annotated with simulated cycles
+and percent-of-total, plus a per-layer cycle attribution that sums
+each span's **self time** (its duration minus its children's) under
+its layer category — the numbers BENCH_obs.json tracks per push.  The
+report names the dominant layer, so claims like "transfer dominates a
+cold device sum" are *generated* from the trace.
 """
 
 from __future__ import annotations
@@ -95,8 +94,8 @@ def explain(ctx: "ExecutionContext", tracer: "Tracer | None" = None) -> str:
 
     Renders every root span of the context's tracer as an annotated
     operator tree, headed by the total simulated cost and the dominant
-    :class:`~repro.hardware.event.CostBreakdown` part, and followed by
-    the per-layer attribution table.  Raises when the context's
+    layer of :func:`layer_attribution`, and followed by that
+    attribution as a table.  Raises when the context's
     platform has no tracer and none is supplied (nothing was traced —
     there is nothing to explain).
     """
@@ -108,17 +107,21 @@ def explain(ctx: "ExecutionContext", tracer: "Tracer | None" = None) -> str:
         )
     total = sum(root.cycles for root in active.roots)
     milliseconds = total / ctx.platform.cpu.frequency_hz * 1e3
+    ranked = sorted(
+        layer_attribution(active).items(), key=lambda item: -item[1]
+    )
+
+    def share(cycles: float) -> float:
+        return cycles / total * 100.0 if total else 0.0
 
     lines = [
         f"query profile: {total:.0f} simulated cycles "
         f"({milliseconds:.4f} ms on {ctx.platform.cpu.frequency_hz / 1e9:.1f} GHz host)"
     ]
-    parts = ctx.breakdown.parts
-    if parts:
-        dominant = max(parts, key=parts.get)
+    if ranked:
+        layer, cycles = ranked[0]
         lines.append(
-            f"dominant cost: {dominant} — "
-            f"{ctx.breakdown.share(dominant) * 100.0:.1f}% of the breakdown total"
+            f"dominant layer: {layer} — {share(cycles):.1f}% of traced cycles"
         )
     lines.append("")
     for root in active.roots:
@@ -127,13 +130,11 @@ def explain(ctx: "ExecutionContext", tracer: "Tracer | None" = None) -> str:
     if events:
         lines.append("")
         lines.append(f"instant events: {events} (faults, staging hits/evictions)")
-    attribution = layer_attribution(active)
-    if attribution:
+    if ranked:
         lines.append("")
         lines.append("per-layer attribution (self time):")
-        for category, cycles in sorted(
-            attribution.items(), key=lambda item: -item[1]
-        ):
-            share = cycles / total * 100.0 if total else 0.0
-            lines.append(f"  {category:<12s} {cycles:14.0f} cy {share:5.1f}%")
+        for category, cycles in ranked:
+            lines.append(
+                f"  {category:<12s} {cycles:14.0f} cy {share(cycles):5.1f}%"
+            )
     return "\n".join(lines)

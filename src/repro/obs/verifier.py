@@ -126,7 +126,6 @@ def run_figure2_workload(
         return {
             "rows": rows,
             "snapshot": ctx.counters.snapshot(),
-            "breakdown": dict(ctx.breakdown.parts),
             "rates": rates,
             "ctx": ctx,
             "platform": platform,

@@ -21,10 +21,8 @@ marker sequence dictates:
   forward** (rebuild destination state from the DFS, replay, cut
   over).
 
-:class:`~repro.recovery.manager.RecoveryManager` surfaces the same
-count as ``RecoveryResult.incomplete_rebalances``; the decisions here
-are what :meth:`~repro.rebalance.migrator.LiveMigrator.recover` acts
-on.
+The decisions here are what
+:meth:`~repro.rebalance.migrator.LiveMigrator.recover` acts on.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ from repro.execution.context import ExecutionContext
 from repro.faults.injector import FaultInjector, register_fault_site
 from repro.faults.policy import RetryPolicy
 from repro.rebalance.journal import pending_migrations
-from repro.rebalance.planner import MergeOp, MoveOp, RebalanceOp, SplitOp
+from repro.rebalance.planner import MergeOp, RebalanceOp, SplitOp
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import LogRecordKind, WriteAheadLog
 from repro.sharding.placement import (
@@ -333,10 +333,7 @@ class LiveMigrator:
             shard.path, self.cluster.node(shard.primary), ctx.counters
         )
         columns = deserialize_columns(payload)
-        ctx.charge(
-            "migration-rebuild",
-            ctx.platform.memory_model.sequential(2 * len(payload)),
-        )
+        ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
         entries = load_entries(
             self.wal,
             self.replicated,
@@ -425,15 +422,11 @@ class LiveMigrator:
     ) -> None:
         """Serialize and durably write one destination file (charged)."""
         payload = serialize_columns(columns)
-        ctx.charge(
-            "migration-serialize",
-            ctx.platform.memory_model.sequential(2 * len(payload)),
-        )
+        ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
         self.dfs.write(path, payload)
         network = self.cluster.network
         for _ in range(self.dfs.replication):
-            cost = network.transfer_cost(len(payload), ctx.counters)
-            ctx.note("migration-copy", cost)
+            network.transfer_cost(len(payload), ctx.counters)
         if not primary:
             primary = self.dfs.file(path).blocks[0].replica_nodes[0]
         migration.fragments.append(
@@ -511,11 +504,8 @@ class LiveMigrator:
                 min_lsn=migration.copy_lsn,
             )
             if applied:
-                ctx.charge(
-                    "migration-catchup",
-                    model.random(
-                        applied, _FLOAT, _FLOAT * max(1, fragment.positions.size)
-                    ),
+                ctx.counters.cycles += model.random(
+                    applied, _FLOAT, _FLOAT * max(1, fragment.positions.size)
                 )
             migration.caught_up += applied
             self.stats.caught_up_cells += applied
@@ -631,10 +621,7 @@ class LiveMigrator:
                         fragment.path, reader, ctx.counters
                     )
                     columns = deserialize_columns(payload)
-                    ctx.charge(
-                        "migration-resume",
-                        model.sequential(2 * len(payload)),
-                    )
+                    ctx.counters.cycles += model.sequential(2 * len(payload))
                     entries = load_entries(
                         self.wal, self.replicated, reader, ctx.counters, ctx
                     )
@@ -646,13 +633,8 @@ class LiveMigrator:
                         min_lsn=migration.copy_lsn,
                     )
                     if applied:
-                        ctx.charge(
-                            "migration-catchup",
-                            model.random(
-                                applied,
-                                _FLOAT,
-                                _FLOAT * max(1, fragment.positions.size),
-                            ),
+                        ctx.counters.cycles += model.random(
+                            applied, _FLOAT, _FLOAT * max(1, fragment.positions.size)
                         )
                     migration.caught_up += applied
                     self.stats.caught_up_cells += applied

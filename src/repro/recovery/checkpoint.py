@@ -21,7 +21,7 @@ charged to the calling context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -101,8 +101,7 @@ class CheckpointStore:
                 [row[index] for row in rows], dtype=attribute.dtype.numpy_dtype()
             )
         nbytes = int(sum(column.nbytes for column in columns.values()))
-        cost = self.platform.disk_model.sequential_write_cost(nbytes, ctx.counters)
-        ctx.note(f"checkpoint-write({name})", cost)
+        self.platform.disk_model.sequential_write_cost(nbytes, ctx.counters)
 
         live_snapshots = 0
         preserved_pages = 0

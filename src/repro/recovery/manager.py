@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.errors import RecoveryError
 from repro.recovery.checkpoint import CheckpointStore
-from repro.recovery.wal import LogRecord, LogRecordKind, WriteAheadLog
+from repro.recovery.wal import LogRecordKind, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engines.base import StorageEngine
@@ -71,11 +71,6 @@ class RecoveryResult:
     replayed_txns: int
     incomplete_reorgs: int
     cycles: float
-    #: Shard migrations whose journal shows ``rebalance-begin`` without
-    #: a durable commit/abort resolution — the migrations
-    #: :func:`repro.rebalance.pending_migrations` must resume (copied
-    #: marker durable) or roll back (no copied marker) after restart.
-    incomplete_rebalances: int = 0
 
 
 class RecoveryManager:
@@ -107,17 +102,12 @@ class RecoveryManager:
             # ---- analysis: one sequential scan of the durable log ---
             with ctx.span("recovery-analysis", "recovery") as span:
                 scan_bytes = sum(record.nbytes for record in records)
-                cost = ctx.platform.disk_model.sequential_read_cost(
-                    scan_bytes, ctx.counters
-                )
-                ctx.note("recovery-analysis(log-scan)", cost)
+                ctx.platform.disk_model.sequential_read_cost(scan_bytes, ctx.counters)
 
                 begun: set[int] = set()
                 committed: set[int] = set()
                 aborted: set[int] = set()
                 reorgs_begun: dict[str, int] = {}
-                reorgs_done = 0
-                rebalances_begun: dict[str, int] = {}
                 for record in records:
                     if record.kind is LogRecordKind.BEGIN:
                         begun.add(record.txn_id)
@@ -135,20 +125,8 @@ class RecoveryManager:
                     ):
                         if reorgs_begun.get(record.payload, 0) > 0:
                             reorgs_begun[record.payload] -= 1
-                            reorgs_done += 1
-                    elif record.kind is LogRecordKind.REBALANCE_BEGIN:
-                        rebalances_begun[record.payload] = (
-                            rebalances_begun.get(record.payload, 0) + 1
-                        )
-                    elif record.kind in (
-                        LogRecordKind.REBALANCE_COMMIT,
-                        LogRecordKind.REBALANCE_ABORT,
-                    ):
-                        if rebalances_begun.get(record.payload, 0) > 0:
-                            rebalances_begun[record.payload] -= 1
                 losers = begun - committed - aborted
                 incomplete_reorgs = sum(reorgs_begun.values())
-                incomplete_rebalances = sum(rebalances_begun.values())
                 if span is not None:
                     span.attrs["losers"] = len(losers)
 
@@ -158,10 +136,9 @@ class RecoveryManager:
             with ctx.span(
                 "recovery-load", "recovery", checkpoint=checkpoint.checkpoint_id
             ):
-                cost = ctx.platform.disk_model.sequential_read_cost(
+                ctx.platform.disk_model.sequential_read_cost(
                     checkpoint.nbytes, ctx.counters
                 )
-                ctx.note(f"recovery-load({name})", cost)
                 engine = build_engine()
                 try:
                     engine.managed(name)
@@ -233,6 +210,5 @@ class RecoveryManager:
             replayed_txns=replayed,
             incomplete_reorgs=incomplete_reorgs,
             cycles=cycles,
-            incomplete_rebalances=incomplete_rebalances,
         )
         return engine, result

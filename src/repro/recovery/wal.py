@@ -221,7 +221,7 @@ class WriteAheadLog:
         self._tail.append(record)
         cost = self.platform.memory_model.sequential(2 * record.nbytes)
         with ctx.span("wal-append", "wal", lsn=record.lsn, kind=record.kind.value):
-            ctx.charge("wal-append", cost)
+            ctx.counters.cycles += cost
         return record
 
     def log_begin(self, txn_id: int, ctx: "ExecutionContext") -> LogRecord:
@@ -374,8 +374,7 @@ class WriteAheadLog:
             nbytes = sum(record.nbytes for record in batch)
             if span is not None:
                 span.attrs["bytes"] = nbytes
-            cost = self.platform.disk_model.fsync_cost(nbytes, ctx.counters)
-            ctx.note("wal-fsync", cost)
+            self.platform.disk_model.fsync_cost(nbytes, ctx.counters)
         self._durable.extend(batch)
         self.flush_count += 1
         self.durable_bytes += nbytes

@@ -99,14 +99,10 @@ def run_device_batch(
             with ctx.span(
                 "gpu-batch-reduce", "kernel", columns=len(operands)
             ):
-                kernel_cost = ctx.platform.gpu.batched_reduction_cost(
+                ctx.platform.gpu.batched_reduction_cost(
                     [staging.stream(*operand) for operand in operands],
                     ctx.counters,
                 )
-                ctx.note("gpu-batch-reduce", kernel_cost)
         # All K scalars come home in one device->host copy.
-        result_cost = staging.scheduler.transfer(
-            max(result_width, 1), ctx.counters
-        )
-        ctx.note("result-copy", result_cost)
+        staging.scheduler.transfer(max(result_width, 1), ctx.counters)
     return [totals[attribute] for attribute in attributes]

@@ -221,7 +221,7 @@ class ServingLoop:
         ``run_batch`` / ``batchable`` / ``is_write``).
     ctx:
         The root execution context.  Each unit runs on a fork of it,
-        and the unit's counters and breakdown are merged into it once,
+        and the unit's counters are merged into it once,
         as are admission's counters when the run ends; after a run
         ``ctx.counters`` is the platform total, which a registry's
         ``platform.*`` series must close against exactly (the
@@ -377,8 +377,6 @@ class ServingLoop:
             answers = [self.backend.run(head.spec, unit_ctx)]
         delta.cycles -= start
         self._merge(delta)
-        for label, cycles in unit_ctx.breakdown.parts.items():
-            self.ctx.breakdown.add(label, cycles)
         finish = start + delta.cycles
         for entry, answer in zip(unit, answers):
             latency = finish - entry.cycle

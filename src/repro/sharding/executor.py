@@ -52,7 +52,7 @@ surfaced``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -427,7 +427,7 @@ class ShardedExecutor:
                     deadline.injected = injected
                     raise deadline from error
                 total_backoff += delay
-                ctx.charge("failover-backoff", delay)
+                ctx.counters.cycles += delay
                 delay *= 2.0
                 self.stats.failovers += 1
                 ctx.counters.fault_fallbacks += 1
@@ -472,7 +472,7 @@ class ShardedExecutor:
         """Model a worker's fail-stop death and its cluster-side fallout."""
         self.stats.crashes_observed += 1
         lag = self.detector.mark_crashed(node_name, ctx.cycles)
-        ctx.charge("failure-detection", lag)
+        ctx.counters.cycles += lag
         self.shard_map.drop_states_on(node_name)
         self.dfs.mark_down(node_name)
         up_count = len(self.cluster) - len(self.dfs.down_nodes)
@@ -508,12 +508,11 @@ class ShardedExecutor:
             )
             columns = deserialize_columns(payload)
             model = ctx.platform.memory_model
-            ctx.charge("shard-rebuild", model.sequential(2 * len(payload)))
+            ctx.counters.cycles += model.sequential(2 * len(payload))
             applied = self._replay_committed(shard, columns, node_name, ctx)
             if applied:
-                ctx.charge(
-                    "wal-replay",
-                    model.random(applied, _FLOAT, _FLOAT * shard.row_count),
+                ctx.counters.cycles += model.random(
+                    applied, _FLOAT, _FLOAT * shard.row_count
                 )
             self.shard_map.promote(shard.shard_id, node_name, columns)
         self.stats.rebuilds += 1
@@ -574,7 +573,7 @@ class ShardedExecutor:
         if query.shape is QueryShape.FULL_SUM:
             nbytes = shard.row_count * _FLOAT * len(query.attributes)
             cost = model.sequential(nbytes)
-            ctx.charge("shard-scan", cost)
+            ctx.counters.cycles += cost
             return (
                 {attr: float(state[attr].sum()) for attr in query.attributes},
                 cost,
@@ -584,7 +583,7 @@ class ShardedExecutor:
         touched = _FLOAT * len(query.attributes)
         if query.shape is QueryShape.POSITION_SUM:
             cost = model.random(len(local), touched, footprint)
-            ctx.charge("shard-probe", cost)
+            ctx.counters.cycles += cost
             return (
                 {
                     attr: float(state[attr][local].sum())
@@ -594,7 +593,7 @@ class ShardedExecutor:
             )
         if query.shape is QueryShape.POINT_MATERIALIZE:
             cost = model.random(len(local), touched, footprint)
-            ctx.charge("shard-probe", cost)
+            ctx.counters.cycles += cost
             rows = {
                 int(position): np.array(
                     [float(state[attr][index]) for attr in query.attributes]
@@ -620,7 +619,7 @@ class ShardedExecutor:
                         float(value),
                         ctx,
                     )
-        ctx.charge("shard-update", cost)
+        ctx.counters.cycles += cost
         return (
             _ShardWrites(shard.shard_id, state, query.attributes, local, values),
             cost,
@@ -666,8 +665,7 @@ class ShardedExecutor:
             self._handle_straggler(task, node_name, compute_cycles, ctx)
 
         def send() -> None:
-            cost = network.transfer_cost(nbytes, ctx.counters)
-            ctx.note("gather-response", cost)
+            network.transfer_cost(nbytes, ctx.counters)
             self.injector.check(SITE_NET_DROP_RESPONSE, ctx.counters)
         self.response_retry.run(f"response(shard {task.shard.shard_id})", send, ctx)
 
@@ -705,9 +703,8 @@ class ShardedExecutor:
         nbytes = task.estimated_response_bytes
         if spares:
             self.stats.hedges += 1
-            ctx.charge("hedged-compute", compute_cycles)
-            cost = network.transfer_cost(nbytes, ctx.counters)
-            ctx.note("hedged-response", cost)
+            ctx.counters.cycles += compute_cycles
+            network.transfer_cost(nbytes, ctx.counters)
             self.injector.report.record_retried()
             ctx.counters.fault_retries += 1
             ctx.instant(
@@ -716,7 +713,7 @@ class ShardedExecutor:
         else:
             self.stats.stragglers_waited += 1
             penalty = network.peek_transfer_cost(nbytes) * (self.slow_factor - 1.0)
-            ctx.charge("net-slow-link", penalty)
+            ctx.counters.cycles += penalty
             self.injector.report.record_recovered()
             ctx.counters.fault_recoveries += 1
             ctx.instant("straggler-wait", "sharding", shard=task.shard.shard_id)
@@ -739,9 +736,7 @@ class ShardedExecutor:
         """
         gathered = sum(task.estimated_response_bytes for task in plan.tasks)
         with ctx.span("gather-merge", "sharding", fanout=plan.fanout):
-            ctx.charge(
-                "gather-merge", ctx.platform.memory_model.sequential(gathered)
-            )
+            ctx.counters.cycles += ctx.platform.memory_model.sequential(gathered)
             if query.shape in (QueryShape.FULL_SUM, QueryShape.POSITION_SUM):
                 merged = {attr: 0.0 for attr in query.attributes}
                 for partial in partials:

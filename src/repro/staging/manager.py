@@ -302,8 +302,7 @@ class StagingManager:
         )
         cells = sum(len(entry.pending) for entry in dirty)
         with ctx.span("gpu-scatter", "kernel", cells=cells):
-            cost = self.platform.gpu.scatter_cost(cells, sum(sizes), ctx.counters)
-            ctx.note("gpu-scatter", cost)
+            self.platform.gpu.scatter_cost(cells, sum(sizes), ctx.counters)
         for entry in dirty:
             entry.apply_patch()
 
@@ -442,11 +441,8 @@ class StagingManager:
             return self.scheduler.burst(sizes, ctx.counters)
 
         if ctx.retry is not None:
-            cost = ctx.retry.run(f"pcie-transfer({label})", attempt, ctx)
-        else:
-            cost = attempt()
-        ctx.note("pcie-transfer", cost)
-        return cost
+            return ctx.retry.run(f"pcie-transfer({label})", attempt, ctx)
+        return attempt()
 
     def _make_room(self, nbytes: int, device, counters: PerfCounters) -> bool:
         """Evict LRU unpinned replicas until *nbytes* more fit; False if impossible."""

@@ -11,7 +11,7 @@ parameters; executors in :mod:`repro.execution` carry them out.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import WorkloadError

@@ -43,7 +43,7 @@ class TestDistribution:
         es2, platform = engine
         ctx = ExecutionContext(platform)
         es2.sum("item", "i_price", ctx)
-        assert "es2-network" in ctx.breakdown.parts
+        assert ctx.counters.bytes_transferred > 0
 
 
 class TestReAdaption:
@@ -119,7 +119,7 @@ class TestDistributedSecondaryIndexes:
         lookup_ctx = ExecutionContext(platform)
         key = int(small_items["i_im_id"][0])
         es2.lookup_secondary("item", "i_im_id", key, lookup_ctx)
-        assert "es2-network" in lookup_ctx.breakdown.parts
+        assert lookup_ctx.counters.bytes_transferred > 0
 
     def test_lookup_without_index_rejected(self, engine):
         from repro.errors import EngineError
@@ -152,7 +152,7 @@ class TestElasticity:
         assert len(es2.cluster) == 8
         assert len(after) > len(before)
         assert migrated > 0
-        assert "es2-migration" in ctx.breakdown.parts
+        assert ctx.counters.bytes_transferred > 0
 
     def test_values_survive_scale_out(self, engine, small_items):
         import numpy as np

@@ -83,7 +83,7 @@ class TestBulkBuild:
             for offset in range(fragment.filled):
                 rowwise.insert(fragment.read_field(offset, "pk"), start + offset)
         assert list(bulk._positions.items()) == list(rowwise._positions.items())
-        assert ctx.breakdown.parts == {"index-build(pk)": 40 * 12.0}
+        assert ctx.cycles == 40 * 12.0
 
     def test_duplicate_key_across_fragments_raises(self, platform):
         keys = list(range(20)) + [3]

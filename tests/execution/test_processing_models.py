@@ -5,6 +5,7 @@ import pytest
 
 from repro.execution.bulk import BulkPipeline, bulk_sum
 from repro.execution.context import ExecutionContext
+from repro.execution.operators import CALL_OVERHEAD_CYCLES
 from repro.execution.volcano import (
     VolcanoScan,
     VolcanoSelect,
@@ -53,8 +54,12 @@ class TestVolcano:
     def test_call_overhead_charged_per_tuple(self, layout, platform):
         ctx = ExecutionContext(platform)
         run_volcano(VolcanoSum(VolcanoScan(layout, ["price"])), ctx)
-        # At least one pull per tuple through the Sum operator.
-        assert ctx.breakdown.parts["volcano-calls"] >= 200 * ctx.call_overhead_cycles
+        scan = ExecutionContext(platform)
+        VolcanoScan(layout, ["price"]).open(scan)
+        # What is left after the scan and one 1-cycle add per tuple is
+        # call overhead: at least one pull per tuple through the Sum.
+        calls = ctx.cycles - scan.cycles - 200 * 1.0
+        assert calls >= 200 * CALL_OVERHEAD_CYCLES
 
 
 class TestBulk:

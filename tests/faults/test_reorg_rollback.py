@@ -19,6 +19,7 @@ from repro.layout.region import Region
 from repro.model.datatypes import FLOAT64, INT64
 from repro.model.relation import Relation
 from repro.model.schema import Schema
+from repro.obs import Tracer
 
 ROWS = 64
 
@@ -95,11 +96,14 @@ class TestRollback:
             SITE_REORG_INTERRUPT, 0.05, max_faults=1
         )
         injector.install(platform)
+        tracer = platform.tracer = Tracer()
         ctx = ExecutionContext(platform)
         with pytest.raises(ReorganizationAborted):
             reorganize_layout(layout, columnar_proposal(), platform.host_memory, ctx)
         assert ctx.cycles > 0
-        assert any("reorganize-aborted" in part for part in ctx.breakdown.parts)
+        (span,) = tracer.roots
+        assert span.attrs["outcome"] == "aborted"
+        assert span.cycles == ctx.cycles
 
     def test_retry_after_abort_succeeds(self, layout, platform, rows):
         """Exactly-once fault: the second attempt completes the reorg."""

@@ -1,8 +1,8 @@
-"""PerfCounters, CostBreakdown and Platform assembly tests."""
+"""PerfCounters and Platform assembly tests."""
 
 import pytest
 
-from repro.hardware.event import CostBreakdown, PerfCounters
+from repro.hardware.event import PerfCounters
 from repro.hardware.memory import MemoryKind
 from repro.hardware.platform import Platform
 
@@ -20,19 +20,6 @@ class TestPerfCounters:
         assert snap["cycles"] == 7 and snap["tlb_misses"] == 3
         counters.tlb_misses += 1
         assert snap["tlb_misses"] == 3
-
-
-class TestCostBreakdown:
-    def test_accumulates_labels(self):
-        breakdown = CostBreakdown()
-        breakdown.add("scan", 10)
-        breakdown.add("scan", 5)
-        breakdown.add("transfer", 85)
-        assert breakdown.total == 100
-        assert breakdown.share("transfer") == pytest.approx(0.85)
-
-    def test_empty_share_is_zero(self):
-        assert CostBreakdown().share("anything") == 0.0
 
 
 class TestPlatform:

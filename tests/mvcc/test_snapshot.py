@@ -16,6 +16,7 @@ from repro.model.datatypes import FLOAT64, INT64
 from repro.model.relation import Relation
 from repro.model.schema import Schema
 from repro.mvcc import PAGE_BYTES, SnapshotManager
+from repro.mvcc.snapshot import FAULT_OVERHEAD_CYCLES
 
 ROWS = 5000
 
@@ -91,7 +92,8 @@ class TestLifecycle:
         snapshot.release()
         fault_ctx = ctx.fork()
         checked_update(manager, layout, 7, "price", 0.0, fault_ctx)
-        assert "cow-fault" not in fault_ctx.breakdown.parts
+        assert snapshot.pages_copied == 0
+        assert fault_ctx.counters.bytes_written == 8  # the cell, no page
         assert manager.live_snapshots == ()
 
     def test_released_snapshot_rejects_reads(self, layout, platform, ctx):
@@ -140,10 +142,15 @@ class TestCosts:
     def test_cow_fault_charged_per_page(self, layout, platform):
         ctx = ExecutionContext(platform)
         manager = SnapshotManager(layout)
-        manager.fork(ctx)
-        before = ctx.breakdown.parts.get("cow-fault", 0.0)
+        snapshot = manager.fork(ctx)
+        before = ctx.cycles
         checked_update(manager, layout, 0, "price", 0.0, ctx)
-        assert ctx.breakdown.parts["cow-fault"] > before
+        plain = ExecutionContext(platform)
+        update_field(layout, 0, "price", 0.0, plain)
+        assert snapshot.pages_copied == 1
+        assert ctx.cycles - before - plain.cycles == pytest.approx(
+            FAULT_OVERHEAD_CYCLES + platform.memory_model.sequential(2 * PAGE_BYTES)
+        )
         assert ctx.counters.bytes_written >= PAGE_BYTES
 
     def test_snapshot_cheaper_than_full_copy_at_low_write_rates(

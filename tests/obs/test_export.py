@@ -19,9 +19,9 @@ def traced_run() -> Tracer:
     tracer = Tracer()
     counters = PerfCounters()
     with tracer.span("q", "query", counters):
-        counters.charge(2_600_000)  # 1 ms at 2.6 GHz
+        counters.cycles += 2_600_000  # 1 ms at 2.6 GHz
         with tracer.span("k", "kernel", counters, chunks=2):
-            counters.charge(2_600_000)
+            counters.cycles += 2_600_000
         tracer.instant("fault(pcie)", "fault", counters, site="pcie")
     return tracer
 

@@ -15,11 +15,11 @@ def traced_context() -> tuple[ExecutionContext, Tracer]:
     platform.tracer = tracer
     ctx = ExecutionContext(platform)
     with ctx.span("q1", "query"):
-        ctx.charge("scan", 1_000_000)
+        ctx.counters.cycles += 1_000_000
         with ctx.span("device-sum(i_price)", "operator", on_device=True):
-            ctx.charge("scan", 2_000_000)
+            ctx.counters.cycles += 2_000_000
             with ctx.span("gpu-reduce", "kernel"):
-                ctx.charge("kernel", 1_000_000)
+                ctx.counters.cycles += 1_000_000
         tracer.instant("staging-hit", "staging", ctx.counters)
     return ctx, tracer
 
@@ -66,7 +66,11 @@ class TestExplain:
         ctx, tracer = traced_context()
         report = explain(ctx, tracer)
         assert "query profile: 4000000 simulated cycles" in report
-        assert "dominant cost: scan" in report
+        attribution = layer_attribution(tracer)
+        assert max(attribution, key=attribution.get) == "operator"
+        assert report.splitlines()[1] == (
+            "dominant layer: operator — 50.0% of traced cycles"
+        )
         assert "per-layer attribution (self time):" in report
         assert "instant events: 1" in report
 

@@ -20,7 +20,7 @@ class TestSpanRecording:
         tracer = Tracer()
         counters = PerfCounters()
         span = tracer.begin("scan", "operator", counters)
-        counters.charge(1234.0)
+        counters.cycles += 1234.0
         tracer.end(span, counters)
         assert span.cycles == 1234.0
         assert tracer.roots == [span]
@@ -29,9 +29,9 @@ class TestSpanRecording:
         tracer = Tracer()
         counters = PerfCounters()
         with tracer.span("query", "query", counters) as root:
-            counters.charge(10)
+            counters.cycles += 10
             with tracer.span("kernel", "kernel", counters) as child:
-                counters.charge(90)
+                counters.cycles += 90
         assert root.children == [child]
         assert child.begin == 10 and child.end == 100
         assert root.self_cycles == 10.0
@@ -49,7 +49,7 @@ class TestSpanRecording:
         counters = PerfCounters()
         with pytest.raises(RuntimeError):
             with tracer.span("doomed", "operator", counters):
-                counters.charge(7)
+                counters.cycles += 7
                 raise RuntimeError("boom")
         assert tracer.current is None
         assert tracer.roots[0].end == 7
@@ -89,10 +89,10 @@ class TestNestingValidator:
         tracer = Tracer()
         counters = PerfCounters()
         with tracer.span("q", "query", counters):
-            counters.charge(5)
+            counters.cycles += 5
             with tracer.span("op", "operator", counters):
-                counters.charge(10)
-            counters.charge(5)
+                counters.cycles += 10
+            counters.cycles += 5
         assert nesting_violations(tracer.roots[0]) == []
 
     def test_open_span_is_flagged(self):
@@ -166,7 +166,7 @@ def test_property_spans_on_monotone_clock_always_nest(steps):
     counters = PerfCounters()
     open_spans = []
     for action, charge in steps:
-        counters.charge(charge)
+        counters.cycles += charge
         if action == "open":
             open_spans.append(
                 tracer.begin(f"s{len(open_spans)}", "operator", counters)
@@ -174,7 +174,7 @@ def test_property_spans_on_monotone_clock_always_nest(steps):
         elif open_spans:
             tracer.end(open_spans.pop(), counters)
     while open_spans:
-        counters.charge(1.0)
+        counters.cycles += 1.0
         tracer.end(open_spans.pop(), counters)
     for root in tracer.roots:
         assert nesting_violations(root) == []

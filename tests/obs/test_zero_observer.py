@@ -21,7 +21,6 @@ class TestWorkloadIdentity:
         assert json.dumps(traced["snapshot"], sort_keys=True) == json.dumps(
             untraced["snapshot"], sort_keys=True
         )
-        assert traced["breakdown"] == untraced["breakdown"]
         # The traced run actually recorded something.
         assert tracer.roots and tracer.events
 

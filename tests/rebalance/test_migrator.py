@@ -121,9 +121,14 @@ class TestProtocol:
         report = built.skew.snapshot()
         built.planner.plan(report)
         assert ctx.counters.cycles == 0.0  # planning is free
-        built.migrator.run(SplitOp(0, 4), ctx)
+        migration = built.migrator.run(SplitOp(0, 4), ctx)
         assert ctx.counters.cycles > 0.0  # migrating is not
         assert built.migrator.stats.cycles == pytest.approx(
             ctx.counters.cycles
         )
-        assert ctx.breakdown.parts.get("migration-copy", 0.0) > 0.0
+        # Every destination file crosses the network once per replica.
+        copied = sum(
+            built.dfs.file(fragment.path).size for fragment in migration.fragments
+        )
+        assert copied > 0
+        assert ctx.counters.bytes_transferred == built.dfs.replication * copied

@@ -16,6 +16,7 @@ from repro.errors import RecoveryError
 from repro.execution import ExecutionContext
 from repro.faults.report import ResilienceReport
 from repro.hardware import Platform
+from repro.obs import Tracer
 from repro.recovery.checkpoint import CheckpointStore
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.wal import WriteAheadLog
@@ -86,13 +87,15 @@ class TestRecover:
         results = []
         for _ in range(2):
             rebooted = Platform.paper_testbed()
+            tracer = rebooted.tracer = Tracer()
             ctx = ExecutionContext(rebooted)
             _, result = RecoveryManager(wal, store).recover(
                 lambda: build_engine(rebooted), "item", ctx
             )
             assert result.cycles > 0
-            assert ctx.breakdown.parts["recovery-analysis(log-scan)"] > 0
-            assert ctx.breakdown.parts["recovery-load(item)"] > 0
+            spans = {span.name: span for span in tracer.spans()}
+            assert spans["recovery-analysis"].cycles > 0  # the log scan
+            assert spans["recovery-load"].cycles > 0  # the checkpoint image
             results.append(result)
         # Same durable artifacts -> identical replay, identical charge.
         assert results[0] == results[1]

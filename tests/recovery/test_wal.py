@@ -5,17 +5,20 @@ import pytest
 from repro.errors import EngineCrashed, WalError
 from repro.execution import ExecutionContext
 from repro.faults import SITE_WAL_TORN_WRITE, FaultInjector
+from repro.obs import Tracer
 from repro.recovery.wal import LogRecordKind, WriteAheadLog
 
 
 class TestAppend:
     def test_append_buffers_and_charges_memory_copy(self, platform, ctx):
         wal = WriteAheadLog(platform)
+        tracer = platform.tracer = Tracer()
         record = wal.log_begin(1, ctx)
         assert record.lsn == 1
         assert wal.tail_records == 1
         assert wal.durable_records() == ()
-        assert ctx.breakdown.parts["wal-append"] > 0
+        (span,) = tracer.roots
+        assert span.name == "wal-append" and span.cycles > 0
         assert ctx.counters.cycles > 0
 
     def test_lsns_are_monotonic_across_kinds(self, platform, ctx):
@@ -70,10 +73,12 @@ class TestGroupCommit:
         for txn in range(3):
             wal.log_begin(txn, ctx)
         before = ctx.counters.cycles
+        tracer = platform.tracer = Tracer()
         flushed = wal.flush(ctx)
         assert flushed == 3
         assert ctx.counters.cycles > before
-        assert ctx.breakdown.parts["wal-fsync"] > 0
+        (span,) = tracer.roots
+        assert span.name == "wal-fsync" and span.cycles > 0
         assert wal.durable_bytes == sum(r.nbytes for r in wal.durable_records())
 
     def test_empty_flush_is_free(self, platform, ctx):

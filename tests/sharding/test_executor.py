@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.execution import ExecutionContext
+from repro.obs import Tracer
 from repro.sharding import ShardingScheme
 from repro.sharding.verifier import SingleNodeOracle, encode_answer
 from repro.workload.queries import QueryShape, QuerySpec
@@ -88,10 +89,25 @@ class TestAnswers:
 
 class TestCosts:
     def test_sub_queries_charge_compute_and_responses(self, executor, ctx):
-        executor.run(QuerySpec(QueryShape.FULL_SUM, "orders", ("v",)), ctx)
+        query = QuerySpec(QueryShape.FULL_SUM, "orders", ("v",))
+        tracer = ctx.platform.tracer = Tracer()
+        executor.run(query, ctx)
         assert ctx.counters.cycles > 0
-        assert "shard-scan" in ctx.breakdown.parts
-        assert "gather-merge" in ctx.breakdown.parts
+        tasks = {task.shard.shard_id: task for task in executor.router.route(query).tasks}
+        model = ctx.platform.memory_model
+        network = executor.cluster.network
+        subqueries = [span for span in tracer.spans() if span.name == "shard-subquery"]
+        assert sorted(span.attrs["shard"] for span in subqueries) == sorted(tasks)
+        for span in subqueries:
+            task = tasks[span.attrs["shard"]]
+            # The shard's column scan, then the response when the worker
+            # is remote; a state rebuild is a child span, not self time.
+            expected = model.sequential(task.row_count * 8)
+            if span.attrs["node"] != executor.coordinator:
+                expected += network.peek_transfer_cost(task.estimated_response_bytes)
+            assert span.self_cycles == pytest.approx(expected)
+        (merge,) = [span for span in tracer.spans() if span.name == "gather-merge"]
+        assert merge.cycles > 0
         # At least one shard is remote from the coordinator, so the
         # gather moved bytes across the simulated network.
         assert ctx.counters.bytes_transferred > 0

@@ -10,6 +10,7 @@ from repro.errors import (
     ShardRetryExhausted,
 )
 from repro.execution import ExecutionContext
+from repro.obs import Tracer
 from repro.sharding import (
     SITE_NET_DROP_RESPONSE,
     SITE_NET_SLOW_LINK,
@@ -30,6 +31,22 @@ def remote_shard(executor):
 
 def positions_of(shard, count=3):
     return tuple(int(p) for p in shard.positions[:count])
+
+
+def traced_spans(executor, query, ctx):
+    """Every span of one traced run of *query* on *executor*."""
+    tracer = ctx.platform.tracer = Tracer()
+    executor.run(query, ctx)
+    return list(tracer.spans())
+
+
+def subquery_cycles(executor, query, ctx):
+    """The cycles of each ``shard-subquery`` span of one traced run."""
+    return [
+        span.cycles
+        for span in traced_spans(executor, query, ctx)
+        if span.name == "shard-subquery"
+    ]
 
 
 class TestCrashFailover:
@@ -70,18 +87,31 @@ class TestCrashFailover:
         assert ctx.counters.fault_fallbacks == 1
 
     def test_detection_lag_and_backoff_are_charged(self, harness, ctx):
-        executor = harness(seed=1)
-        executor.injector.arm(SITE_SHARD_NODE_CRASH, 1.0, max_faults=1)
-        shard = remote_shard(executor)
-        executor.run(
-            QuerySpec(
+        def crash_once(zero_lease):
+            executor = harness(seed=1)
+            if zero_lease:
+                executor.detector.lease_cycles = 0.0
+            executor.injector.arm(SITE_SHARD_NODE_CRASH, 1.0, max_faults=1)
+            shard = remote_shard(executor)
+            query = QuerySpec(
                 QueryShape.POSITION_SUM, "orders", ("v",), positions_of(shard)
-            ),
-            ctx,
-        )
-        assert "failure-detection" in ctx.breakdown.parts
-        assert "failover-backoff" in ctx.breakdown.parts
+            )
+            spans = traced_spans(executor, query, ctx.fork())
+            failed = next(span for span in spans if span.attrs.get("attempt") == 0)
+            (gather,) = [span for span in spans if span.name == "scatter-gather"]
+            return executor, failed, gather
+
+        executor, failed, gather = crash_once(zero_lease=False)
+        __, unleased, __ = crash_once(zero_lease=True)
         assert executor.detector.total_lag_cycles > 0
+        # The failed attempt pays the detection lag: it costs exactly
+        # that much more than under a zero lease.
+        assert failed.cycles - unleased.cycles == pytest.approx(
+            executor.detector.total_lag_cycles
+        )
+        # The backoff before the next candidate sits between the two
+        # attempts, in the scatter-gather's own time.
+        assert gather.self_cycles == pytest.approx(executor.failover_backoff_cycles)
 
     def test_failed_shard_is_promoted_to_its_new_home(self, harness, ctx):
         executor = harness(seed=1)
@@ -204,36 +234,42 @@ class TestResponseFaults:
         executor = harness(seed=1, replication=3)
         executor.injector.arm(SITE_NET_SLOW_LINK, 1.0, max_faults=1)
         shard = remote_shard(executor)
-        executor.run(
-            QuerySpec(
-                QueryShape.POSITION_SUM, "orders", ("v",), positions_of(shard)
-            ),
-            ctx,
+        query = QuerySpec(
+            QueryShape.POSITION_SUM, "orders", ("v",), positions_of(shard)
         )
+        hedged = subquery_cycles(executor, query, ctx)
+        healthy = subquery_cycles(harness(seed=1, replication=3), query, ctx.fork())
         report = executor.injector.report
         assert executor.stats.hedges == 1
         assert report.retried == 1
         assert report.unaccounted == 0
-        assert "hedged-compute" in ctx.breakdown.parts
+        # The hedge pays one duplicate compute and one more response.
+        assert hedged == pytest.approx([2 * cycles for cycles in healthy])
 
     def test_slow_link_without_spares_is_waited_out(self, harness, ctx):
         # Two nodes, replication 1: the remote worker is the shard's
         # only replica holder, so there is no warm spare to hedge to
         # (the coordinator is the gather side, never a hedge target).
-        executor = harness(seed=1, node_count=2, shard_count=2, replication=1)
+        shape = dict(seed=1, node_count=2, shard_count=2, replication=1)
+        executor = harness(**shape)
         executor.injector.arm(SITE_NET_SLOW_LINK, 1.0, max_faults=1)
         shard = remote_shard(executor)
-        executor.run(
-            QuerySpec(
-                QueryShape.POSITION_SUM, "orders", ("v",), positions_of(shard)
-            ),
-            ctx,
+        query = QuerySpec(
+            QueryShape.POSITION_SUM, "orders", ("v",), positions_of(shard)
         )
+        (waited,) = subquery_cycles(executor, query, ctx)
+        (healthy,) = subquery_cycles(harness(**shape), query, ctx.fork())
         report = executor.injector.report
         assert executor.stats.stragglers_waited == 1
         assert report.recovered == 1
         assert report.unaccounted == 0
-        assert "net-slow-link" in ctx.breakdown.parts
+        # The degraded link costs slow_factor times the healthy response.
+        response = executor.cluster.network.peek_transfer_cost(
+            executor.router.route(query).tasks[0].estimated_response_bytes
+        )
+        assert waited == pytest.approx(
+            healthy + response * (executor.slow_factor - 1.0)
+        )
 
     def test_injected_faults_never_change_the_answer(
         self, harness, columns, platform

@@ -22,6 +22,7 @@ from repro.fusion.costs import predicted_route_costs
 from repro.fusion.device import run_fused_device
 from repro.fusion.oracle import run_unfused_device
 from repro.hardware import Platform
+from repro.obs import Tracer
 from repro.serving.server import BATCH_16
 from repro.serving.verifier import (
     build_tenants,
@@ -163,11 +164,19 @@ class TestPredictionsPriceThePayload:
             column.count, column.width, nbytes=column.nbytes, decoded=column.decoded
         )
         predicted = predicted_route_costs(plan, store, platform)["unfused-gpu"]
+        tracer = platform.tracer = Tracer()
         ctx = ExecutionContext(platform)
         run_unfused_device(plan, store, ctx)
-        parts = ctx.breakdown.parts
-        assert parts.get("pcie-transfer", 0.0) == transfer
-        assert parts["gpu-reduce(key)"] == kernel
+        spans = list(tracer.spans())
+        (reduce,) = [span for span in spans if span.name == "gpu-reduce(key)"]
+        # Operand bursts run before the kernel; the result copy after it.
+        staged = sum(
+            span.cycles
+            for span in spans
+            if span.name == "pcie-burst" and span.end <= reduce.begin
+        )
+        assert staged == transfer
+        assert reduce.end == reduce.begin + kernel
         assert predicted == pytest.approx(ctx.cycles, rel=1e-12)
         assert (transfer == 0.0) is warm
 

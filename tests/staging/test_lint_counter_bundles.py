@@ -3,11 +3,11 @@
 A query that needs its own counters runs on its own context
 (:meth:`~repro.execution.context.ExecutionContext.fork`), and the
 serving loop merges each unit's counters into its root context once.
-Code that assigned ``ctx.counters`` or ``ctx.breakdown`` would route
-charges into a bundle some other code still holds, a second way to
-attribute a query's cycles.  So no ``src/repro`` module assigns to a
-``.counters`` or ``.breakdown`` attribute: charges go through the
-bundle a context was built with, and bundles add with ``merge``.
+Code that assigned ``ctx.counters`` would route charges into a bundle
+some other code still holds, a second way to attribute a query's
+cycles.  So no ``src/repro`` module assigns to a ``.counters``
+attribute: charges go through the bundle a context was built with, and
+bundles add with ``merge``.
 """
 
 import ast
@@ -16,7 +16,7 @@ from pathlib import Path
 import repro
 
 #: Attributes that hold a context's counter bundles.
-BUNDLES = frozenset({"counters", "breakdown"})
+BUNDLES = frozenset({"counters"})
 
 
 def _targets(node: ast.AST) -> list[ast.expr]:
@@ -40,7 +40,7 @@ def _targets(node: ast.AST) -> list[ast.expr]:
 
 
 def bundle_assignments(source: str) -> list[int]:
-    """Line numbers in *source* that assign a ``.counters``/``.breakdown``."""
+    """Line numbers in *source* that assign a ``.counters`` bundle."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
@@ -50,8 +50,8 @@ def bundle_assignments(source: str) -> list[int]:
 
 
 def test_lint_flags_a_bundle_swap():
-    swap = "ctx.counters = scope.counters\nctx.breakdown = scope.breakdown\n"
-    assert bundle_assignments(swap) == [1, 2]
+    swap = "seen = ctx.counters\nctx.counters = scope.counters\n"
+    assert bundle_assignments(swap) == [2]
     assert bundle_assignments("saved, ctx.counters = ctx.counters, fresh\n") == [1]
     # Charging through a bundle, or reading one, is fine.
     assert bundle_assignments(

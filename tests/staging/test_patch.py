@@ -32,6 +32,7 @@ from repro.layout.region import Region
 from repro.model.datatypes import FLOAT64
 from repro.model.relation import Relation
 from repro.model.schema import Schema
+from repro.obs import Tracer
 from repro.serving.batch import run_device_batch
 from repro.serving.server import LayoutBackend
 from repro.serving.verifier import OLAP_ATTRIBUTES, build_item_store
@@ -429,7 +430,9 @@ class TestPrediction:
         )
         assert 0.0 < predicted < staging.scheduler.predicted_cost(nbytes)
 
+        tracer = platform.tracer = Tracer()
         read = ExecutionContext(platform)
         staging.stage([(fragment, "price", WIDTH)], read)
-        assert read.breakdown.parts["pcie-transfer"] == predicted
+        (burst,) = [span for span in tracer.spans() if span.name == "pcie-burst"]
+        assert burst.cycles == predicted
         assert staging.predicted_transfer_cost(fragment, "price") == 0.0
