@@ -3,7 +3,7 @@
 from repro.execution.access import AccessDescriptor, AccessKind
 from repro.execution.bulk import BulkPipeline, bulk_sum
 from repro.execution.context import ExecutionContext
-from repro.execution.device import device_sum_column, is_device_resident
+from repro.execution.device import device_sum_column, is_device_resident, run_device_batch
 from repro.execution.index import HashIndex, SecondaryIndex, point_query
 from repro.execution.operators import (
     aggregate_column,
@@ -43,6 +43,7 @@ __all__ = [
     "update_field",
     "device_sum_column",
     "is_device_resident",
+    "run_device_batch",
     "HashIndex",
     "SecondaryIndex",
     "point_query",

@@ -8,7 +8,9 @@ fused plan makes the whole chain one cost event:
 * the whole operand set is served through
   :meth:`~repro.staging.manager.StagingManager.stage`, which stages
   every missing column in one coalesced DMA burst (one link latency)
-  and installs the replicas in the staging cache for the next query;
+  and installs the replicas in the staging cache for the next query —
+  or, when they cannot be cached, ships them uncached through a bounce
+  buffer that holds every operand at launch;
 * the chain runs as one grid-stride kernel
   (:meth:`~repro.hardware.gpu.GPUModel.fused_pipeline_cost`): one
   launch latency, intermediates in registers, no device buffers
@@ -28,11 +30,9 @@ Fault sites keep firing inside the fused path with exactly-once
 attribution: the PCIe site fires inside the (retry-wrapped) burst, the
 ``device.kernel`` site fires inside the single accounted launch, and
 injected device-OOM is absorbed by the staging manager's LRU eviction
-exactly as on the unfused path.  When the operand set cannot be staged
-even after evicting everything, the fused path raises
-:class:`~repro.errors.CapacityError` — there is no bounce-buffer
-streaming for a fused kernel (its operands must all be resident at
-launch), so capacity pressure degrades to the caller's fallback chain
+exactly as on the unfused path.  An operand set the device cannot hold
+at all raises :class:`~repro.errors.CapacityError` from ``stage``, as
+for every device operator, and degrades to the caller's fallback chain
 (fused host execution, for CoGaDB).
 
 Like :mod:`repro.fusion.host`, this module must not call the
@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import CapacityError
 from repro.fusion.host import fused_reduce
 from repro.obs.tracer import LAYER_FUSED
 
@@ -92,14 +91,7 @@ def run_fused_device(
             for attribute, width in zip(plan.attributes, widths)
             for fragment in layout.fragments_for_attribute(attribute)
         ]
-        columns, misses, entries, replicas = staging.stage(requests, ctx)
-        if entries is None:
-            needed = sum(staging.payload_bytes(f, a) for f, a, __ in misses)
-            raise CapacityError(
-                f"device memory cannot hold the fused operand set of "
-                f"{plan.describe()} ({needed} B); a fused kernel needs every "
-                "operand resident at launch"
-            )
+        columns, replicas = staging.stage(requests, ctx)
         served = {
             (id(fragment), attribute): values
             for (fragment, attribute, __), values in zip(requests, columns)

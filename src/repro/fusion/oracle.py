@@ -189,17 +189,13 @@ def _serve_column(
     This is the per-step staging discipline of the unfused plan — each
     operator stages its own input with its own burst (one link latency
     *per operator*), which is exactly the overhead one operand set
-    removes for fused plans.  When the replicas cannot be cached, the
-    burst is charged uncached, as :func:`~repro.serving.batch.run_device_batch`
-    charges it.
+    removes for fused plans.  Memory pressure is ``stage``'s, as for
+    every device operator.
     """
-    staging = ctx.platform.staging
     fragments = layout.fragments_for_attribute(attribute)
-    columns, misses, entries, __ = staging.stage(
+    columns, __ = ctx.platform.staging.stage(
         [(fragment, attribute, width) for fragment in fragments], ctx
     )
-    if entries is None:
-        staging.transfer_uncached(misses, ctx)
     return {id(fragment): values for fragment, values in zip(fragments, columns)}
 
 
@@ -212,7 +208,7 @@ def run_unfused_device(
     if layout.relation.row_count == 0:
         return aggregate_reducer(plan.op)[1]
     if plan.filter is None and plan.op == "sum" and not plan.projects:
-        # The exact legacy path, bounce-buffer streaming included.
+        # A plain column sum is the one device dispatch for sums.
         return device_sum_column(layout, plan.aggregate_attribute, ctx)
     if plan.filter is None:
         return _device_aggregate_unfiltered(plan, layout, ctx)

@@ -24,7 +24,11 @@ _SHOWN_ATTRS = (
     "hype_choice",
     "hype_route",
     "served_by",
-    "on_device",
+    "resident",
+    "hits",
+    "pinned",
+    "misses",
+    "uncached",
     "placement",
     "bytes",
     "chunks",

@@ -10,18 +10,19 @@ streams concurrently — on the simulated cycle timeline:
   classes and weighted fair queueing, shedding with a typed
   :class:`~repro.errors.AdmissionRejected` (and the
   ``serving.queue-overflow`` chaos site);
-* :mod:`repro.serving.batch` — the GPU batch path: K compatible device
-  queries share one coalesced PCIe burst, one batched kernel grid, and
-  one result copy, and are answered from the staged replicas;
 * :mod:`repro.serving.server` — the discrete-event loop tying them
   together, running each dispatched unit on its own forked
   :class:`~repro.execution.ExecutionContext` and keeping write
-  barriers for serial equivalence;
+  barriers for serial equivalence; its batches of compatible device
+  queries go to :func:`~repro.execution.device.run_device_batch`, the
+  one device dispatch for column sums (re-exported here), so K queries
+  share one coalesced PCIe burst, one kernel grid and one result copy;
 * :mod:`repro.serving.verifier` — the gates ``python -m repro.verify
   serving`` runs (byte identity against a host-column replay, >=2x
   batched throughput, bounded p99/p50, exactly-once attribution).
 """
 
+from repro.execution.device import run_device_batch
 from repro.serving.admission import SITE_QUEUE_OVERFLOW, AdmissionQueue
 from repro.serving.arrivals import (
     PoissonArrivals,
@@ -29,7 +30,6 @@ from repro.serving.arrivals import (
     TenantSpec,
     WorkloadGenerator,
 )
-from repro.serving.batch import run_device_batch
 from repro.serving.server import (
     BATCH_16,
     SERIAL_DISPATCH,

@@ -35,7 +35,7 @@ from repro.errors import (
     TransferError,
 )
 from repro.execution.context import ExecutionContext
-from repro.execution.device import device_sum_column
+from repro.execution.device import device_sum_column, run_device_batch
 from repro.execution.operators import (
     materialize_rows,
     sum_at_positions,
@@ -46,7 +46,6 @@ from repro.hardware.event import Cycles, PerfCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.serving.admission import AdmissionQueue
 from repro.serving.arrivals import QueryArrival
-from repro.serving.batch import run_device_batch
 from repro.workload.queries import QueryShape, QuerySpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

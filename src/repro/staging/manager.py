@@ -20,9 +20,10 @@ five ways:
   counters), patches hits that have pending writes (one burst of
   offsets and values, one scatter kernel) and stages every miss with
   one :meth:`acquire_set` (a whole operand set in one coalesced burst,
-  evicting LRU replicas under capacity pressure);
-  :meth:`transfer_uncached` charges the same bytes when the set cannot
-  be cached;
+  evicting LRU replicas under capacity pressure); it is also the one
+  memory-pressure policy: a set that cannot be cached crosses uncached
+  through a bounce buffer when free device memory holds it, and raises
+  :class:`~repro.errors.CapacityError` when it does not;
 * **writes** — :meth:`record_write`, fired by ``update_field`` per
   touched fragment, keeps the fragment's replicas and records the
   written cell for the next :meth:`stage`; :meth:`invalidate_all`,
@@ -90,16 +91,12 @@ class Served(NamedTuple):
     """What :meth:`StagingManager.stage` served one operator, per request.
 
     ``values`` is the array each kernel reads (the replica on a hit,
-    the fragment's own column otherwise, ``None`` for a phantom);
-    ``misses`` the missed requests; ``entries`` what
-    :meth:`StagingManager.acquire_set` returned for them (``None`` when
-    they cannot be cached); and ``replicas`` the replica that served
-    each request on a hit, ``None`` otherwise.
+    the fragment's own column otherwise, ``None`` for a phantom), and
+    ``replicas`` the replica that served each request on a hit,
+    ``None`` otherwise.
     """
 
     values: list[np.ndarray | None]
-    misses: list[Request]
-    entries: list[StagedColumn] | None
     replicas: list[StagedColumn | None]
 
 
@@ -250,13 +247,18 @@ class StagingManager:
         operator reads, in its own order.  A device-resident fragment
         serves itself; every other one is probed with :meth:`lookup`.
         Hits with pending writes are patched in place by :meth:`_patch`,
-        and all misses go to one :meth:`acquire_set` call.
+        and all misses go to one :meth:`acquire_set` call.  Misses it
+        cannot cache even after eviction cross uncached
+        (:meth:`_ship_uncached`), or raise
+        :class:`~repro.errors.CapacityError` when free device memory
+        cannot hold them either: this is the one memory-pressure policy
+        of every device operator, whose caller falls back to the host.
 
-        Returns the :class:`Served` arrays, misses, staged entries and
-        hit replicas.  When the misses cannot be cached (``entries`` is
-        ``None``) each operator gives its own answer (streaming, an
-        uncached burst, or a refusal); a hit replica's remembered
-        answers are the operator's to reuse.
+        Returns the :class:`Served` arrays and hit replicas; a hit
+        replica's remembered answers are the operator's to reuse.  When
+        the platform is traced, the counts of resident, hit, pinned,
+        missed and uncached operands are added to the innermost open
+        span, so an operator that stages twice reports both.
         """
         values: list[np.ndarray | None] = []
         misses: list[Request] = []
@@ -282,8 +284,30 @@ class StagingManager:
                 values.append(fragment.column(attribute))
         if dirty:
             self._patch(dirty, ctx)
-        entries = self.acquire_set(misses, ctx) if misses else []
-        return Served(values, misses, entries, replicas)
+        uncached = 0
+        if misses and self.acquire_set(misses, ctx) is None:
+            self._ship_uncached(misses, ctx)
+            uncached = len(misses)
+        # Where the operands came from, for explain(); counted only when
+        # traced, so an untraced query pays one attribute read.
+        tracer = self.platform.tracer
+        if tracer is not None and tracer.current is not None:
+            hits = [entry for entry in replicas if entry is not None]
+            tally = {
+                "resident": len(requests) - len(hits) - len(misses),
+                "hits": len(hits),
+                "pinned": sum(
+                    self.cache.is_pinned(entry.source, entry.attribute)
+                    for entry in hits
+                ),
+                "misses": len(misses),
+                "uncached": uncached,
+            }
+            attrs = tracer.current.attrs
+            tracer.annotate(
+                **{key: attrs.get(key, 0) + count for key, count in tally.items() if count}
+            )
+        return Served(values, replicas)
 
     def _patch(self, dirty: Sequence[StagedColumn], ctx: "ExecutionContext") -> None:
         """Ship *dirty* replicas' pending cells, then scatter them.
@@ -329,9 +353,9 @@ class StagingManager:
 
         Returns the staged entries, or ``None`` when device memory
         cannot hold the columns even after evicting every cached
-        replica — the caller then falls back (bounce-buffer streaming
-        or :meth:`transfer_uncached` for the unfused operators, host
-        execution for fused pipelines).  This method never raises
+        replica — :meth:`stage` then ships them uncached or raises
+        :class:`~repro.errors.CapacityError`, and :meth:`pin` pins
+        nothing.  This method never raises
         :class:`~repro.errors.CapacityError` itself.
 
         An injected ``device.alloc`` fault is recovered in place by
@@ -411,20 +435,28 @@ class StagingManager:
             entries.append(entry)
         return entries
 
-    def transfer_uncached(
-        self, misses: Sequence["Request"], ctx: "ExecutionContext"
-    ) -> Cycles:
-        """Charge *misses* as one transfer that installs no replica.
+    def _ship_uncached(self, misses: Sequence["Request"], ctx: "ExecutionContext") -> None:
+        """Ship *misses* through a bounce buffer, installing no replica.
 
-        The fallback when :meth:`acquire_set` returns ``None``: the same
-        payload bytes cross the link with the same wire time and fault
-        site as the burst that would have cached them, but the next
-        query misses again.
+        The fallback when :meth:`acquire_set` returns ``None``.  When
+        free device memory holds the misses' whole payload, it crosses
+        in one burst (the wire time, counters and fault site of the
+        burst that would have cached it) into a bounce buffer of that
+        size, freed once the burst is done; the next query misses again.
+        When it does not, the operands cannot all be on the device at
+        launch: the buffer's allocation raises
+        :class:`~repro.errors.CapacityError` before the burst is charged,
+        and the caller's fallback answers from the host.
         """
         total = sum(
             self.payload_bytes(fragment, attribute) for fragment, attribute, __ in misses
         )
-        return self._burst(misses, (total,), ctx)
+        device = self.platform.device_memory
+        bounce = device.allocate(total, "bounce-buffer")  # CapacityError when short
+        try:
+            self._burst(misses, (total,), ctx)
+        finally:
+            device.free(bounce)
 
     def _burst(
         self,

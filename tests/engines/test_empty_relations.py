@@ -16,9 +16,11 @@ from repro.engines import (
     PelotonEngine,
 )
 from repro.errors import EngineError
-from repro.execution import ExecutionContext
+from repro.execution import ExecutionContext, device_sum_column, run_device_batch
 from repro.hardware import Platform
 from repro.workload import generate_items, item_schema
+
+from tests.fusion.stores import dsm_store, fusion_columns, fusion_relation
 
 FACTORIES = {
     "PAX": PaxEngine,
@@ -48,6 +50,18 @@ def test_empty_relation_contract(name):
     assert engine.sum_at("item", "i_price", [], ctx) == 0.0
     with pytest.raises(EngineError):
         engine.point_query("item", 0, ctx)  # no index on empty relations
+
+
+def test_device_sums_of_an_empty_relation_charge_nothing():
+    platform = Platform.paper_testbed()
+    store = dsm_store(platform, fusion_relation(0), fusion_columns(0))
+    ctx = ExecutionContext(platform)
+
+    assert device_sum_column(store, "price", ctx) == 0.0
+    assert run_device_batch(store, ["price", "key"], ctx) == [0.0, 0.0]
+    assert ctx.counters.cycles == 0.0
+    assert ctx.counters.transfers == 0
+    assert ctx.counters.kernel_launches == 0
 
 
 def test_hyper_grows_from_empty():

@@ -57,21 +57,21 @@ class TestDeviceSum:
 class TestMemoryPressure:
     """Robust staging under device-memory pressure (Bress et al. 2016)."""
 
-    def test_small_device_stages_in_chunks(self, relation):
+    def test_small_device_raises_capacity(self, relation):
+        from repro.errors import CapacityError
         from repro.hardware import Platform
 
         # Free device memory holds only a quarter of the column.
         platform = Platform.paper_testbed(device_capacity=2000)
-        values = np.arange(1000, dtype=np.float64)
-        fragment = host_column(relation, platform, values)
+        fragment = host_column(relation, platform, np.arange(1000, dtype=np.float64))
         layout = Layout("c", relation, [fragment])
         ctx = ExecutionContext(platform)
-        total = device_sum_column(layout, "price", ctx)
-        assert total == pytest.approx(float(np.sum(values)))
-        # 8000 B through a 2000 B bounce buffer: 4 chunks, 8 launches.
-        assert ctx.counters.kernel_launches == 8
-        # The bounce buffer was released.
+        with pytest.raises(CapacityError):
+            device_sum_column(layout, "price", ctx)
+        # No replica installed, no bounce buffer left behind, no launch.
+        assert len(platform.staging.cache) == 0
         assert platform.device_memory.used == 0
+        assert ctx.counters.kernel_launches == 0
 
     def test_exhausted_device_raises_capacity(self, relation):
         from repro.errors import CapacityError

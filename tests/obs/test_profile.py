@@ -16,7 +16,7 @@ def traced_context() -> tuple[ExecutionContext, Tracer]:
     ctx = ExecutionContext(platform)
     with ctx.span("q1", "query"):
         ctx.counters.cycles += 1_000_000
-        with ctx.span("device-sum(i_price)", "operator", on_device=True):
+        with ctx.span("device-sum(i_price)", "operator", hits=1):
             ctx.counters.cycles += 2_000_000
             with ctx.span("gpu-reduce", "kernel"):
                 ctx.counters.cycles += 1_000_000
@@ -37,7 +37,7 @@ class TestRenderSpanTree:
         _, tracer = traced_context()
         root = tracer.roots[0]
         lines = render_span_tree(root, root.cycles)
-        assert any("{on_device=True}" in line for line in lines)
+        assert any("{hits=1}" in line for line in lines)
 
     def test_zero_total_renders_zero_share(self):
         from repro.obs.tracer import Span
@@ -102,3 +102,51 @@ class TestExplain:
         assert "gpu-reduce(i_price) [kernel]" in report
         attribution = layer_attribution(tracer)
         assert attribution["pcie"] > attribution["kernel"]
+
+
+class TestOperandOrigins:
+    """``stage`` tells each device operator's span where its operands came from."""
+
+    def traced(self):
+        from tests.fusion.stores import dsm_store, fusion_columns, fusion_relation
+
+        platform = Platform.paper_testbed()
+        platform.tracer = Tracer()
+        store = dsm_store(platform, fusion_relation(), fusion_columns())
+        return platform, store, ExecutionContext(platform)
+
+    @staticmethod
+    def span_named(tracer, prefix):
+        (span,) = [span for span in tracer.spans() if span.name.startswith(prefix)]
+        return span
+
+    def test_a_placed_sum_reports_one_pinned_hit(self):
+        from repro.execution.device import device_sum_column
+
+        platform, store, ctx = self.traced()
+        (fragment,) = store.fragments_for_attribute("price")
+        assert platform.staging.pin(fragment, "price", ExecutionContext(platform))
+        device_sum_column(store, "price", ctx)
+        assert self.span_named(platform.tracer, "device-sum(price)").attrs == {
+            "hits": 1,
+            "pinned": 1,
+        }
+        report = explain(ctx)
+        assert "{hits=1, pinned=1}" in report
+        assert "on_device" not in report
+
+    def test_an_unfused_plan_adds_up_its_two_stagings(self):
+        from repro.fusion import Pipeline, compile_pipeline
+        from repro.fusion.oracle import run_unfused_device
+
+        platform, store, ctx = self.traced()
+        platform.staging.capacity_bytes = 0
+        plan = compile_pipeline(
+            Pipeline.scan("key").filter(lambda values: values < 400).aggregate(
+                "sum", on="price"
+            )
+        )
+        run_unfused_device(plan, store, ctx)
+        attrs = self.span_named(platform.tracer, "device-unfused(").attrs
+        assert (attrs["misses"], attrs["uncached"]) == (2, 2)
+        assert "hits" not in attrs and "resident" not in attrs

@@ -8,8 +8,9 @@ from repro.execution.context import ExecutionContext
 from repro.execution.device import device_sum_column
 from repro.execution.operators import sum_column, update_field
 from repro.hardware.platform import Platform
-from repro.serving.batch import run_device_batch
+from repro.serving import LayoutBackend, run_device_batch
 from repro.serving.verifier import build_item_store
+from repro.workload.queries import QueryShape, QuerySpec
 
 ROWS = 10_000
 
@@ -95,3 +96,20 @@ class TestReplicaAnswers:
         # The batch answers from the replica it staged, patched or not.
         assert answers == staged * 2
         assert answers[0] != sum_column(store, "i_price", ExecutionContext(platform))
+
+
+class TestMemoryPressure:
+    def test_a_batch_the_device_cannot_hold_falls_back_to_the_host(self):
+        platform = Platform.paper_testbed(device_capacity=256)
+        store = build_item_store(platform, 2_000)
+        attributes = ["i_price", "i_im_id", "i_price"]
+        specs = [QuerySpec(QueryShape.FULL_SUM, "item", (name,)) for name in attributes]
+        ctx = ExecutionContext(platform)
+        answers = LayoutBackend(platform, store).run_batch(specs, ctx)
+        host = ExecutionContext(platform)
+        assert answers == [sum_column(store, name, host) for name in attributes]
+        # One fallback for the whole dispatch: every query degraded, no
+        # kernel launched, nothing left on the device.
+        assert ctx.counters.degraded_queries == len(specs)
+        assert ctx.counters.kernel_launches == 0
+        assert platform.device_memory.used == 0

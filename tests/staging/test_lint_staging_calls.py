@@ -17,10 +17,15 @@ width: a kernel charged or predicted on ``count * width`` would price
 raw bytes for an encoded replica, and HyPE would route on bytes that
 never cross.
 
-Finally, no oracle names the answers a replica remembers
+No oracle names the answers a replica remembers
 (``StagedColumn.remembered_sum`` / ``remembered_answer``, its
 ``remembered`` map or its content ``stamp``): an oracle that reused
 them would share the state it checks.
+
+Finally, memory pressure is ``stage``'s alone to answer: no device
+operator names ``CapacityError``, ``device_memory`` or
+``transfer_uncached``.  One that did would grow a second policy for
+an operand set the cache cannot hold, free to drift from ``stage``'s.
 """
 
 import ast
@@ -57,7 +62,6 @@ def test_no_direct_staging_probes_outside_staging():
 #: Modules whose answers must come from what ``stage`` served them.
 DEVICE_OPERATORS = (
     "repro/execution/device.py",
-    "repro/serving/batch.py",
     "repro/fusion/device.py",
 )
 
@@ -227,3 +231,55 @@ def test_the_oracle_lint_flags_a_remembered_answer():
         (3, "stamp"),
     ]
     assert _remembering_names(_definition(tree, "sum_column")) == []
+
+
+#: Names of a memory-pressure policy, which lives in ``repro/staging/``.
+PRESSURE_NAMES = {"CapacityError", "device_memory", "transfer_uncached"}
+
+#: Every module that stages device operands (the unfused oracle too).
+STAGING_CALLERS = DEVICE_OPERATORS + ("repro/fusion/oracle.py",)
+
+
+def _pressure_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of every name, attribute or import of a policy name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = getattr(node, "id", None)
+        if name in PRESSURE_NAMES:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_memory_pressure_is_decided_only_by_stage():
+    src_root = Path(repro.__file__).resolve().parent
+    offenders = []
+    for relative in STAGING_CALLERS:
+        tree = ast.parse((src_root.parent / relative).read_text(encoding="utf-8"))
+        offenders += [f"{relative}:{line}: {name}" for line, name in _pressure_names(tree)]
+    assert not offenders, (
+        "device operators must leave memory pressure to "
+        "repro.staging.StagingManager.stage; policy names found:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_the_pressure_lint_flags_an_operator_policy():
+    tree = ast.parse(
+        "from repro.errors import CapacityError\n"
+        "def run(layout, ctx):\n"
+        "    if ctx.platform.device_memory.available < 8:\n"
+        "        raise CapacityError('full')\n"
+        "    ctx.platform.staging.transfer_uncached(misses, ctx)\n"
+        "    return ctx.platform.staging.stage(requests, ctx)\n"
+    )
+    assert sorted(_pressure_names(tree)) == [
+        (1, "CapacityError"),
+        (3, "device_memory"),
+        (4, "CapacityError"),
+        (5, "transfer_uncached"),
+    ]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.execution.context import ExecutionContext
-from repro.execution.device import device_sum_column
+from repro.execution.device import device_sum_column, run_device_batch
 from repro.execution.operators import sum_column, update_field
 from repro.faults.injector import (
     SITE_KERNEL_LAUNCH,
@@ -33,7 +33,6 @@ from repro.model.datatypes import FLOAT64
 from repro.model.relation import Relation
 from repro.model.schema import Schema
 from repro.obs import Tracer
-from repro.serving.batch import run_device_batch
 from repro.serving.server import LayoutBackend
 from repro.serving.verifier import OLAP_ATTRIBUTES, build_item_store
 from repro.model.datatypes import INT64

@@ -16,13 +16,12 @@ import pytest
 
 import repro.fusion.device as fused_device
 from repro.execution.context import ExecutionContext
-from repro.execution.device import device_sum_column
+from repro.execution.device import device_sum_column, run_device_batch
 from repro.execution.operators import sum_column, update_field
 from repro.fusion import Pipeline, compile_pipeline
 from repro.fusion.device import run_fused_device
 from repro.fusion.oracle import run_unfused_host
 from repro.hardware import Platform
-from repro.serving.batch import run_device_batch
 from repro.serving.verifier import identity_mismatches
 from repro.staging.cache import StagedColumn
 

@@ -1,25 +1,25 @@
-"""The uncached fallback: every device operator under a zero staging cap.
+"""The one memory-pressure policy, through every device operator.
 
 With ``platform.staging.capacity_bytes = 0`` no operand set can be
-cached, so :meth:`~repro.staging.StagingManager.stage` hands each
-operator a ``None`` from ``acquire_set`` and the operator gives its own
-answer.  The sum streams through a bounce buffer; the unfused oracle
-and the batch ship the same bytes uncached.  Each must
-return the cold run's answer and charge exactly the cold run's costs,
-yet install no replica.  The fused kernel, which needs every operand
-resident at launch, refuses with :class:`~repro.errors.CapacityError`.
+cached, so :meth:`~repro.staging.StagingManager.stage` ships each
+operator's misses uncached through a bounce buffer that free device
+memory holds.  Each operator must return the cold run's answer and
+charge exactly the cold run's costs, yet install no replica.
+
+On a device too small to hold the operands at all, ``stage`` raises
+:class:`~repro.errors.CapacityError` for every operator, leaving the
+cache and device memory empty, so the caller's host fallback answers.
 """
 
 import pytest
 
 from repro.errors import CapacityError
 from repro.execution.context import ExecutionContext
-from repro.execution.device import device_sum_column
+from repro.execution.device import device_sum_column, run_device_batch
 from repro.fusion import Pipeline, compile_pipeline
 from repro.fusion.device import run_fused_device
 from repro.fusion.oracle import run_unfused_device
 from repro.hardware import Platform
-from repro.serving.batch import run_device_batch
 
 from tests.fusion.stores import STORE_BUILDERS, fusion_columns, fusion_relation
 
@@ -55,11 +55,12 @@ OPERATORS = {
     "run_device_batch": lambda store, ctx: run_device_batch(
         store, ["price", "key", "price"], ctx
     ),
+    "run_fused_device": lambda store, ctx: run_fused_device(FILTERED_SUM, store, ctx),
 }
 
 
-def cold_platform(store_kind, capacity_bytes=None):
-    platform = Platform.paper_testbed()
+def cold_platform(store_kind, capacity_bytes=None, **testbed):
+    platform = Platform.paper_testbed(**testbed)
     platform.staging.capacity_bytes = capacity_bytes
     store = STORE_BUILDERS[store_kind](
         platform, fusion_relation(), fusion_columns()
@@ -82,10 +83,11 @@ def test_uncached_run_matches_the_cold_run(store_kind, operator):
     assert platform.device_memory.used == 0
 
 
+@pytest.mark.parametrize("operator", sorted(OPERATORS))
 @pytest.mark.parametrize("store_kind", sorted(STORE_BUILDERS))
-def test_fused_kernel_refuses_an_uncachable_operand_set(store_kind):
-    platform, store, ctx = cold_platform(store_kind, capacity_bytes=0)
+def test_a_device_too_small_for_the_operands_raises(store_kind, operator):
+    platform, store, ctx = cold_platform(store_kind, device_capacity=256)
     with pytest.raises(CapacityError):
-        run_fused_device(FILTERED_SUM, store, ctx)
+        OPERATORS[operator](store, ctx)
     assert len(platform.staging.cache) == 0
     assert platform.device_memory.used == 0
