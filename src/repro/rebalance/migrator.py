@@ -65,13 +65,8 @@ from repro.rebalance.journal import pending_migrations
 from repro.rebalance.planner import MergeOp, RebalanceOp, SplitOp
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import LogRecordKind, WriteAheadLog
-from repro.sharding.placement import (
-    Shard,
-    ShardMap,
-    deserialize_columns,
-    serialize_columns,
-)
-from repro.sharding.replay import load_entries, replay_updates
+from repro.sharding.placement import Shard, ShardMap, serialize_columns
+from repro.sharding.replay import load_entries, rebuild, replay
 
 __all__ = [
     "SITE_REBALANCE_CRASH_MID_COPY",
@@ -105,9 +100,6 @@ SITE_NET_DROP_CATCHUP = register_fault_site(
     "a catch-up log segment read is lost on the wire",
     DistributedError,
 )
-
-_FLOAT = np.dtype(np.float64).itemsize
-
 
 class MigrationPhase(enum.Enum):
     """Where one migration stands in the journaled protocol."""
@@ -211,8 +203,11 @@ class LiveMigrator:
         Optional log shipping: when given, catch-up reads the
         replicated segments through the DFS (where ``net.drop-catchup``
         fires); otherwise the local durable prefix serves.
+
+    Attributes
+    ----------
     catchup_retry:
-        Policy wrapping each catch-up log read; the default retries
+        Policy wrapping each catch-up log read: it retries
         :class:`~repro.errors.DistributedError` a bounded number of
         times under a total-backoff deadline.
     """
@@ -223,7 +218,6 @@ class LiveMigrator:
         wal: WriteAheadLog,
         injector: FaultInjector,
         replicated: ReplicatedLog | None = None,
-        catchup_retry: RetryPolicy | None = None,
     ) -> None:
         self.shard_map = shard_map
         self.cluster = shard_map.cluster
@@ -231,7 +225,7 @@ class LiveMigrator:
         self.wal = wal
         self.injector = injector
         self.replicated = replicated
-        self.catchup_retry = catchup_retry or RetryPolicy(
+        self.catchup_retry = RetryPolicy(
             max_attempts=6,
             backoff_cycles=40_000.0,
             retry_on=(DistributedError,),
@@ -253,7 +247,9 @@ class LiveMigrator:
         copies the destination files.  A ``rebalance.crash-mid-copy``
         fault rolls the partial copy back, tallies *recovered*, and
         raises :class:`~repro.errors.RebalanceAborted` (already
-        tallied — do not re-attribute).
+        tallied — do not re-attribute).  A source shard whose serving
+        state was lost with its node rolls back and raises it too, with
+        no fault to tally.
         """
         shard_ids = self._shard_ids(op)
         if isinstance(op, SplitOp) and op.new_shard_id != len(
@@ -280,9 +276,7 @@ class LiveMigrator:
                 self.wal.log_rebalance(LogRecordKind.REBALANCE_BEGIN, label, ctx)
                 self.wal.flush(ctx)
                 migration.copy_lsn = self.wal.durable_lsn
-                for path, positions, primary, columns in self._copy_specs(
-                    op, ctx
-                ):
+                for path, positions, primary, columns in self._copy_specs(op):
                     self.injector.check(
                         SITE_REBALANCE_CRASH_MID_COPY, ctx.counters
                     )
@@ -304,8 +298,8 @@ class LiveMigrator:
             )
             raise aborted from error
         except Exception:
-            # Any other copy-phase failure (e.g. a DFS fault while
-            # rebuilding lost serving state) also rolls back, but
+            # Any other copy-phase failure (e.g. a split of a one-row
+            # shard, or a move to an unknown node) also rolls back, but
             # propagates unchanged — its attribution belongs to the
             # caller, exactly once.
             self._rollback(migration, ctx)
@@ -322,31 +316,25 @@ class LiveMigrator:
             return (op.winner_id, op.loser_id)
         return (op.shard_id,)
 
-    def _source_state(
-        self, shard: Shard, ctx: ExecutionContext
-    ) -> dict[str, np.ndarray]:
-        """The shard's serving columns, rebuilt from the DFS if lost."""
+    def _source_state(self, shard: Shard) -> dict[str, np.ndarray]:
+        """The shard's serving columns; aborts the copy if they were lost.
+
+        A source whose serving state died with its node has no live
+        primary to copy from.  Rebuilding it on a survivor and promoting
+        that node is the executor's failover, so the plan is stale: the
+        copy phase rolls back, and the next round re-plans once a read
+        has rebuilt the shard.
+        """
         state = self.shard_map.state(shard.shard_id)
-        if state is not None:
-            return state
-        payload, _ = self.dfs.read(
-            shard.path, self.cluster.node(shard.primary), ctx.counters
-        )
-        columns = deserialize_columns(payload)
-        ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
-        entries = load_entries(
-            self.wal,
-            self.replicated,
-            self.cluster.node(shard.primary),
-            ctx.counters,
-            ctx,
-        )
-        replay_updates(entries, self.shard_map.name, shard.positions, columns)
-        self.shard_map.promote(shard.shard_id, shard.primary, columns)
-        return columns
+        if state is None:
+            raise RebalanceAborted(
+                f"stale plan: shard {shard.shard_id} lost its serving state "
+                f"with node {shard.primary!r}"
+            )
+        return state
 
     def _copy_specs(
-        self, op: RebalanceOp, ctx: ExecutionContext
+        self, op: RebalanceOp
     ) -> list[tuple[str, np.ndarray, str, dict[str, np.ndarray]]]:
         """The destination files *op* must stage: (path, rows, primary,
         columns).  An empty-string primary means "first DFS holder of
@@ -355,7 +343,7 @@ class LiveMigrator:
         suffix = f"e{self.shard_map.epoch + 1}"
         if isinstance(op, SplitOp):
             shard = self.shard_map.shards[op.shard_id]
-            state = self._source_state(shard, ctx)
+            state = self._source_state(shard)
             at = shard.row_count // 2
             if not at or at == shard.row_count:
                 raise DistributedError(
@@ -381,8 +369,8 @@ class LiveMigrator:
         if isinstance(op, MergeOp):
             winner = self.shard_map.shards[op.winner_id]
             loser = self.shard_map.shards[op.loser_id]
-            winner_state = self._source_state(winner, ctx)
-            loser_state = self._source_state(loser, ctx)
+            winner_state = self._source_state(winner)
+            loser_state = self._source_state(loser)
             positions = np.concatenate([winner.positions, loser.positions])
             order = np.argsort(positions, kind="stable")
             merged = {
@@ -401,7 +389,7 @@ class LiveMigrator:
             ]
         self.cluster.node(op.dest)  # validates the destination exists
         shard = self.shard_map.shards[op.shard_id]
-        state = self._source_state(shard, ctx)
+        state = self._source_state(shard)
         return [
             (
                 f"shards/{name}/{op.shard_id:04d}.{suffix}",
@@ -493,20 +481,16 @@ class LiveMigrator:
         except (DistributedError, DeadlineExceeded):
             self._rollback(migration, ctx)
             raise
-        model = ctx.platform.memory_model
         for fragment in migration.fragments:
             assert fragment.columns is not None
-            applied, _ = replay_updates(
+            applied, _ = replay(
                 entries,
                 self.shard_map.name,
                 fragment.positions,
                 fragment.columns,
-                min_lsn=migration.copy_lsn,
+                ctx,
+                since=migration.copy_lsn,
             )
-            if applied:
-                ctx.counters.cycles += model.random(
-                    applied, _FLOAT, _FLOAT * max(1, fragment.positions.size)
-                )
             migration.caught_up += applied
             self.stats.caught_up_cells += applied
 
@@ -612,33 +596,21 @@ class LiveMigrator:
                 self._rollback(migration, ctx)
                 return None
             with ctx.span(f"migrate-resume({migration.label})", "rebalance"):
-                model = ctx.platform.memory_model
                 for fragment in migration.fragments:
                     if fragment.columns is not None:
                         continue
-                    reader = self.cluster.node(fragment.primary)
-                    payload, _ = self.dfs.read(
-                        fragment.path, reader, ctx.counters
-                    )
-                    columns = deserialize_columns(payload)
-                    ctx.counters.cycles += model.sequential(2 * len(payload))
-                    entries = load_entries(
-                        self.wal, self.replicated, reader, ctx.counters, ctx
-                    )
-                    applied, _ = replay_updates(
-                        entries,
-                        self.shard_map.name,
+                    fragment.columns, applied, _ = rebuild(
+                        self.shard_map,
+                        fragment.path,
                         fragment.positions,
-                        columns,
-                        min_lsn=migration.copy_lsn,
+                        fragment.primary,
+                        self.wal,
+                        self.replicated,
+                        ctx,
+                        since=migration.copy_lsn,
                     )
-                    if applied:
-                        ctx.counters.cycles += model.random(
-                            applied, _FLOAT, _FLOAT * max(1, fragment.positions.size)
-                        )
                     migration.caught_up += applied
                     self.stats.caught_up_cells += applied
-                    fragment.columns = columns
                 epoch = self._cutover(migration, ctx)
             self.stats.resumed += 1
             return epoch

@@ -21,13 +21,7 @@ from repro.sharding.executor import (
     ShardedExecutor,
     ShardedResult,
 )
-from repro.sharding.placement import (
-    Shard,
-    ShardingScheme,
-    ShardMap,
-    deserialize_columns,
-    serialize_columns,
-)
+from repro.sharding.placement import Shard, ShardingScheme, ShardMap
 from repro.sharding.router import QueryPlan, Router, ShardTask
 from repro.sharding.verifier import (
     CHAOS_SITES,
@@ -40,8 +34,6 @@ __all__ = [
     "ShardingScheme",
     "Shard",
     "ShardMap",
-    "serialize_columns",
-    "deserialize_columns",
     "FailureDetector",
     "Router",
     "ShardTask",

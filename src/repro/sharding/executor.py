@@ -53,7 +53,7 @@ surfaced``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -73,8 +73,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import WriteAheadLog
 from repro.sharding.detector import FailureDetector
-from repro.sharding.placement import ShardMap, deserialize_columns
-from repro.sharding.replay import load_entries, replay_updates
+from repro.sharding.replay import rebuild
 from repro.sharding.router import QueryPlan, Router, ShardTask
 from repro.workload.queries import QueryShape, QuerySpec
 
@@ -209,30 +208,16 @@ class ShardedExecutor:
         Supplies plans (and through them the shard map and cluster).
     injector:
         The shared fault source; its report receives every outcome.
-    detector:
-        Heartbeat/lease liveness model (defaulted when omitted).
     wal / replicated:
         Optional durability pair: each point-update query is one
         transaction write-ahead logged through *wal*, and failover
         rebuilds replay the committed prefix — from *replicated*'s DFS
         segments when given (the log-shipping path), else from the
         coordinator's local durable log.
-    update_value:
-        ``update_value(query.index, position)`` is the value a point
-        update writes at each row; the default is the chaos module's
-        pure function of both, so faulted and fault-free runs write
-        byte-identical data and a re-issued query rewrites its values.
-    slow_factor:
-        Straggler slowdown multiplier charged when a slow link must be
-        waited out.
-    failover_backoff_cycles / failover_deadline_cycles:
-        Deadline-capped exponential backoff between failover attempts;
-        exceeding the deadline surfaces
+    failover_deadline_cycles:
+        Cap on the cumulative exponential backoff between failover
+        attempts; exceeding it surfaces
         :class:`~repro.errors.DeadlineExceeded`.
-    response_retry:
-        Policy wrapping each response transfer; the default retries
-        :class:`~repro.errors.DistributedError` a bounded number of
-        times under its own total-backoff deadline.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`: when
         given, every served sub-query increments a per-shard
@@ -240,37 +225,49 @@ class ShardedExecutor:
         rebalance skew detector reads, whatever the registry's type.
         Recording is read-only with respect to the simulation (never
         charges a cycle).
+
+    Attributes
+    ----------
+    detector:
+        The heartbeat/lease liveness model.
+    update_value:
+        ``update_value(query.index, position)`` is the value a point
+        update writes at each row: the chaos module's pure function of
+        both, so faulted and fault-free runs write byte-identical data
+        and a re-issued query rewrites its values.
+    slow_factor:
+        Straggler slowdown multiplier charged when a slow link must be
+        waited out.
+    failover_backoff_cycles:
+        The first failover attempt's backoff; each later one doubles.
+    response_retry:
+        Policy wrapping each response transfer: it retries
+        :class:`~repro.errors.DistributedError` a bounded number of
+        times under its own total-backoff deadline.
     """
 
     def __init__(
         self,
         router: Router,
         injector: FaultInjector,
-        detector: FailureDetector | None = None,
         wal: WriteAheadLog | None = None,
         replicated: ReplicatedLog | None = None,
-        update_value: Callable[[int, int], float] = row_update_value,
-        slow_factor: float = 8.0,
-        failover_backoff_cycles: Cycles = 100_000.0,
         failover_deadline_cycles: Cycles = 50_000_000.0,
-        response_retry: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if slow_factor < 1.0:
-            raise DistributedError(f"slow_factor must be >= 1, got {slow_factor}")
         self.router = router
         self.shard_map = router.shard_map
         self.cluster = self.shard_map.cluster
         self.dfs = self.shard_map.dfs
         self.injector = injector
-        self.detector = detector or FailureDetector()
+        self.detector = FailureDetector()
         self.wal = wal
         self.replicated = replicated
-        self.update_value = update_value
-        self.slow_factor = slow_factor
-        self.failover_backoff_cycles = failover_backoff_cycles
+        self.update_value = row_update_value
+        self.slow_factor = 8.0
+        self.failover_backoff_cycles = 100_000.0
         self.failover_deadline_cycles = failover_deadline_cycles
-        self.response_retry = response_retry or RetryPolicy(
+        self.response_retry = RetryPolicy(
             max_attempts=6,
             backoff_cycles=30_000.0,
             retry_on=(DistributedError,),
@@ -491,10 +488,13 @@ class ShardedExecutor:
     ) -> dict[str, np.ndarray]:
         """The shard's columns on *node_name*, rebuilding if necessary.
 
-        A rebuild reads the shard's base file through the DFS from
-        *node_name*'s point of view (charging remote transfers),
-        replays the committed WAL prefix onto it, and promotes
-        *node_name* to primary.
+        A rebuild (:func:`~repro.sharding.replay.rebuild`) reads the
+        shard's base file through the DFS as *node_name* (charging
+        remote transfers) and replays the whole committed log onto it —
+        from the replicated log's DFS segments when log shipping is
+        configured, else the coordinator's local durable prefix, its
+        volatile tail forced out first.  *node_name* is then promoted
+        to primary.
         """
         shard = task.shard
         state = self.shard_map.state(shard.shard_id)
@@ -503,51 +503,20 @@ class ShardedExecutor:
         with ctx.span(
             "shard-rebuild", "sharding", shard=shard.shard_id, node=node_name
         ):
-            payload, _ = self.dfs.read(
-                shard.path, self.cluster.node(node_name), ctx.counters
+            columns, _, replayed_txns = rebuild(
+                self.shard_map,
+                shard.path,
+                shard.positions,
+                node_name,
+                self.wal,
+                self.replicated,
+                ctx,
             )
-            columns = deserialize_columns(payload)
-            model = ctx.platform.memory_model
-            ctx.counters.cycles += model.sequential(2 * len(payload))
-            applied = self._replay_committed(shard, columns, node_name, ctx)
-            if applied:
-                ctx.counters.cycles += model.random(
-                    applied, _FLOAT, _FLOAT * shard.row_count
-                )
+            if replayed_txns:
+                self.injector.report.record_replayed(len(replayed_txns))
             self.shard_map.promote(shard.shard_id, node_name, columns)
         self.stats.rebuilds += 1
         return columns
-
-    def _replay_committed(
-        self,
-        shard,
-        columns: dict[str, np.ndarray],
-        node_name: str,
-        ctx: ExecutionContext,
-    ) -> int:
-        """Re-apply committed updates owned by *shard*; returns the count.
-
-        The replay source is the replicated log's DFS segments when log
-        shipping is configured (read from *node_name*, charged), else
-        the coordinator's local durable prefix.  The coordinator first
-        forces the volatile tail out (a log force on failover) so the
-        committed prefix is complete before it is replayed.
-        """
-        if self.wal is None:
-            return 0
-        entries = load_entries(
-            self.wal,
-            self.replicated,
-            self.cluster.node(node_name),
-            ctx.counters,
-            ctx,
-        )
-        applied, replayed_txns = replay_updates(
-            entries, self.shard_map.name, shard.positions, columns
-        )
-        if replayed_txns:
-            self.injector.report.record_replayed(len(replayed_txns))
-        return applied
 
     # ------------------------------------------------------------------
     # Per-shard compute

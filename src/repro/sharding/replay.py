@@ -1,21 +1,24 @@
-"""Committed-prefix WAL replay shared by failover and live migration.
+"""Shard rebuilds and committed-prefix WAL replay, in one place.
 
-Two consumers re-apply the write-ahead log's committed prefix onto a
-set of shard columns read back from the DFS:
+Every path that turns a shard's DFS file and the committed log back
+into columns goes through this module:
 
-* the :class:`~repro.sharding.executor.ShardedExecutor` failover path,
-  rebuilding a dead primary's serving state on a surviving replica;
-* the :class:`~repro.rebalance.migrator.LiveMigrator` catch-up phase,
-  replaying updates that committed *after* a migration's copy snapshot
-  onto the destination copy before cutover.
+* the :class:`~repro.sharding.executor.ShardedExecutor` failover path
+  calls :func:`rebuild` to restore a dead primary's serving state on a
+  surviving node (from LSN 0) before promoting it;
+* the :class:`~repro.rebalance.migrator.LiveMigrator` catch-up phase
+  calls :func:`replay` to apply updates that committed *after* a
+  migration's copy snapshot onto the destination copies, and its
+  journal resume calls :func:`rebuild` past the same snapshot to
+  restore destination copies a coordinator crash lost.
 
-Both need exactly the same semantics — only updates belonging to
-committed transactions are applied, in LSN order, restricted to the
-positions the target columns actually hold — so the logic lives here
-once.  :func:`load_entries` normalizes the two durable sources (the
-replicated log's DFS segments when log shipping is configured, else
-the coordinator's local durable prefix) into plain tuples, and
-:func:`replay_updates` applies them.
+All of them need exactly the same semantics — only updates belonging
+to committed transactions are applied, in LSN order, restricted to the
+positions the target columns actually hold — and the same charges, so
+the logic lives here once.  :func:`load_entries` normalizes the two
+durable sources (the replicated log's DFS segments when log shipping
+is configured, else the coordinator's local durable prefix) into plain
+tuples, and :func:`replay_updates` applies them.
 """
 
 from __future__ import annotations
@@ -26,18 +29,21 @@ import numpy as np
 
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import WriteAheadLog
+from repro.sharding.placement import ShardMap, deserialize_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.cluster import Node
     from repro.execution.context import ExecutionContext
     from repro.hardware.event import PerfCounters
 
-__all__ = ["LogEntry", "load_entries", "replay_updates"]
+__all__ = ["LogEntry", "load_entries", "replay_updates", "replay", "rebuild"]
 
 #: One durable log record as a plain tuple, laid out by
 #: :attr:`~repro.recovery.wal.LogRecord.entry` (the tuple the replicated
 #: log ships the ``repr`` of).
 LogEntry = tuple
+
+_FLOAT = np.dtype(np.float64).itemsize
 
 
 def load_entries(
@@ -99,3 +105,54 @@ def replay_updates(
         applied += 1
         replayed_txns.add(txn)
     return applied, replayed_txns
+
+
+def replay(
+    entries: list[LogEntry],
+    relation: str,
+    positions: np.ndarray,
+    columns: dict[str, np.ndarray],
+    ctx: "ExecutionContext",
+    since: int = 0,
+) -> tuple[int, set[int]]:
+    """:func:`replay_updates` past LSN *since*, charging the writes.
+
+    Each applied cell is one random 8-byte write into the columns'
+    footprint.  Returns (applied, txns) as :func:`replay_updates` does.
+    """
+    applied, txns = replay_updates(entries, relation, positions, columns, since)
+    if applied:
+        ctx.counters.cycles += ctx.platform.memory_model.random(
+            applied, _FLOAT, _FLOAT * positions.size
+        )
+    return applied, txns
+
+
+def rebuild(
+    shard_map: ShardMap,
+    path: str,
+    positions: np.ndarray,
+    reader: str,
+    wal: WriteAheadLog | None,
+    replicated: ReplicatedLog | None,
+    ctx: "ExecutionContext",
+    since: int = 0,
+) -> tuple[dict[str, np.ndarray], int, set[int]]:
+    """Columns of the shard file at *path*, with the committed log replayed.
+
+    Reads the file through the DFS as node *reader* (charging remote
+    transfers), charges its parse, loads the log as *reader*
+    (:func:`load_entries`) and replays the committed updates past LSN
+    *since* onto the rows *positions* lists (:func:`replay`).  Without
+    a *wal* the file is the whole state.  Returns (columns, applied,
+    txns).
+    """
+    node = shard_map.cluster.node(reader)
+    payload, _ = shard_map.dfs.read(path, node, ctx.counters)
+    columns = deserialize_columns(payload)
+    ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
+    if wal is None:
+        return columns, 0, set()
+    entries = load_entries(wal, replicated, node, ctx.counters, ctx)
+    applied, txns = replay(entries, shard_map.name, positions, columns, ctx, since)
+    return columns, applied, txns

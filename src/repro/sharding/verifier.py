@@ -43,7 +43,6 @@ from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import WriteAheadLog
-from repro.sharding.detector import FailureDetector
 from repro.sharding.executor import (
     SITE_NET_DROP_RESPONSE,
     SITE_NET_SLOW_LINK,
@@ -280,7 +279,6 @@ class ChaosRun:
         self.executor = ShardedExecutor(
             Router(self.shard_map),
             self.injector,
-            detector=FailureDetector(),
             wal=self.wal,
             replicated=self.replicated,
             metrics=metrics,

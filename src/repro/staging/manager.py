@@ -352,8 +352,9 @@ class StagingManager:
         state.
 
         Returns the staged entries, or ``None`` when device memory
-        cannot hold the columns even after evicting every cached
-        replica — :meth:`stage` then ships them uncached or raises
+        cannot hold the columns even after evicting every unpinned
+        replica (it then evicts none) — :meth:`stage` then ships them
+        uncached or raises
         :class:`~repro.errors.CapacityError`, and :meth:`pin` pins
         nothing.  This method never raises
         :class:`~repro.errors.CapacityError` itself.
@@ -477,12 +478,25 @@ class StagingManager:
         return attempt()
 
     def _make_room(self, nbytes: int, device, counters: PerfCounters) -> bool:
-        """Evict LRU unpinned replicas until *nbytes* more fit; False if impossible."""
+        """Evict LRU unpinned replicas until *nbytes* more fit; False if impossible.
+
+        A set that would not fit even with every unpinned replica gone
+        returns False before evicting any, so the cache keeps them.
+        """
         cap = self.capacity_bytes
 
         def over_cap() -> bool:
             return cap is not None and self.cache.resident_bytes + nbytes > cap
 
+        if not device.fits(nbytes) or over_cap():
+            pinned = sum(
+                entry.nbytes
+                for entry in self.cache
+                if self.cache.is_pinned(entry.source, entry.attribute)
+            )
+            free = device.available + self.cache.resident_bytes - pinned
+            if nbytes > free or (cap is not None and pinned + nbytes > cap):
+                return False
         while not device.fits(nbytes) or over_cap():
             if self.cache.evict_lru() is None:
                 return False

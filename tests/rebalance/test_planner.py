@@ -78,11 +78,11 @@ class TestPlan:
         plan = planner.plan(window({0: 1.0, 1: 1.0}))
         assert not [op for op in plan if isinstance(op, MergeOp)]
 
-    def test_moves_rehome_primaries_from_busiest_to_idlest(self, stack, ctx):
+    def test_moves_rehome_primaries_from_busiest_to_idlest(self, stack):
         built = stack(shard_count=4, node_count=4)
         crowded = built.shard_map.shards[0].primary
         for shard in built.shard_map.shards[1:]:
-            state = built.migrator._source_state(shard, ctx)
+            state = built.shard_map.state(shard.shard_id)
             built.shard_map.promote(shard.shard_id, crowded, state)
         plan = built.planner.plan(window({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}))
         moves = [op for op in plan if isinstance(op, MoveOp)]

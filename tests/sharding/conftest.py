@@ -10,7 +10,6 @@ from repro.distributed.dfs import BlockStore
 from repro.faults import FaultInjector
 from repro.recovery import ReplicatedLog, WriteAheadLog
 from repro.sharding import (
-    FailureDetector,
     Router,
     ShardedExecutor,
     ShardingScheme,
@@ -64,7 +63,6 @@ def harness(platform, columns):
         executor = ShardedExecutor(
             Router(shard_map),
             injector,
-            detector=FailureDetector(),
             wal=wal,
             replicated=replicated,
             **executor_kwargs,

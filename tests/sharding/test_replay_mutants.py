@@ -3,8 +3,8 @@
 Each update writes values derived from its query's stream index and the
 row, so a later write to a row differs from every earlier one.  A replay
 that keeps only a row's first update, or applies the log newest record
-first, leaves a stale value that the distributed and rebalance chaos
-cells count as a mismatch against the single-node oracle.
+first, leaves a stale value that the chaos cells count as a mismatch
+against the single-node oracle.
 """
 
 import pytest
@@ -12,7 +12,8 @@ import pytest
 from repro.rebalance.verifier import run_rebalance_chaos
 from repro.sharding.executor import SITE_SHARD_NODE_CRASH
 from repro.sharding.replay import replay_updates
-from repro.sharding.verifier import run_chaos
+from repro.sharding.verifier import ChaosRun, run_chaos
+from repro.workload.queries import QueryShape, QuerySpec, random_positions
 
 
 def first_update_only(entries, relation, positions, columns, min_lsn=0):
@@ -39,10 +40,42 @@ MUTANTS = {
     "reverse-lsn-order": reverse_lsn_order,
 }
 
+
+def crash_after_two_writes(seed):
+    """Two committed updates rewrite a worker-primaried shard's rows, then
+    the shard's primary crashes while they are read back, so failover
+    rebuilds the shard and must replay both writes in order."""
+    chaos = ChaosRun(
+        seed, node_count=4, shard_count=4, replication=2, fault_rate=0.0,
+        sites=(), row_count=512,
+    )
+    shard = next(
+        shard
+        for shard in chaos.shard_map.shards
+        if shard.primary != chaos.executor.coordinator
+    )
+    rows = tuple(
+        int(shard.positions[local])
+        for local in random_positions(shard.row_count, 16, seed=seed)
+    )
+    for index in (0, 1):
+        chaos.run_verified(
+            QuerySpec(QueryShape.POINT_UPDATE, "orders", ("v",), rows, index)
+        )
+    chaos.injector.arm(SITE_SHARD_NODE_CRASH, 1.0, max_faults=1)
+    chaos.run_verified(
+        QuerySpec(QueryShape.POINT_MATERIALIZE, "orders", ("k", "v"), rows, 2)
+    )
+    assert chaos.executor.stats.rebuilds == 1
+    return chaos.mismatched
+
+
 #: One chaos cell per plane, returning its mismatch count.  Node crashes
 #: make the distributed cell rebuild shards from the log; the rebalance
-#: cell's migrations copy and catch up from it.
+#: cell's migrations copy and catch up from it; the rebuild cell needs
+#: no fault schedule, only one crash after two writes to the same rows.
 CELLS = {
+    "rebuild": crash_after_two_writes,
     "distributed": lambda seed: run_chaos(
         seed=seed, sites=(SITE_SHARD_NODE_CRASH,), query_count=48, row_count=512
     ).mismatched,
@@ -59,9 +92,8 @@ CELLS = {
 
 @pytest.fixture(params=sorted(MUTANTS))
 def broken_replay(request, monkeypatch):
-    """Install one mutant wherever the committed log is replayed."""
-    for consumer in ("repro.sharding.executor", "repro.rebalance.migrator"):
-        monkeypatch.setattr(f"{consumer}.replay_updates", MUTANTS[request.param])
+    """Install one mutant in the one replay path every rebuild takes."""
+    monkeypatch.setattr("repro.sharding.replay.replay_updates", MUTANTS[request.param])
 
 
 @pytest.mark.parametrize("seed", [5, 23, 101])

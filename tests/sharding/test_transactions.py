@@ -8,7 +8,7 @@ from repro.execution import ExecutionContext
 from repro.faults.injector import SITE_WAL_TORN_WRITE
 from repro.recovery import ReplicatedLog, WriteAheadLog
 from repro.recovery.wal import LogRecordKind
-from repro.sharding import FailureDetector, Router, ShardedExecutor
+from repro.sharding import Router, ShardedExecutor
 from repro.workload.queries import QueryShape, QuerySpec
 
 #: 24 rows spread over all four shards of the 128-row harness relation.
@@ -66,7 +66,6 @@ class TestOneForcePerQuery:
         executor = ShardedExecutor(
             Router(executor.shard_map),
             executor.injector,
-            detector=FailureDetector(),
             wal=wal,
             replicated=replicated,
         )

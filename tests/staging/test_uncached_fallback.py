@@ -9,8 +9,12 @@ charge exactly the cold run's costs, yet install no replica.
 On a device too small to hold the operands at all, ``stage`` raises
 :class:`~repro.errors.CapacityError` for every operator, leaving the
 cache and device memory empty, so the caller's host fallback answers.
+
+Either way, a set that no emptied cache could hold evicts nothing: the
+replicas already cached stay and serve their next reads.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import CapacityError
@@ -20,6 +24,12 @@ from repro.fusion import Pipeline, compile_pipeline
 from repro.fusion.device import run_fused_device
 from repro.fusion.oracle import run_unfused_device
 from repro.hardware import Platform
+from repro.layout.fragment import Fragment
+from repro.layout.layout import Layout
+from repro.layout.region import Region
+from repro.model.datatypes import FLOAT64
+from repro.model.relation import Relation
+from repro.model.schema import Schema
 
 from tests.fusion.stores import STORE_BUILDERS, fusion_columns, fusion_relation
 
@@ -91,3 +101,41 @@ def test_a_device_too_small_for_the_operands_raises(store_kind, operator):
         OPERATORS[operator](store, ctx)
     assert len(platform.staging.cache) == 0
     assert platform.device_memory.used == 0
+
+
+def price_layout(platform, label, rows):
+    """A one-fragment host layout of *rows* float64 prices."""
+    relation = Relation(label, Schema.of(("price", FLOAT64)), rows)
+    fragment = Fragment(
+        Region.full(relation), relation.schema, None, platform.host_memory,
+        label=label,
+    )
+    fragment.append_columns({"price": np.arange(rows, dtype=np.float64)})
+    return Layout(label, relation, [fragment])
+
+
+@pytest.mark.parametrize(
+    "testbed, capacity_bytes, outcome",
+    [
+        ({}, 4096, None),  # the cap holds no 32 KB set: it ships uncached
+        ({"device_capacity": 4096}, None, CapacityError),  # nor does the device
+    ],
+    ids=["capped-cache", "small-device"],
+)
+def test_a_set_no_cache_could_hold_evicts_nothing(testbed, capacity_bytes, outcome):
+    platform = Platform.paper_testbed(**testbed)
+    platform.staging.capacity_bytes = capacity_bytes
+    small = price_layout(platform, "small", 64)  # 512 B
+    large = price_layout(platform, "large", 4096)  # 32 KB
+    ctx = ExecutionContext(platform)
+    expected = device_sum_column(small, "price", ctx)
+    if outcome is None:
+        device_sum_column(large, "price", ctx)
+    else:
+        with pytest.raises(outcome):
+            device_sum_column(large, "price", ctx)
+    assert platform.staging.cache.evictions == 0
+    assert platform.staging.cache.peek(small.fragments[0], "price") is not None
+    hits = ctx.counters.staging_hits
+    assert device_sum_column(small, "price", ctx) == expected
+    assert ctx.counters.staging_hits == hits + 1
