@@ -5,7 +5,10 @@ This is the robustness core of the scale-out tier.  The coordinator
 :class:`~repro.sharding.router.QueryPlan` as per-shard sub-queries,
 gathers network-cost-charged partial results, and merges them — and it
 keeps its answer *byte-identical to a single-node run* while the
-cluster misbehaves underneath it.
+cluster misbehaves underneath it.  Each sub-query runs where its shard
+lives: on its worker primary, or on the coordinator itself, locally
+and with no response shipped, for a shard primaried there.  A
+query rebuilds only a shard whose serving state a crash lost.
 
 Three fault sites are registered here and exercised by the chaos
 harness (:mod:`repro.sharding.verifier`):
@@ -345,17 +348,16 @@ class ShardedExecutor:
         rather than chasing the shard's new primary mid-query (the
         live-migration protocol keeps the source serving until cutover
         commits).  Only nodes the failure detector believes alive are
-        listed; the coordinator is always last — it can serve any shard
-        by remote DFS reads and is never crash-checked, so the list is
-        never empty.
+        listed.  The coordinator keeps its natural place when it is the
+        plan node or the primary, so a shard it holds is served where
+        it lives, with no rebuild and no response shipped.  Otherwise
+        it comes last, as the resort that can serve any shard by remote
+        DFS reads; it is never crash-checked, so the list is never
+        empty.
         """
         ordered: list[str] = []
         for name in (task.node, task.shard.primary):
-            if (
-                name not in ordered
-                and name != self.coordinator
-                and self.detector.is_alive(name)
-            ):
+            if name not in ordered and self.detector.is_alive(name):
                 ordered.append(name)
         for name in self.shard_map.replica_candidates(task.shard):
             if (
@@ -364,7 +366,8 @@ class ShardedExecutor:
                 and self.detector.is_alive(name)
             ):
                 ordered.append(name)
-        ordered.append(self.coordinator)
+        if self.coordinator not in ordered:
+            ordered.append(self.coordinator)
         return ordered
 
     def _run_shard(

@@ -357,28 +357,28 @@ def run_chaos(
     query_count: int = 48,
     row_count: int = 2048,
     scheme: ShardingScheme = ShardingScheme.RANGE,
-    repair_every: int = 8,
 ) -> ShardedRunResult:
     """One seeded chaos run: sharded execution vs. the oracle.
 
     Arms *sites* at *fault_rate* on a fresh cluster, executes the
     deterministic query stream, byte-compares every merged answer
     against the :class:`SingleNodeOracle`, and reports the outcome.
-    Every *repair_every* queries (and after every surfaced fault)
-    crashed processes are restarted, keeping fault sites live across
-    the whole stream.  The result is a pure function of the arguments
-    — the plane's determinism gate runs each cell twice and requires
-    identical records.
+    Crashed processes are restarted after every query (and after every
+    surfaced fault).  The coordinator serves the shards it is primary
+    for and is never crash-checked, so a shard it took over while
+    every worker was down stays there; restarting at once keeps
+    workers up to serve, crash and rebuild shards, so the crash site
+    stays live across the whole stream.  The result is a pure function
+    of the arguments — the plane's determinism gate runs each cell
+    twice and requires identical records.
     """
     chaos = ChaosRun(
         seed, node_count, shard_count, replication, fault_rate, sites,
         row_count, scheme=scheme,
     )
-    queries = build_query_stream(row_count, query_count, seed)
-    for index, query in enumerate(queries):
+    for query in build_query_stream(row_count, query_count, seed):
         chaos.run_verified(query)
-        if repair_every and (index + 1) % repair_every == 0:
-            chaos.repair()
+        chaos.repair()
     return ShardedRunResult(
         seed=seed,
         node_count=node_count,

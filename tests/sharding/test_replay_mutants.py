@@ -9,7 +9,7 @@ against the single-node oracle.
 
 import pytest
 
-from repro.rebalance.verifier import run_rebalance_chaos
+from repro.rebalance import SITE_REBALANCE_CRASH_PRE_CUTOVER, LiveMigrator, SplitOp
 from repro.sharding.executor import SITE_SHARD_NODE_CRASH
 from repro.sharding.replay import replay_updates
 from repro.sharding.verifier import ChaosRun, run_chaos
@@ -41,10 +41,9 @@ MUTANTS = {
 }
 
 
-def crash_after_two_writes(seed):
-    """Two committed updates rewrite a worker-primaried shard's rows, then
-    the shard's primary crashes while they are read back, so failover
-    rebuilds the shard and must replay both writes in order."""
+def fault_free_run(seed):
+    """A fault-free 4-node, 4-shard stack, and sixteen rows of a shard
+    whose primary is a worker, as a query's sorted position tuple."""
     chaos = ChaosRun(
         seed, node_count=4, shard_count=4, replication=2, fault_rate=0.0,
         sites=(), row_count=512,
@@ -58,35 +57,69 @@ def crash_after_two_writes(seed):
         int(shard.positions[local])
         for local in random_positions(shard.row_count, 16, seed=seed)
     )
+    return chaos, shard, rows
+
+
+def write_twice(chaos, rows):
+    """Two committed updates (stream indices 0 and 1) to the same rows."""
     for index in (0, 1):
         chaos.run_verified(
             QuerySpec(QueryShape.POINT_UPDATE, "orders", ("v",), rows, index)
         )
-    chaos.injector.arm(SITE_SHARD_NODE_CRASH, 1.0, max_faults=1)
+
+
+def read_back(chaos, rows):
     chaos.run_verified(
         QuerySpec(QueryShape.POINT_MATERIALIZE, "orders", ("k", "v"), rows, 2)
     )
+
+
+def crash_after_two_writes(seed):
+    """Two committed updates rewrite a worker-primaried shard's rows, then
+    the shard's primary crashes while they are read back, so failover
+    rebuilds the shard and must replay both writes in order."""
+    chaos, _, rows = fault_free_run(seed)
+    write_twice(chaos, rows)
+    chaos.injector.arm(SITE_SHARD_NODE_CRASH, 1.0, max_faults=1)
+    read_back(chaos, rows)
     assert chaos.executor.stats.rebuilds == 1
     return chaos.mismatched
 
 
-#: One chaos cell per plane, returning its mismatch count.  Node crashes
-#: make the distributed cell rebuild shards from the log; the rebalance
-#: cell's migrations copy and catch up from it; the rebuild cell needs
-#: no fault schedule, only one crash after two writes to the same rows.
+def split_around_two_writes(seed, crash_pre_cutover):
+    """A worker-primaried shard's split copies it, two committed updates
+    rewrite its rows on the source, and the split finishes, so the
+    catch-up (or, after a pre-cutover crash, the journal resume's
+    rebuild past the copy snapshot) must replay both writes in order."""
+    chaos, shard, rows = fault_free_run(seed)
+    migrator = LiveMigrator(
+        chaos.shard_map, chaos.wal, chaos.injector, replicated=chaos.replicated
+    )
+    migration = migrator.begin(
+        SplitOp(shard.shard_id, len(chaos.shard_map.shards)), chaos.ctx
+    )
+    write_twice(chaos, rows)
+    if crash_pre_cutover:
+        chaos.injector.arm(SITE_REBALANCE_CRASH_PRE_CUTOVER, 1.0, max_faults=1)
+    migrator.finish(migration, chaos.ctx)
+    assert migrator.stats.resumed == int(crash_pre_cutover)
+    read_back(chaos, rows)
+    assert chaos.executor.stats.rebuilds == 0
+    return chaos.mismatched
+
+
+#: One cell per replay consumer, returning its mismatch count.  The
+#: rebuild cell needs no fault schedule, only one crash after two
+#: writes to the same rows; node crashes make the distributed cell
+#: rebuild shards from the log; the two split cells reach the
+#: migrator's catch-up and its journal resume.
 CELLS = {
     "rebuild": crash_after_two_writes,
     "distributed": lambda seed: run_chaos(
         seed=seed, sites=(SITE_SHARD_NODE_CRASH,), query_count=48, row_count=512
     ).mismatched,
-    "rebalance": lambda seed: run_rebalance_chaos(
-        seed=seed,
-        fault_rate=0.0,
-        op_mix="split",
-        query_count=24,
-        row_count=512,
-        interleave_count=24,
-    ).mismatched,
+    "catch-up": lambda seed: split_around_two_writes(seed, crash_pre_cutover=False),
+    "resume": lambda seed: split_around_two_writes(seed, crash_pre_cutover=True),
 }
 
 
