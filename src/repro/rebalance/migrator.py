@@ -14,12 +14,18 @@ journaled three-phase protocol over the shard map's DFS and WAL:
    on the source meanwhile; their committed updates (LSN past the copy
    snapshot) are replayed onto the destination copy from the
    replicated log, under a bounded retry policy.
-3. **Cutover** — one atomic shard-map mutation
-   (:meth:`~repro.sharding.placement.ShardMap.commit_split` /
-   ``commit_merge`` / ``commit_move``) bumps the placement epoch, the
-   ``rebalance-commit`` marker lands, and the stale source files are
-   deleted.  In-flight plans routed at the old epoch finish on the
-   source (the executor tries the plan-time node first).
+3. **Cutover** — one atomic
+   :meth:`~repro.sharding.placement.ShardMap.commit` bumps the
+   placement epoch, the ``rebalance-commit`` marker lands, and the
+   stale source files are deleted.  In-flight plans routed at the old
+   epoch finish on the source (the executor tries the plan-time node
+   first).
+
+Split, merge and move differ only in how the copy cuts the source
+rows: the copy gathers the named shards' rows in position order and
+cuts them at the median (a split), keeps them whole for the winner (a
+merge) or whole for ``dest`` (a move).  Each cut is one
+:class:`DestFragment`, and the cutover installs them all at once.
 
 Three fault sites fire inside the protocol, each with exactly one
 resilience-report outcome:
@@ -62,11 +68,11 @@ from repro.execution.context import ExecutionContext
 from repro.faults.injector import FaultInjector, register_fault_site
 from repro.faults.policy import RetryPolicy
 from repro.rebalance.journal import pending_migrations
-from repro.rebalance.planner import MergeOp, RebalanceOp, SplitOp
+from repro.rebalance.planner import MergeOp, MoveOp, RebalanceOp, SplitOp
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import LogRecordKind, WriteAheadLog
 from repro.sharding.placement import Shard, ShardMap, serialize_columns
-from repro.sharding.replay import load_entries, rebuild, replay
+from repro.sharding.replay import rebuild, replay
 
 __all__ = [
     "SITE_REBALANCE_CRASH_MID_COPY",
@@ -120,6 +126,9 @@ class DestFragment:
 
     Attributes
     ----------
+    shard_id:
+        The shard the fragment becomes at cutover: a source shard, or
+        the next dense id for a split's new half.
     path:
         Epoch-suffixed write-once DFS path of the destination base
         file.
@@ -133,6 +142,7 @@ class DestFragment:
         from *path* plus catch-up replay).
     """
 
+    shard_id: int
     path: str
     positions: np.ndarray
     primary: str
@@ -200,9 +210,8 @@ class LiveMigrator:
     injector:
         The shared fault source; its report receives every outcome.
     replicated:
-        Optional log shipping: when given, catch-up reads the
-        replicated segments through the DFS (where ``net.drop-catchup``
-        fires); otherwise the local durable prefix serves.
+        The log shipped into the DFS: catch-up and resume read its
+        segments (``net.drop-catchup`` fires on those reads).
 
     Attributes
     ----------
@@ -217,7 +226,7 @@ class LiveMigrator:
         shard_map: ShardMap,
         wal: WriteAheadLog,
         injector: FaultInjector,
-        replicated: ReplicatedLog | None = None,
+        replicated: ReplicatedLog,
     ) -> None:
         self.shard_map = shard_map
         self.cluster = shard_map.cluster
@@ -276,12 +285,11 @@ class LiveMigrator:
                 self.wal.log_rebalance(LogRecordKind.REBALANCE_BEGIN, label, ctx)
                 self.wal.flush(ctx)
                 migration.copy_lsn = self.wal.durable_lsn
-                for path, positions, primary, columns in self._copy_specs(op):
+                for fragment in self._copy_specs(op):
                     self.injector.check(
                         SITE_REBALANCE_CRASH_MID_COPY, ctx.counters
                     )
-                    self._write_fragment(migration, path, positions, primary,
-                                         columns, ctx)
+                    self._write_fragment(migration, fragment, ctx)
                 self.wal.log_rebalance(
                     LogRecordKind.REBALANCE_COPIED, label, ctx
                 )
@@ -333,96 +341,67 @@ class LiveMigrator:
             )
         return state
 
-    def _copy_specs(
-        self, op: RebalanceOp
-    ) -> list[tuple[str, np.ndarray, str, dict[str, np.ndarray]]]:
-        """The destination files *op* must stage: (path, rows, primary,
-        columns).  An empty-string primary means "first DFS holder of
-        the written file" (resolved by :meth:`_write_fragment`)."""
-        name = self.shard_map.name
-        suffix = f"e{self.shard_map.epoch + 1}"
+    def _copy_specs(self, op: RebalanceOp) -> list[DestFragment]:
+        """The destination fragments *op* must stage, columns attached.
+
+        The source shards' rows are gathered in position order, then
+        cut: at the median for a split, whole into the winner for a
+        merge, whole onto ``dest`` for a move.  An empty-string primary
+        means "first DFS holder of the written file" (resolved by
+        :meth:`_write_fragment`).
+        """
+        if isinstance(op, MoveOp):
+            self.cluster.node(op.dest)  # validates the destination exists
+        shard_ids = self._shard_ids(op)
+        sources = [self.shard_map.shards[shard_id] for shard_id in shard_ids]
+        states = [self._source_state(shard) for shard in sources]
+        positions = np.concatenate([shard.positions for shard in sources])
+        order = np.argsort(positions, kind="stable")
+        rows = positions[order]
+        columns = {
+            attr: np.concatenate([state[attr] for state in states])[order]
+            for attr in states[0]
+        }
         if isinstance(op, SplitOp):
-            shard = self.shard_map.shards[op.shard_id]
-            state = self._source_state(shard)
-            at = shard.row_count // 2
-            if not at or at == shard.row_count:
+            at = rows.size // 2
+            if not at:
                 raise DistributedError(
-                    f"shard {op.shard_id} has {shard.row_count} rows; "
+                    f"shard {op.shard_id} has {rows.size} rows; "
                     "splitting needs at least 2"
                 )
-            left = {attr: state[attr][:at].copy() for attr in state}
-            right = {attr: state[attr][at:].copy() for attr in state}
-            return [
-                (
-                    f"shards/{name}/{op.shard_id:04d}.{suffix}",
-                    shard.positions[:at].copy(),
-                    shard.primary,
-                    left,
-                ),
-                (
-                    f"shards/{name}/{op.new_shard_id:04d}.{suffix}",
-                    shard.positions[at:].copy(),
-                    "",
-                    right,
-                ),
+            cuts = [
+                (op.shard_id, sources[0].primary, 0, at),
+                (op.new_shard_id, "", at, rows.size),
             ]
-        if isinstance(op, MergeOp):
-            winner = self.shard_map.shards[op.winner_id]
-            loser = self.shard_map.shards[op.loser_id]
-            winner_state = self._source_state(winner)
-            loser_state = self._source_state(loser)
-            positions = np.concatenate([winner.positions, loser.positions])
-            order = np.argsort(positions, kind="stable")
-            merged = {
-                attr: np.concatenate(
-                    [winner_state[attr], loser_state[attr]]
-                )[order]
-                for attr in winner_state
-            }
-            return [
-                (
-                    f"shards/{name}/{op.winner_id:04d}.{suffix}",
-                    positions[order],
-                    winner.primary,
-                    merged,
-                )
-            ]
-        self.cluster.node(op.dest)  # validates the destination exists
-        shard = self.shard_map.shards[op.shard_id]
-        state = self._source_state(shard)
+        else:
+            dest = op.dest if isinstance(op, MoveOp) else sources[0].primary
+            cuts = [(shard_ids[0], dest, 0, rows.size)]
+        suffix = f"e{self.shard_map.epoch + 1}"
         return [
-            (
-                f"shards/{name}/{op.shard_id:04d}.{suffix}",
-                shard.positions.copy(),
-                op.dest,
-                {attr: state[attr].copy() for attr in state},
+            DestFragment(
+                shard_id=shard_id,
+                path=f"shards/{self.shard_map.name}/{shard_id:04d}.{suffix}",
+                positions=rows[lo:hi],
+                primary=primary,
+                columns={attr: column[lo:hi] for attr, column in columns.items()},
             )
+            for shard_id, primary, lo, hi in cuts
         ]
 
     def _write_fragment(
-        self,
-        migration: Migration,
-        path: str,
-        positions: np.ndarray,
-        primary: str,
-        columns: dict[str, np.ndarray],
-        ctx: ExecutionContext,
+        self, migration: Migration, fragment: DestFragment, ctx: ExecutionContext
     ) -> None:
         """Serialize and durably write one destination file (charged)."""
-        payload = serialize_columns(columns)
+        assert fragment.columns is not None
+        payload = serialize_columns(fragment.columns)
         ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
-        self.dfs.write(path, payload)
+        self.dfs.write(fragment.path, payload)
         network = self.cluster.network
         for _ in range(self.dfs.replication):
             network.transfer_cost(len(payload), ctx.counters)
-        if not primary:
-            primary = self.dfs.file(path).blocks[0].replica_nodes[0]
-        migration.fragments.append(
-            DestFragment(
-                path=path, positions=positions, primary=primary,
-                columns=columns,
-            )
-        )
+        if not fragment.primary:
+            fragment.primary = self.dfs.file(fragment.path).blocks[0].replica_nodes[0]
+        migration.fragments.append(fragment)
 
     # ------------------------------------------------------------------
     # Phases 2+3: catch-up and cutover
@@ -470,9 +449,7 @@ class LiveMigrator:
 
         def read_log() -> list:
             self.injector.check(SITE_NET_DROP_CATCHUP, ctx.counters)
-            return load_entries(
-                self.wal, self.replicated, reader, ctx.counters, ctx
-            )
+            return self.replicated.read_entries(reader, ctx.counters)
 
         try:
             entries = self.catchup_retry.run(
@@ -501,38 +478,19 @@ class LiveMigrator:
             self.shard_map.shards[shard_id].path
             for shard_id in migration.shard_ids
         ]
+        assert all(fragment.columns is not None for fragment in migration.fragments)
+        epoch = self.shard_map.commit(
+            migration.shard_ids,
+            [
+                (f.shard_id, f.positions, f.path, f.primary, f.columns)
+                for f in migration.fragments
+            ],
+        )
         if isinstance(op, SplitOp):
-            left, right = migration.fragments
-            assert left.columns is not None and right.columns is not None
-            _, epoch = self.shard_map.commit_split(
-                op.shard_id,
-                left.positions,
-                right.positions,
-                left.path,
-                right.path,
-                left.primary,
-                right.primary,
-                left.columns,
-                right.columns,
-            )
             self.stats.splits += 1
         elif isinstance(op, MergeOp):
-            fragment = migration.fragments[0]
-            assert fragment.columns is not None
-            epoch = self.shard_map.commit_merge(
-                op.winner_id,
-                op.loser_id,
-                fragment.path,
-                fragment.primary,
-                fragment.columns,
-            )
             self.stats.merges += 1
         else:
-            fragment = migration.fragments[0]
-            assert fragment.columns is not None
-            epoch = self.shard_map.commit_move(
-                op.shard_id, fragment.path, fragment.primary, fragment.columns
-            )
             self.stats.moves += 1
         self.wal.log_rebalance(
             LogRecordKind.REBALANCE_COMMIT, migration.label, ctx
@@ -604,7 +562,6 @@ class LiveMigrator:
                         fragment.path,
                         fragment.positions,
                         fragment.primary,
-                        self.wal,
                         self.replicated,
                         ctx,
                         since=migration.copy_lsn,

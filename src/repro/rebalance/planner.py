@@ -91,6 +91,13 @@ class MoveOp:
 #: Any of the three rebalance operations.
 RebalanceOp = Union[SplitOp, MergeOp, MoveOp]
 
+#: Cap on split+merge operations per plan.
+MAX_OPS = 32
+#: Cap on primary-balancing moves appended after the load loop.
+MAX_MOVES = 4
+#: Never merge below this many live shards.
+MIN_LIVE = 2
+
 
 class RebalancePlanner:
     """Greedy projection planner over one shard map.
@@ -104,31 +111,13 @@ class RebalancePlanner:
         The max/mean load ratio the projection drives toward.  Planned
         a little tighter than the bench gate so measured post-rebalance
         windows clear it with sampling headroom.
-    max_ops:
-        Cap on split+merge operations per plan.
-    max_moves:
-        Cap on primary-balancing moves appended after the load loop.
-    min_live:
-        Never merge below this many live shards.
     """
 
-    def __init__(
-        self,
-        shard_map: ShardMap,
-        target_ratio: float = 1.15,
-        max_ops: int = 32,
-        max_moves: int = 4,
-        min_live: int = 2,
-    ) -> None:
+    def __init__(self, shard_map: ShardMap, target_ratio: float = 1.15) -> None:
         if target_ratio < 1.0:
             raise ValueError(f"target_ratio must be >= 1, got {target_ratio}")
-        if max_ops < 0 or max_moves < 0 or min_live < 1:
-            raise ValueError("max_ops/max_moves must be >= 0, min_live >= 1")
         self.shard_map = shard_map
         self.target_ratio = target_ratio
-        self.max_ops = max_ops
-        self.max_moves = max_moves
-        self.min_live = min_live
 
     # ------------------------------------------------------------------
     def plan(self, report: SkewReport) -> list[RebalanceOp]:
@@ -174,7 +163,7 @@ class RebalancePlanner:
                 (sid, loads[sid], self._pieces(loads[sid] / target))
                 for sid in sorted(loads, key=lambda s: (-loads[s], s))
             ]
-            while queue and len(ops) < self.max_ops:
+            while queue and len(ops) < MAX_OPS:
                 sid, load, pieces = queue.pop(0)
                 if pieces < 2 or rows.get(sid, 0) < 2:
                     continue
@@ -188,7 +177,7 @@ class RebalancePlanner:
                 next_id += 1
             # Merge pass: consolidate cold fragments while the merged
             # shard stays within target_ratio of the target load.
-            while len(ops) < self.max_ops and len(loads) > self.min_live:
+            while len(ops) < MAX_OPS and len(loads) > MIN_LIVE:
                 cold = sorted(loads, key=lambda sid: (loads[sid], sid))[:2]
                 if loads[cold[0]] + loads[cold[1]] > (
                     self.target_ratio * target
@@ -251,7 +240,7 @@ class RebalancePlanner:
             if shard.row_count and shard.shard_id not in merged_away:
                 served.setdefault(shard.primary, []).append(shard.shard_id)
         moves: list[MoveOp] = []
-        while len(moves) < self.max_moves:
+        while len(moves) < MAX_MOVES:
             busiest = max(served, key=lambda name: (len(served[name]), name))
             idlest = min(served, key=lambda name: (len(served[name]), name))
             if len(served[busiest]) - len(served[idlest]) < 2:

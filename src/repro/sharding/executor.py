@@ -21,9 +21,10 @@ harness (:mod:`repro.sharding.verifier`):
     and re-replicates while enough nodes are up, and the sub-query
     **fails over**: it re-runs on the next surviving replica candidate
     after a deadline-capped exponential failover backoff, rebuilding
-    the shard there from its DFS base file plus a committed-prefix
-    WAL replay (the :class:`~repro.recovery.replicated.ReplicatedLog`
-    path), then promoting that node to primary.
+    the shard there from its DFS base file plus a replay of the
+    committed prefix of the shipped log
+    (:class:`~repro.recovery.replicated.ReplicatedLog`), then promoting
+    that node to primary.
 
 ``net.drop-response``
     A partial result is lost on the wire.  A bounded
@@ -212,11 +213,11 @@ class ShardedExecutor:
     injector:
         The shared fault source; its report receives every outcome.
     wal / replicated:
-        Optional durability pair: each point-update query is one
-        transaction write-ahead logged through *wal*, and failover
-        rebuilds replay the committed prefix — from *replicated*'s DFS
-        segments when given (the log-shipping path), else from the
-        coordinator's local durable log.
+        Optional durability pair, given both or neither: each
+        point-update query is one transaction write-ahead logged
+        through *wal*, and failover rebuilds replay the committed
+        prefix from *replicated*, the log *wal* ships into the DFS.
+        Without them a rebuild serves the shard's DFS base file.
     failover_deadline_cycles:
         Cap on the cumulative exponential backoff between failover
         attempts; exceeding it surfaces
@@ -258,6 +259,11 @@ class ShardedExecutor:
         failover_deadline_cycles: Cycles = 50_000_000.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if (wal is None) != (replicated is None):
+            raise DistributedError(
+                "a WAL needs the replicated log rebuilds read, and the "
+                "replicated log needs its WAL: pass both or neither"
+            )
         self.router = router
         self.shard_map = router.shard_map
         self.cluster = self.shard_map.cluster
@@ -493,11 +499,9 @@ class ShardedExecutor:
 
         A rebuild (:func:`~repro.sharding.replay.rebuild`) reads the
         shard's base file through the DFS as *node_name* (charging
-        remote transfers) and replays the whole committed log onto it —
-        from the replicated log's DFS segments when log shipping is
-        configured, else the coordinator's local durable prefix, its
-        volatile tail forced out first.  *node_name* is then promoted
-        to primary.
+        remote transfers) and replays the whole committed log onto it
+        from the replicated log's DFS segments.  *node_name* is then
+        promoted to primary.
         """
         shard = task.shard
         state = self.shard_map.state(shard.shard_id)
@@ -511,7 +515,6 @@ class ShardedExecutor:
                 shard.path,
                 shard.positions,
                 node_name,
-                self.wal,
                 self.replicated,
                 ctx,
             )

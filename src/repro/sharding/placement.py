@@ -16,22 +16,23 @@ file, then *promotes* that node to primary.  The map therefore exposes
 both the partition-pruning geometry (which shard owns which row) and
 the replica-candidate ordering the failover state machine walks.
 
-The map is also **versioned** for elastic rebalancing
-(:mod:`repro.rebalance`): every committed split/merge/move cutover
-bumps :attr:`ShardMap.epoch` and atomically installs the new
-placement.  Routing reads the epoch at plan time, so in-flight plans
-keep naming their plan-time nodes while new plans see the new
-placement.  Shard ids are stable forever — a merged-away shard stays
-in the dense list as an empty shard rather than renumbering its
-survivors — and once the first rebalance commits, row ownership is
-tracked by an explicit position→shard assignment overlay instead of
-the static hash/range geometry.
+Row ownership is one position→shard array, built at load; the scheme
+decides only its first contents.  The map is also **versioned** for
+elastic rebalancing (:mod:`repro.rebalance`): every split, merge and
+move cuts over through one :meth:`ShardMap.commit`, which re-points
+the named shards' rows, base files, primaries and serving states at
+once and bumps :attr:`ShardMap.epoch`.  Routing reads the epoch at plan
+time, so in-flight plans keep naming their plan-time nodes while new
+plans see the new placement.  Shard ids are stable forever — a
+merged-away shard stays in the dense list as an empty shard rather
+than renumbering its survivors.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "ShardingScheme",
     "Shard",
     "ShardMap",
+    "Piece",
     "serialize_columns",
     "deserialize_columns",
 ]
@@ -50,10 +52,9 @@ __all__ = [
 #: Knuth's multiplicative constant: cheap, deterministic row spreading.
 _HASH_MULTIPLIER = 2654435761
 
-
-def hash_shard_of(position: int, shard_count: int) -> int:
-    """The hash-scheme shard owning a global row *position*."""
-    return ((position * _HASH_MULTIPLIER) & 0x7FFFFFFF) % shard_count
+#: One cutover piece: (shard id, sorted rows, DFS path, primary,
+#: serving columns) — see :meth:`ShardMap.commit`.
+Piece = tuple[int, np.ndarray, str, str, dict[str, np.ndarray]]
 
 
 class ShardingScheme(enum.Enum):
@@ -120,9 +121,6 @@ class Shard:
     positions: np.ndarray
     primary: str
     path: str
-    #: Node names that served this shard before a promotion (audit trail
-    #: of the failover state machine).
-    former_primaries: list[str] = field(default_factory=list)
 
     @property
     def row_count(self) -> int:
@@ -172,7 +170,6 @@ class ShardMap:
         self.name = name
         self.cluster = cluster
         self.dfs = dfs
-        self.scheme = scheme
         self.row_count = next(iter(lengths.values()))
         self.attributes = tuple(sorted(columns))
         self.shard_count = shard_count
@@ -188,24 +185,20 @@ class ShardMap:
         #: shard_id -> memory-resident serving columns (None = lost with
         #: its node, pending a failover rebuild).
         self._states: dict[int, dict[str, np.ndarray] | None] = {}
-        #: position -> shard_id overlay, materialized at the first
-        #: rebalance commit (None while the static geometry still
-        #: describes ownership exactly).
-        self._assignment: np.ndarray | None = None
         #: Shard ids with an in-flight live migration (single-writer
         #: guard: a second migration naming one of these is refused).
         self._migrating: set[int] = set()
-        self._range_bounds: np.ndarray | None = None
         every_position = np.arange(self.row_count)
         if scheme is ShardingScheme.RANGE:
-            splits = np.array_split(every_position, shard_count)
-            self._range_bounds = np.array(
-                [split[0] if split.size else self.row_count for split in splits]
-            )
+            runs = np.array_split(every_position, shard_count)
+            owner = np.repeat(np.arange(shard_count), [run.size for run in runs])
         else:
-            owners = ((every_position * _HASH_MULTIPLIER) & 0x7FFFFFFF) % shard_count
-            splits = [every_position[owners == sid] for sid in range(shard_count)]
-        for shard_id, positions in enumerate(splits):
+            owner = ((every_position * _HASH_MULTIPLIER) & 0x7FFFFFFF) % shard_count
+        #: position -> shard_id: the one record of row ownership, which
+        #: every :meth:`commit` rewrites for the rows it re-points.
+        self._owner = owner
+        for shard_id in range(shard_count):
+            positions = np.flatnonzero(owner == shard_id)
             local = {
                 attr: np.ascontiguousarray(columns[attr][positions])
                 for attr in self.attributes
@@ -226,14 +219,7 @@ class ShardMap:
             raise DistributedError(
                 f"position {position} outside [0, {self.row_count})"
             )
-        if self._assignment is not None:
-            return int(self._assignment[position])
-        if self.scheme is ShardingScheme.HASH:
-            return hash_shard_of(position, self.shard_count)
-        assert self._range_bounds is not None
-        return int(
-            np.searchsorted(self._range_bounds, position, side="right") - 1
-        )
+        return int(self._owner[position])
 
     def prune(self, positions: tuple[int, ...]) -> dict[int, np.ndarray]:
         """Group *positions* by owning shard — the router's pruning step.
@@ -276,14 +262,11 @@ class ShardMap:
     ) -> None:
         """Install rebuilt *columns* on *node_name* and make it primary.
 
-        The final transition of the failover state machine: the old
-        primary is recorded in ``former_primaries`` and the shard
-        serves from its new home.
+        The final transition of the failover state machine: the shard
+        serves from its new home.  A promotion moves no row, so the
+        epoch stands.
         """
-        shard = self.shards[shard_id]
-        if shard.primary != node_name:
-            shard.former_primaries.append(shard.primary)
-            shard.primary = node_name
+        self.shards[shard_id].primary = node_name
         self._states[shard_id] = columns
 
     def replica_candidates(self, shard: Shard) -> tuple[str, ...]:
@@ -335,15 +318,6 @@ class ShardMap:
         """Release the migration claim on *shard_ids* (idempotent)."""
         self._migrating.difference_update(shard_ids)
 
-    def _materialize_assignment(self) -> np.ndarray:
-        """The explicit position→shard overlay, built on first rebalance."""
-        if self._assignment is None:
-            assignment = np.empty(self.row_count, dtype=np.int64)
-            for shard in self.shards:
-                assignment[shard.positions] = shard.shard_id
-            self._assignment = assignment
-        return self._assignment
-
     def _check_state(
         self, positions: np.ndarray, state: dict[str, np.ndarray]
     ) -> None:
@@ -360,106 +334,55 @@ class ShardMap:
                     f"{positions.size} positions"
                 )
 
-    def commit_move(
-        self,
-        shard_id: int,
-        path: str,
-        primary: str,
-        state: dict[str, np.ndarray],
-    ) -> int:
-        """Cut a completed *move* migration over; returns the new epoch.
+    def commit(self, shard_ids: Sequence[int], pieces: Sequence[Piece]) -> int:
+        """Cut a completed migration over; returns the new epoch.
 
-        The shard's rows are unchanged; its base file, primary, and
-        serving state are atomically re-pointed at the migration
-        destination.  The old primary is kept in the audit trail.
+        The *pieces* must partition exactly the rows of the shards
+        *shard_ids* names.  Each piece ``(shard_id, positions, path,
+        primary, state)`` re-points a named shard at its sorted rows,
+        base file, primary and serving state, or appends the next dense
+        id (a split's new half).  A named shard that no piece covers is
+        left empty (a merge's loser): ids are never renumbered, and the
+        router prunes it from every later scatter.  Everything is
+        checked before anything changes, so a refused cutover leaves
+        the map as it was.
         """
-        shard = self.shards[shard_id]
-        self._check_state(shard.positions, state)
-        if shard.primary != primary:
-            shard.former_primaries.append(shard.primary)
-            shard.primary = primary
-        shard.path = path
-        self._states[shard_id] = state
-        self.epoch += 1
-        return self.epoch
-
-    def commit_split(
-        self,
-        shard_id: int,
-        left_positions: np.ndarray,
-        right_positions: np.ndarray,
-        left_path: str,
-        right_path: str,
-        left_primary: str,
-        right_primary: str,
-        left_state: dict[str, np.ndarray],
-        right_state: dict[str, np.ndarray],
-    ) -> tuple[int, int]:
-        """Cut a completed *split* over; returns ``(new_shard_id, epoch)``.
-
-        The left half keeps *shard_id*; the right half becomes a brand
-        new shard appended to the dense list.  The two halves must
-        exactly partition the shard's current rows.
-        """
-        shard = self.shards[shard_id]
-        combined = np.sort(np.concatenate([left_positions, right_positions]))
-        if not np.array_equal(combined, shard.positions):
+        named, piece_ids = list(shard_ids), [piece[0] for piece in pieces]
+        if len(set(named)) < len(named) or len(set(piece_ids)) < len(piece_ids):
             raise DistributedError(
-                f"split halves do not partition shard {shard_id}'s rows"
+                f"cutover names a shard twice: shards {named}, pieces {piece_ids}"
             )
-        if not left_positions.size or not right_positions.size:
-            raise DistributedError("both split halves must own rows")
-        self._check_state(left_positions, left_state)
-        self._check_state(right_positions, right_state)
-        assignment = self._materialize_assignment()
-        new_id = len(self.shards)
-        shard.positions = np.sort(left_positions)
-        shard.path = left_path
-        if shard.primary != left_primary:
-            shard.former_primaries.append(shard.primary)
-            shard.primary = left_primary
-        self._states[shard_id] = left_state
-        right = Shard(
-            new_id, np.sort(right_positions), primary=right_primary,
-            path=right_path,
-        )
-        self.shards.append(right)
-        self._states[new_id] = right_state
-        assignment[right.positions] = new_id
-        self.epoch += 1
-        return new_id, self.epoch
-
-    def commit_merge(
-        self,
-        winner_id: int,
-        loser_id: int,
-        path: str,
-        primary: str,
-        state: dict[str, np.ndarray],
-    ) -> int:
-        """Cut a completed *merge* over; returns the new epoch.
-
-        The winner absorbs every row the loser owned; the loser stays
-        in the dense list as an empty shard (ids are never renumbered),
-        and the router prunes it from all future scatters.
-        """
-        if winner_id == loser_id:
-            raise DistributedError("cannot merge a shard into itself")
-        winner = self.shards[winner_id]
-        loser = self.shards[loser_id]
-        merged = np.sort(np.concatenate([winner.positions, loser.positions]))
-        self._check_state(merged, state)
-        assignment = self._materialize_assignment()
-        assignment[loser.positions] = winner_id
-        winner.positions = merged
-        winner.path = path
-        if winner.primary != primary:
-            winner.former_primaries.append(winner.primary)
-            winner.primary = primary
-        self._states[winner_id] = state
-        loser.positions = np.empty(0, dtype=np.int64)
-        self._states[loser_id] = {
-            attr: np.empty(0, dtype=np.float64) for attr in self.attributes
-        }
+        known = len(self.shards)
+        fresh = [shard_id for shard_id in piece_ids if shard_id not in named]
+        if not set(named) <= set(range(known)) or fresh != list(
+            range(known, known + len(fresh))
+        ):
+            raise DistributedError(
+                f"cutover pieces {piece_ids} must re-point shards {named} "
+                f"or append the next dense ids from {known}"
+            )
+        empty = np.empty(0, dtype=np.int64)
+        rows = np.concatenate([empty] + [self.shards[sid].positions for sid in named])
+        covered = np.concatenate([empty] + [piece[1] for piece in pieces])
+        if not np.array_equal(np.sort(rows), np.sort(covered)):
+            raise DistributedError(
+                f"cutover pieces do not partition the rows of shards {named}"
+            )
+        for _, positions, _, _, state in pieces:
+            self._check_state(positions, state)
+        for shard_id, positions, path, primary, state in pieces:
+            if shard_id == len(self.shards):
+                self.shards.append(Shard(shard_id, positions, primary, path))
+            else:
+                shard = self.shards[shard_id]
+                shard.positions, shard.path, shard.primary = positions, path, primary
+            self._states[shard_id] = state
+            self._owner[positions] = shard_id
+        for shard_id in named:
+            if shard_id not in piece_ids:
+                self.shards[shard_id].positions = empty
+                self._states[shard_id] = {
+                    attr: np.empty(0, dtype=np.float64) for attr in self.attributes
+                }
         self.epoch += 1
         return self.epoch

@@ -15,10 +15,12 @@ into columns goes through this module:
 All of them need exactly the same semantics — only updates belonging
 to committed transactions are applied, in LSN order, restricted to the
 positions the target columns actually hold — and the same charges, so
-the logic lives here once.  :func:`load_entries` normalizes the two
-durable sources (the replicated log's DFS segments when log shipping
-is configured, else the coordinator's local durable prefix) into plain
-tuples, and :func:`replay_updates` applies them.
+the logic lives here once.  The entries come from
+:meth:`~repro.recovery.replicated.ReplicatedLog.read_entries`, the
+shipped log's durable prefix as the reading node sees it, and
+:func:`replay_updates` applies them.  Nothing forces the log first:
+every ``COMMIT`` is forced before its writes apply, so the durable
+prefix already holds every committed transaction.
 """
 
 from __future__ import annotations
@@ -28,15 +30,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.recovery.replicated import ReplicatedLog
-from repro.recovery.wal import WriteAheadLog
 from repro.sharding.placement import ShardMap, deserialize_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.distributed.cluster import Node
     from repro.execution.context import ExecutionContext
-    from repro.hardware.event import PerfCounters
 
-__all__ = ["LogEntry", "load_entries", "replay_updates", "replay", "rebuild"]
+__all__ = ["LogEntry", "replay_updates", "replay", "rebuild"]
 
 #: One durable log record as a plain tuple, laid out by
 #: :attr:`~repro.recovery.wal.LogRecord.entry` (the tuple the replicated
@@ -44,29 +43,6 @@ __all__ = ["LogEntry", "load_entries", "replay_updates", "replay", "rebuild"]
 LogEntry = tuple
 
 _FLOAT = np.dtype(np.float64).itemsize
-
-
-def load_entries(
-    wal: WriteAheadLog,
-    replicated: "ReplicatedLog | None",
-    reader: "Node",
-    counters: "PerfCounters",
-    ctx: "ExecutionContext",
-) -> list[LogEntry]:
-    """Read every durable log entry, as *reader* would see it.
-
-    The volatile tail is forced out first (a log force — both failover
-    and cutover need the committed prefix to be complete before it is
-    replayed).  When *replicated* is given the entries come from its
-    DFS segments read and byte-verified from *reader*'s point of view
-    (remote transfers charged to *counters*); otherwise from the local
-    durable prefix.
-    """
-    if wal.tail_records:
-        wal.flush(ctx)
-    if replicated is not None:
-        return replicated.read_entries(reader, counters)
-    return [record.entry for record in wal.durable_records()]
 
 
 def replay_updates(
@@ -133,7 +109,6 @@ def rebuild(
     path: str,
     positions: np.ndarray,
     reader: str,
-    wal: WriteAheadLog | None,
     replicated: ReplicatedLog | None,
     ctx: "ExecutionContext",
     since: int = 0,
@@ -141,18 +116,17 @@ def rebuild(
     """Columns of the shard file at *path*, with the committed log replayed.
 
     Reads the file through the DFS as node *reader* (charging remote
-    transfers), charges its parse, loads the log as *reader*
-    (:func:`load_entries`) and replays the committed updates past LSN
-    *since* onto the rows *positions* lists (:func:`replay`).  Without
-    a *wal* the file is the whole state.  Returns (columns, applied,
-    txns).
+    transfers), charges its parse, reads the shipped log as *reader*
+    and replays the committed updates past LSN *since* onto the rows
+    *positions* lists (:func:`replay`).  Without a *replicated* log the
+    file is the whole state.  Returns (columns, applied, txns).
     """
     node = shard_map.cluster.node(reader)
     payload, _ = shard_map.dfs.read(path, node, ctx.counters)
     columns = deserialize_columns(payload)
     ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
-    if wal is None:
+    if replicated is None:
         return columns, 0, set()
-    entries = load_entries(wal, replicated, node, ctx.counters, ctx)
+    entries = replicated.read_entries(node, ctx.counters)
     applied, txns = replay(entries, shard_map.name, positions, columns, ctx, since)
     return columns, applied, txns

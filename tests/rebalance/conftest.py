@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,71 +11,74 @@ import pytest
 from repro.distributed.cluster import Cluster
 from repro.distributed.dfs import BlockStore
 from repro.faults import FaultInjector
+from repro.hardware import Platform
 from repro.obs.metrics import MetricsRegistry
 from repro.rebalance import LiveMigrator, RebalancePlanner, SkewDetector
 from repro.recovery import ReplicatedLog, WriteAheadLog
 from repro.sharding import ShardingScheme, ShardMap
 
 
+def build_stack(
+    platform: Platform,
+    seed: int = 0,
+    node_count: int = 4,
+    shard_count: int = 4,
+    replication: int = 2,
+    rows: int = 128,
+) -> SimpleNamespace:
+    """A fully wired live-migration stack on *platform*.
+
+    A namespace of (cluster, dfs, columns, shard_map, wal, replicated,
+    injector, metrics, migrator, skew, planner) for a given seed and
+    cluster shape.
+    """
+    injector = FaultInjector(seed=seed)
+    injector.install(platform)
+    cluster = Cluster(node_count)
+    dfs = BlockStore(
+        cluster, replication=replication, block_size=4096, injector=injector
+    )
+    positions = np.arange(rows)
+    columns = {
+        "k": ((positions * 13) % 101).astype(np.float64),
+        "v": ((positions * 7) % 97).astype(np.float64),
+    }
+    shard_map = ShardMap(
+        "orders",
+        columns,
+        cluster,
+        dfs,
+        shard_count,
+        scheme=ShardingScheme.RANGE,
+    )
+    replicated = ReplicatedLog(dfs, name="orders")
+    wal = WriteAheadLog(
+        platform, group_commit=1, replicator=replicated.on_flush
+    )
+    metrics = MetricsRegistry()
+    migrator = LiveMigrator(
+        shard_map, wal, injector, replicated=replicated
+    )
+    return SimpleNamespace(
+        injector=injector,
+        cluster=cluster,
+        dfs=dfs,
+        columns=columns,
+        shard_map=shard_map,
+        wal=wal,
+        replicated=replicated,
+        metrics=metrics,
+        migrator=migrator,
+        skew=SkewDetector(metrics, shard_map),
+        planner=RebalancePlanner(shard_map),
+    )
+
+
 @pytest.fixture
 def stack(platform):
-    """Factory: a fully wired live-migration stack.
-
-    Returns a function building a namespace of (cluster, dfs, columns,
-    shard_map, wal, replicated, injector, metrics, migrator, skew,
-    planner) for a given seed and cluster shape, so tests can shape
-    what they need while sharing the platform fixture.
-    """
-
-    def build(
-        seed: int = 0,
-        node_count: int = 4,
-        shard_count: int = 4,
-        replication: int = 2,
-        rows: int = 128,
-    ) -> SimpleNamespace:
-        injector = FaultInjector(seed=seed)
-        injector.install(platform)
-        cluster = Cluster(node_count)
-        dfs = BlockStore(
-            cluster, replication=replication, block_size=4096, injector=injector
-        )
-        positions = np.arange(rows)
-        columns = {
-            "k": ((positions * 13) % 101).astype(np.float64),
-            "v": ((positions * 7) % 97).astype(np.float64),
-        }
-        shard_map = ShardMap(
-            "orders",
-            columns,
-            cluster,
-            dfs,
-            shard_count,
-            scheme=ShardingScheme.RANGE,
-        )
-        replicated = ReplicatedLog(dfs, name="orders")
-        wal = WriteAheadLog(
-            platform, group_commit=1, replicator=replicated.on_flush
-        )
-        metrics = MetricsRegistry()
-        migrator = LiveMigrator(
-            shard_map, wal, injector, replicated=replicated
-        )
-        return SimpleNamespace(
-            injector=injector,
-            cluster=cluster,
-            dfs=dfs,
-            columns=columns,
-            shard_map=shard_map,
-            wal=wal,
-            replicated=replicated,
-            metrics=metrics,
-            migrator=migrator,
-            skew=SkewDetector(metrics, shard_map),
-            planner=RebalancePlanner(shard_map),
-        )
-
-    return build
+    """Factory: :func:`build_stack` on the test's platform, so tests can
+    shape the cluster they need while sharing the platform fixture."""
+    return functools.partial(build_stack, platform)
 
 
 def table_totals(shard_map) -> dict[str, float]:

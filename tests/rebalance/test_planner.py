@@ -74,8 +74,7 @@ class TestPlan:
 
     def test_never_merges_below_min_live(self, stack):
         built = stack(shard_count=2)
-        planner = RebalancePlanner(built.shard_map, min_live=2)
-        plan = planner.plan(window({0: 1.0, 1: 1.0}))
+        plan = RebalancePlanner(built.shard_map).plan(window({0: 1.0, 1: 1.0}))
         assert not [op for op in plan if isinstance(op, MergeOp)]
 
     def test_moves_rehome_primaries_from_busiest_to_idlest(self, stack):
@@ -93,8 +92,6 @@ class TestPlan:
         built = stack()
         with pytest.raises(ValueError):
             RebalancePlanner(built.shard_map, target_ratio=0.9)
-        with pytest.raises(ValueError):
-            RebalancePlanner(built.shard_map, min_live=0)
 
     def test_describe_labels_are_stable(self):
         assert SplitOp(3, 8).describe() == "split(3->+8)"

@@ -16,7 +16,6 @@ from repro.hardware import Platform
 from repro.hardware.event import PerfCounters
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import LogRecordKind, WriteAheadLog
-from repro.sharding.replay import load_entries
 
 
 @pytest.fixture
@@ -190,7 +189,7 @@ class TestDecodedEntries:
     def test_read_entries_equals_the_shipped_bytes(self, ops, group_commit, fault_seed):
         """The kept entries are what the verified bytes decode to, what
         the local durable prefix holds, and cost exactly a read-back."""
-        wal, replicated, ctx = build_log(ops, group_commit, fault_seed)
+        wal, replicated, _ = build_log(ops, group_commit, fault_seed)
         _, twin, _ = build_log(ops, group_commit, fault_seed)
         byte_counters, entry_counters = PerfCounters(), PerfCounters()
         decoded = [
@@ -199,14 +198,14 @@ class TestDecodedEntries:
             for line in payload.split(b"\n")
         ]
         entries = replicated.read_entries(replicated.dfs.cluster.nodes[1], entry_counters)
-        local = load_entries(wal, None, replicated.dfs.cluster.nodes[1], PerfCounters(), ctx)
+        local = [record.entry for record in wal.durable_records()]
         assert entries == decoded == local
         assert repr(entries) == repr(decoded) == repr(local)  # -0.0 stays -0.0
         assert entry_counters == byte_counters
 
 
 class TestCorruption:
-    def test_corrupt_segment_surfaces_through_load_entries(self, platform, ctx, dfs):
+    def test_a_corrupt_segment_fails_read_entries(self, platform, ctx, dfs):
         """A replica whose bytes changed after shipping fails read-back
         verification even though the decoded entries are kept in memory."""
         wal, replicated = replicated_wal(platform, dfs)
@@ -214,4 +213,4 @@ class TestCorruption:
         block = dfs.file("wal/item/00000001").blocks[0]
         block.payload = block.payload.replace(b"commit", b"abort!")
         with pytest.raises(DistributedError, match="segment 1 corrupt"):
-            load_entries(wal, replicated, dfs.cluster.nodes[0], PerfCounters(), ctx)
+            replicated.read_entries(dfs.cluster.nodes[0], PerfCounters())

@@ -88,7 +88,7 @@ class TestServingState:
         )
         assert shard_map.state(survivor.shard_id) is not None
 
-    def test_promote_repoints_primary_and_records_history(self, columns):
+    def test_promote_repoints_primary_and_state(self, columns):
         shard_map = make_map(columns)
         shard = shard_map.shards[0]
         old_primary = shard.primary
@@ -102,8 +102,8 @@ class TestServingState:
         }
         shard_map.promote(0, new_primary, rebuilt)
         assert shard.primary == new_primary
-        assert old_primary in shard.former_primaries
         assert shard_map.state(0) is rebuilt
+        assert shard_map.epoch == 0
 
     def test_replica_candidates_prefer_holders(self, columns):
         shard_map = make_map(columns)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeadlineExceeded, EngineCrashed
+from repro.errors import DeadlineExceeded, DistributedError, EngineCrashed
 from repro.execution import ExecutionContext
 from repro.faults.injector import SITE_WAL_TORN_WRITE
 from repro.recovery import ReplicatedLog, WriteAheadLog
 from repro.recovery.wal import LogRecordKind
 from repro.sharding import Router, ShardedExecutor
+from repro.sharding.verifier import ChaosRun
 from repro.workload.queries import QueryShape, QuerySpec
 
 #: 24 rows spread over all four shards of the 128-row harness relation.
@@ -73,6 +74,35 @@ class TestOneForcePerQuery:
         assert wal.flush_count == 1 and wal.tail_records == 0
         assert len(records(wal, LogRecordKind.COMMIT)) == 1
 
+    def test_a_wal_and_its_replicated_log_come_together(self, harness):
+        executor = harness(seed=3)
+        router, injector = executor.router, executor.injector
+        with pytest.raises(DistributedError, match="both or neither"):
+            ShardedExecutor(router, injector, wal=executor.wal)
+        with pytest.raises(DistributedError, match="both or neither"):
+            ShardedExecutor(router, injector, replicated=executor.replicated)
+
+    def test_a_rebuild_reads_the_log_without_forcing_it(self):
+        """Every ``COMMIT`` is forced before its writes apply, so the
+        durable prefix a rebuild replays already holds every committed
+        transaction: an update whose scatter rebuilds a shard still
+        forces the log once, at its commit."""
+        chaos = ChaosRun(
+            5, node_count=4, shard_count=4, replication=2, fault_rate=0.0,
+            sites=(), row_count=512,
+        )
+        shard_map, wal = chaos.shard_map, chaos.wal
+        shard_map.drop_states_on(shard_map.shards[-1].primary)
+        rows = tuple(int(shard.positions[0]) for shard in shard_map.shards)
+        flushes = wal.flush_count
+        chaos.run_verified(
+            QuerySpec(QueryShape.POINT_UPDATE, "orders", ("v",), rows, 1)
+        )
+        assert chaos.executor.stats.rebuilds >= 1
+        assert wal.flush_count == flushes + 1
+        chaos.run_verified(QuerySpec(QueryShape.POSITION_SUM, "orders", ("v",), rows))
+        assert (chaos.matched, chaos.mismatched) == (2, 0)
+
 
 class TestAtomicity:
     @pytest.fixture
@@ -129,9 +159,10 @@ class TestAtomicity:
             rebuilt.value, np.column_stack([columns["k"], columns["v"]])
         )
 
-    def test_a_log_crash_mid_scatter_surfaces_as_itself(self, harness, ctx):
-        """A torn force inside a rebuild ends the update with the injected
-        crash; the dead log is not asked to record the ``ABORT``."""
+    def test_a_torn_commit_after_a_rebuild_surfaces(self, harness, ctx):
+        """A rebuild in the scatter reads the log without forcing it, so
+        a torn force lands on the update's commit: the update ends with
+        the injected crash, and its ``COMMIT`` never becomes durable."""
         executor = harness(seed=3)
         last = executor.router.route(update()).tasks[-1].shard
         executor.shard_map.drop_states_on(last.primary)
@@ -140,3 +171,5 @@ class TestAtomicity:
             executor.run(update(), ctx)
         assert raised.value.injected
         assert executor.wal.crashed
+        assert executor.stats.rebuilds >= 1
+        assert records(executor.wal, LogRecordKind.COMMIT) == []
