@@ -304,8 +304,9 @@ class MetricsRegistry:
                 achieved / platform.interconnect.bandwidth
             )
         if wal is not None and wal.flush_count > 0:
-            durable = len(wal.durable_records()) + wal.torn_records
-            rates["wal_group_commit_records"] = durable / wal.flush_count
+            # LSNs are dense from 1, so the durable LSN counts every
+            # record ever made durable, truncated ones included.
+            rates["wal_group_commit_records"] = wal.durable_lsn / wal.flush_count
         return rates
 
     # ------------------------------------------------------------------

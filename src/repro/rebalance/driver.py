@@ -1,4 +1,4 @@
-"""The rebalance driver: detect → plan → migrate, one round at a time.
+"""The rebalance driver: checkpoint → detect → plan → migrate, per round.
 
 :class:`Rebalancer` wires the three layers together: the
 :class:`~repro.rebalance.skew.SkewDetector` supplies a load window,
@@ -7,7 +7,10 @@ an ordered operation list, and the
 :class:`~repro.rebalance.migrator.LiveMigrator` executes each
 operation as a journaled live migration — while the caller keeps
 running queries between (and, via the *interleave* hook, *during*)
-migrations.
+migrations.  Each round opens with the migrator's checkpoint, which
+rewrites the shard files at the durable LSN and truncates the log
+below them, so the log a rebuild or catch-up reads is about one round
+long.
 
 A mid-copy abort ends the round early: split operations later in the
 plan predicted shard ids from the state the plan was made against, so
@@ -88,9 +91,11 @@ class Rebalancer:
         report: SkewReport | None = None,
         interleave: Callable[[], None] | None = None,
     ) -> RebalanceRound:
-        """Run one detect-plan-migrate round; returns what happened.
+        """Run one checkpoint-detect-plan-migrate round; returns what happened.
 
-        With *report* the round plans from that window (already
+        The round opens with :meth:`LiveMigrator.checkpoint`, before any
+        migration holds a second copy of a shard.  With *report* the
+        round plans from that window (already
         snapshotted by the caller); otherwise it snapshots one itself.
         The *interleave* hook runs between each migration's copy and
         cutover phases — the caller injects live queries there, which
@@ -99,6 +104,7 @@ class Rebalancer:
         tallied recovered by the migrator) stops the round; other
         errors propagate.
         """
+        self.migrator.checkpoint(ctx)
         window = report if report is not None else self.skew.snapshot()
         round_result = RebalanceRound(
             ratio_before=window.ratio, epoch=self.migrator.shard_map.epoch

@@ -13,13 +13,20 @@ journaled three-phase protocol over the shard map's DFS and WAL:
 2. **Catch-up** (:meth:`LiveMigrator.complete`) — queries kept running
    on the source meanwhile; their committed updates (LSN past the copy
    snapshot) are replayed onto the destination copy from the
-   replicated log, under a bounded retry policy.
+   replicated log's segments past that snapshot, under a bounded retry
+   policy.
 3. **Cutover** — one atomic
    :meth:`~repro.sharding.placement.ShardMap.commit` bumps the
-   placement epoch, the ``rebalance-commit`` marker lands, and the
-   stale source files are deleted.  In-flight plans routed at the old
-   epoch finish on the source (the executor tries the plan-time node
-   first).
+   placement epoch and bases every destination file at the copy
+   snapshot's LSN (catch-up wrote only the staged columns), the
+   ``rebalance-commit`` marker lands, and the stale source files are
+   deleted.  In-flight plans routed at the old epoch finish on the
+   source (the executor tries the plan-time node first).
+
+:meth:`LiveMigrator.checkpoint`, which opens every rebalance round,
+rewrites the live shards' files at the durable LSN through the same
+write and cutover, then truncates the log below the oldest shard
+file's base, so the log the stack holds and reads is bounded.
 
 Split, merge and move differ only in how the copy cuts the source
 rows: the copy gathers the named shards' rows in position order and
@@ -72,7 +79,7 @@ from repro.rebalance.planner import MergeOp, MoveOp, RebalanceOp, SplitOp
 from repro.recovery.replicated import ReplicatedLog
 from repro.recovery.wal import LogRecordKind, WriteAheadLog
 from repro.sharding.placement import Shard, ShardMap, serialize_columns
-from repro.sharding.replay import rebuild, replay
+from repro.sharding.replay import read_file, replay
 
 __all__ = [
     "SITE_REBALANCE_CRASH_MID_COPY",
@@ -179,8 +186,11 @@ class MigratorStats:
     resumed: int = 0
     #: Committed cells replayed onto destinations by catch-up.
     caught_up_cells: int = 0
+    #: Shard files rewritten by :meth:`LiveMigrator.checkpoint`.
+    checkpointed: int = 0
     #: Simulated cycles spent inside the protocol (copy, catch-up,
-    #: cutover, rollback, resume) — the honest price of rebalancing.
+    #: cutover, rollback, resume) and its checkpoints — the honest
+    #: price of rebalancing.
     cycles: float = 0.0
 
     def snapshot(self) -> dict[str, float]:
@@ -192,6 +202,7 @@ class MigratorStats:
             "aborted": self.aborted,
             "resumed": self.resumed,
             "caught_up_cells": self.caught_up_cells,
+            "checkpointed": self.checkpointed,
             "cycles": self.cycles,
         }
 
@@ -376,11 +387,10 @@ class LiveMigrator:
         else:
             dest = op.dest if isinstance(op, MoveOp) else sources[0].primary
             cuts = [(shard_ids[0], dest, 0, rows.size)]
-        suffix = f"e{self.shard_map.epoch + 1}"
         return [
             DestFragment(
                 shard_id=shard_id,
-                path=f"shards/{self.shard_map.name}/{shard_id:04d}.{suffix}",
+                path=self._next_path(shard_id),
                 positions=rows[lo:hi],
                 primary=primary,
                 columns={attr: column[lo:hi] for attr, column in columns.items()},
@@ -388,17 +398,30 @@ class LiveMigrator:
             for shard_id, primary, lo, hi in cuts
         ]
 
-    def _write_fragment(
-        self, migration: Migration, fragment: DestFragment, ctx: ExecutionContext
+    def _next_path(self, shard_id: int) -> str:
+        """The write-once DFS path of a *shard_id* file written for the
+        next epoch."""
+        epoch = self.shard_map.epoch + 1
+        return f"shards/{self.shard_map.name}/{shard_id:04d}.e{epoch}"
+
+    def _write_file(
+        self, path: str, columns: dict[str, np.ndarray], ctx: ExecutionContext
     ) -> None:
-        """Serialize and durably write one destination file (charged)."""
-        assert fragment.columns is not None
-        payload = serialize_columns(fragment.columns)
+        """Serialize and durably write one shard file (charged): a
+        ``2 × len`` memory pass and one network transfer per replica."""
+        payload = serialize_columns(columns)
         ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
-        self.dfs.write(fragment.path, payload)
+        self.dfs.write(path, payload)
         network = self.cluster.network
         for _ in range(self.dfs.replication):
             network.transfer_cost(len(payload), ctx.counters)
+
+    def _write_fragment(
+        self, migration: Migration, fragment: DestFragment, ctx: ExecutionContext
+    ) -> None:
+        """Write one destination file and stage the fragment."""
+        assert fragment.columns is not None
+        self._write_file(fragment.path, fragment.columns, ctx)
         if not fragment.primary:
             fragment.primary = self.dfs.file(fragment.path).blocks[0].replica_nodes[0]
         migration.fragments.append(fragment)
@@ -449,7 +472,9 @@ class LiveMigrator:
 
         def read_log() -> list:
             self.injector.check(SITE_NET_DROP_CATCHUP, ctx.counters)
-            return self.replicated.read_entries(reader, ctx.counters)
+            return self.replicated.read_entries(
+                reader, ctx.counters, migration.copy_lsn
+            )
 
         try:
             entries = self.catchup_retry.run(
@@ -458,7 +483,18 @@ class LiveMigrator:
         except (DistributedError, DeadlineExceeded):
             self._rollback(migration, ctx)
             raise
-        for fragment in migration.fragments:
+        self._replay_onto(migration, migration.fragments, entries, ctx)
+
+    def _replay_onto(
+        self,
+        migration: Migration,
+        fragments: list[DestFragment],
+        entries: list,
+        ctx: ExecutionContext,
+    ) -> None:
+        """Replay the log *entries* past the copy snapshot onto the
+        staged columns of *fragments*, counting the cells caught up."""
+        for fragment in fragments:
             assert fragment.columns is not None
             applied, _ = replay(
                 entries,
@@ -482,7 +518,8 @@ class LiveMigrator:
         epoch = self.shard_map.commit(
             migration.shard_ids,
             [
-                (f.shard_id, f.positions, f.path, f.primary, f.columns)
+                (f.shard_id, f.positions, f.path, f.primary, f.columns,
+                 migration.copy_lsn)
                 for f in migration.fragments
             ],
         )
@@ -554,25 +591,89 @@ class LiveMigrator:
                 self._rollback(migration, ctx)
                 return None
             with ctx.span(f"migrate-resume({migration.label})", "rebalance"):
-                for fragment in migration.fragments:
-                    if fragment.columns is not None:
-                        continue
-                    fragment.columns, applied, _ = rebuild(
-                        self.shard_map,
-                        fragment.path,
-                        fragment.positions,
-                        fragment.primary,
-                        self.replicated,
-                        ctx,
-                        since=migration.copy_lsn,
+                lost = [f for f in migration.fragments if f.columns is None]
+                if lost:
+                    for fragment in lost:
+                        fragment.columns = read_file(
+                            self.shard_map, fragment.path, fragment.primary, ctx
+                        )
+                    entries = self.replicated.read_entries(
+                        self.cluster.node(lost[0].primary),
+                        ctx.counters,
+                        migration.copy_lsn,
                     )
-                    migration.caught_up += applied
-                    self.stats.caught_up_cells += applied
+                    self._replay_onto(migration, lost, entries, ctx)
                 epoch = self._cutover(migration, ctx)
             self.stats.resumed += 1
             return epoch
         finally:
             self.stats.cycles += ctx.counters.cycles - start
+
+    # ------------------------------------------------------------------
+    # Checkpoint: the bounded log
+    # ------------------------------------------------------------------
+    def checkpoint(self, ctx: ExecutionContext) -> int:
+        """Rewrite the live shards' files at the durable LSN, then truncate.
+
+        Every live shard with a serving state and a ``base_lsn`` below
+        the log's durable LSN gets a new epoch-suffixed file, written
+        from its serving state and charged as a copy's destination
+        file is.  There is no per-shard dirty test: a shard is rewritten
+        whenever the durable LSN has moved past its base, even if no
+        write touched its rows.  A serving state holds exactly the
+        transactions committed up to the durable LSN, because every
+        ``COMMIT`` is forced before its writes apply and checkpoints
+        run between queries.  One
+        :meth:`~repro.sharding.placement.ShardMap.commit` then re-points
+        the shards at their new files with ``base_lsn`` at the durable
+        LSN (bumping the epoch), the old files are deleted, and the WAL
+        and the replicated log are truncated below the oldest live
+        shard's ``base_lsn``.  A shard whose state was lost with its
+        node keeps its file and base, so it holds that floor.  Any
+        prefix of write → commit → delete → truncate leaves every shard
+        a file and the log past its base.
+
+        Does nothing while a migration claims any shard: its copy
+        snapshot needs the log past ``copy_lsn``, which the floor does
+        not count.  Returns the number of shard files rewritten.
+        """
+        shard_map = self.shard_map
+        if shard_map.migrating:
+            return 0
+        durable = self.wal.durable_lsn
+        due = [
+            shard
+            for shard in shard_map.shards
+            if shard.row_count
+            and shard.base_lsn < durable
+            and shard_map.state(shard.shard_id) is not None
+        ]
+        start = ctx.counters.cycles
+        try:
+            with ctx.span("shard-checkpoint", "rebalance", shards=len(due)):
+                stale = [shard.path for shard in due]
+                pieces = []
+                for shard in due:
+                    state = shard_map.state(shard.shard_id)
+                    path = self._next_path(shard.shard_id)
+                    self._write_file(path, state, ctx)
+                    pieces.append(
+                        (shard.shard_id, shard.positions, path, shard.primary,
+                         state, durable)
+                    )
+                if pieces:
+                    shard_map.commit([shard.shard_id for shard in due], pieces)
+                    self.stats.checkpointed += len(pieces)
+                for path in stale:
+                    self.dfs.delete(path)
+                floor = min(
+                    shard.base_lsn for shard in shard_map.shards if shard.row_count
+                )
+                self.wal.truncate(floor)
+                self.replicated.truncate(floor)
+        finally:
+            self.stats.cycles += ctx.counters.cycles - start
+        return len(due)
 
     # ------------------------------------------------------------------
     # Drivers

@@ -15,14 +15,17 @@ fsync, before the shipping step — the replicated copy can lag the
 local log by at most one segment, exactly the window primary-backup
 log shipping has.
 
-Recovery-side, :meth:`read_back` pulls every segment through the
+Recovery-side, :meth:`read_back` pulls every held segment through the
 store's fault-aware read path (degrading across replicas under
 ``dfs.block-read`` faults) and verifies the shipped byte stream; after
 :meth:`~repro.distributed.dfs.BlockStore.fail_node` plus
 :meth:`~repro.distributed.dfs.BlockStore.re_replicate`, the stream
 must still verify — the test suite pins that.  :meth:`read_entries`
-does the same reads and checks, then returns the records' entry tuples
-kept at ship time instead of parsing the verified bytes back.
+does the same reads and checks for the segments past a given LSN only,
+then returns the records' entry tuples kept at ship time instead of
+parsing the verified bytes back.  :meth:`truncate` deletes the
+segments every reader is past: the sharded stack calls it below the
+oldest shard file's base LSN, so the log it holds is bounded.
 """
 
 from __future__ import annotations
@@ -54,13 +57,14 @@ class ReplicatedLog:
     def __init__(self, dfs: "BlockStore", name: str = "wal") -> None:
         self.dfs = dfs
         self.name = name
+        #: Segments and payload bytes shipped so far, truncated ones too.
         self.segments = 0
         self.shipped_bytes = 0
-        #: Encoded bytes per segment, kept for read-back verification.
-        self._expected: list[bytes] = []
-        #: Every shipped record's :attr:`LogRecord.entry`, in LSN order —
-        #: what the verified bytes decode to.
-        self._entries: list[tuple] = []
+        #: segment -> (last LSN, encoded bytes, entry tuples) of every
+        #: segment still held: the bytes for read-back verification,
+        #: the entries (each record's :attr:`LogRecord.entry`, in LSN
+        #: order) for what the verified bytes decode to.
+        self._held: dict[int, tuple[int, bytes, tuple[tuple, ...]]] = {}
 
     def _segment_path(self, segment: int) -> str:
         return f"wal/{self.name}/{segment:08d}"
@@ -76,43 +80,76 @@ class ReplicatedLog:
         self.dfs.write(self._segment_path(segment), payload)
         self.segments += 1
         self.shipped_bytes += len(payload)
-        self._expected.append(payload)
-        self._entries.extend(record.entry for record in records)
+        entries = tuple(record.entry for record in records)
+        self._held[segment] = (records[-1].lsn, payload, entries)
+
+    def truncate(self, below: int) -> int:
+        """Delete the held segments whose last LSN is below *below*.
+
+        Their DFS files go, with the bytes and entries kept for them.
+        Returns how many segments were deleted.
+        """
+        dropped = [
+            segment
+            for segment, (last_lsn, _, _) in self._held.items()
+            if last_lsn < below
+        ]
+        for segment in dropped:
+            self.dfs.delete(self._segment_path(segment))
+            del self._held[segment]
+        return len(dropped)
 
     # ------------------------------------------------------------------
-    def read_back(
+    def _fetch(
         self,
         reader: "ClusterNode",
-        counters: "PerfCounters | None" = None,
-    ) -> list[bytes]:
-        """Fetch every shipped segment via the store's read path.
+        counters: "PerfCounters | None",
+        since: int,
+    ) -> list[tuple[bytes, tuple[tuple, ...]]]:
+        """(bytes, entries) of each held segment whose last LSN is past
+        *since*, fetched through the store's read path and verified.
 
         Raises :class:`~repro.errors.DistributedError` if any segment's
         bytes differ from what was shipped (a replication bug, not a
         fault — the store itself degrades across replicas on injected
         read errors before this check can fail).
         """
-        payloads: list[bytes] = []
-        for segment in range(self.segments):
+        fetched = []
+        for segment, (last_lsn, expected, entries) in self._held.items():
+            if last_lsn <= since:
+                continue
             payload, _ = self.dfs.read(self._segment_path(segment), reader, counters)
-            if payload != self._expected[segment]:
+            if payload != expected:
                 raise DistributedError(
                     f"replicated log segment {segment} corrupt after read-back"
                 )
-            payloads.append(payload)
-        return payloads
+            fetched.append((payload, entries))
+        return fetched
+
+    def read_back(
+        self,
+        reader: "ClusterNode",
+        counters: "PerfCounters | None" = None,
+    ) -> list[bytes]:
+        """Every held segment's bytes, fetched and verified as *reader*."""
+        return [payload for payload, _ in self._fetch(reader, counters, 0)]
 
     def read_entries(
         self,
         reader: "ClusterNode",
-        counters: "PerfCounters | None" = None,
+        counters: "PerfCounters | None",
+        since: int,
     ) -> list[tuple]:
-        """Every shipped record's entry tuple, as *reader* would see it.
+        """The entry tuples of the held segments past LSN *since*.
 
-        Performs exactly :meth:`read_back` — every segment is fetched,
-        charged and byte-verified — then returns the entries kept at
-        ship time, which equal the ``ast.literal_eval`` of each verified
-        line.
+        Fetches, charges and byte-verifies exactly the segments whose
+        last LSN is past *since*, as *reader* would, then returns the
+        entries kept at ship time, which equal the ``ast.literal_eval``
+        of each verified line.  A segment straddling *since* comes
+        whole; replay skips its records at or below *since*.
         """
-        self.read_back(reader, counters)
-        return list(self._entries)
+        return [
+            entry
+            for _, entries in self._fetch(reader, counters, since)
+            for entry in entries
+        ]

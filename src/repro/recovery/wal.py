@@ -385,6 +385,30 @@ class WriteAheadLog:
             self.replicator(self.flush_count - 1, tuple(batch), ctx)
         return len(batch)
 
+    def truncate(self, below: int) -> int:
+        """Drop the durable records with an LSN below *below*; returns how many.
+
+        Their bytes leave :attr:`durable_bytes`.  The caller vouches that
+        no reader needs them: the sharded stack truncates below the
+        oldest shard file's ``base_lsn``
+        (:meth:`~repro.rebalance.migrator.LiveMigrator.checkpoint`).
+        The record at :attr:`durable_lsn` always stays, so LSNs keep
+        counting from where they were.
+        """
+        if self._crashed:
+            raise WalError("write-ahead log owner has crashed; recover first")
+        if below > self.durable_lsn:
+            raise WalError(
+                f"cannot truncate below LSN {below}: the log is durable "
+                f"only to {self.durable_lsn}"
+            )
+        dropped = 0
+        while dropped < len(self._durable) and self._durable[dropped].lsn < below:
+            self.durable_bytes -= self._durable[dropped].nbytes
+            dropped += 1
+        del self._durable[:dropped]
+        return dropped
+
     def crash(self) -> None:
         """Simulate process death: the volatile tail is lost for good.
 

@@ -22,9 +22,9 @@ harness (:mod:`repro.sharding.verifier`):
     **fails over**: it re-runs on the next surviving replica candidate
     after a deadline-capped exponential failover backoff, rebuilding
     the shard there from its DFS base file plus a replay of the
-    committed prefix of the shipped log
-    (:class:`~repro.recovery.replicated.ReplicatedLog`), then promoting
-    that node to primary.
+    committed log the shipped segments hold past the file's
+    ``base_lsn`` (:class:`~repro.recovery.replicated.ReplicatedLog`),
+    then promoting that node to primary.
 
 ``net.drop-response``
     A partial result is lost on the wire.  A bounded
@@ -499,9 +499,9 @@ class ShardedExecutor:
 
         A rebuild (:func:`~repro.sharding.replay.rebuild`) reads the
         shard's base file through the DFS as *node_name* (charging
-        remote transfers) and replays the whole committed log onto it
-        from the replicated log's DFS segments.  *node_name* is then
-        promoted to primary.
+        remote transfers) and replays the committed log past the file's
+        ``base_lsn`` onto it from the replicated log's DFS segments.
+        *node_name* is then promoted to primary.
         """
         shard = task.shard
         state = self.shard_map.state(shard.shard_id)
@@ -517,6 +517,7 @@ class ShardedExecutor:
                 node_name,
                 self.replicated,
                 ctx,
+                since=shard.base_lsn,
             )
             if replayed_txns:
                 self.injector.report.record_replayed(len(replayed_txns))

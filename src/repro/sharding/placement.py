@@ -19,13 +19,14 @@ the replica-candidate ordering the failover state machine walks.
 Row ownership is one position→shard array, built at load; the scheme
 decides only its first contents.  The map is also **versioned** for
 elastic rebalancing (:mod:`repro.rebalance`): every split, merge and
-move cuts over through one :meth:`ShardMap.commit`, which re-points
-the named shards' rows, base files, primaries and serving states at
-once and bumps :attr:`ShardMap.epoch`.  Routing reads the epoch at plan
-time, so in-flight plans keep naming their plan-time nodes while new
-plans see the new placement.  Shard ids are stable forever — a
-merged-away shard stays in the dense list as an empty shard rather
-than renumbering its survivors.
+move, and every checkpoint that rewrites shard files, cuts over
+through one :meth:`ShardMap.commit`, which re-points the named shards'
+rows, base files (with the LSN each is current to), primaries and
+serving states at once and bumps :attr:`ShardMap.epoch`.  Routing
+reads the epoch at plan time, so in-flight plans keep naming their
+plan-time nodes while new plans see the new placement.  Shard ids are
+stable forever — a merged-away shard stays in the dense list as an
+empty shard rather than renumbering its survivors.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ __all__ = [
 _HASH_MULTIPLIER = 2654435761
 
 #: One cutover piece: (shard id, sorted rows, DFS path, primary,
-#: serving columns) — see :meth:`ShardMap.commit`.
-Piece = tuple[int, np.ndarray, str, str, dict[str, np.ndarray]]
+#: serving columns, base LSN) — see :meth:`ShardMap.commit`.
+Piece = tuple[int, np.ndarray, str, str, dict[str, np.ndarray], int]
 
 
 class ShardingScheme(enum.Enum):
@@ -115,12 +116,17 @@ class Shard:
         re-point this during failover).
     path:
         DFS path of the shard's serialized base columns.
+    base_lsn:
+        The LSN the file at *path* is current to: it holds every update
+        committed at or below it, so a rebuild replays only the log
+        past it.  0 at load.
     """
 
     shard_id: int
     positions: np.ndarray
     primary: str
     path: str
+    base_lsn: int = 0
 
     @property
     def row_count(self) -> int:
@@ -318,6 +324,11 @@ class ShardMap:
         """Release the migration claim on *shard_ids* (idempotent)."""
         self._migrating.difference_update(shard_ids)
 
+    @property
+    def migrating(self) -> bool:
+        """Whether any shard is claimed by an in-flight migration."""
+        return bool(self._migrating)
+
     def _check_state(
         self, positions: np.ndarray, state: dict[str, np.ndarray]
     ) -> None:
@@ -339,11 +350,12 @@ class ShardMap:
 
         The *pieces* must partition exactly the rows of the shards
         *shard_ids* names.  Each piece ``(shard_id, positions, path,
-        primary, state)`` re-points a named shard at its sorted rows,
-        base file, primary and serving state, or appends the next dense
-        id (a split's new half).  A named shard that no piece covers is
-        left empty (a merge's loser): ids are never renumbered, and the
-        router prunes it from every later scatter.  Everything is
+        primary, state, base_lsn)`` re-points a named shard at its
+        sorted rows, base file (current to ``base_lsn``), primary and
+        serving state, or appends the next dense id (a split's new
+        half).  A named shard that no piece covers is left empty (a
+        merge's loser): ids are never renumbered, and the router prunes
+        it from every later scatter.  Everything is
         checked before anything changes, so a refused cutover leaves
         the map as it was.
         """
@@ -368,14 +380,15 @@ class ShardMap:
             raise DistributedError(
                 f"cutover pieces do not partition the rows of shards {named}"
             )
-        for _, positions, _, _, state in pieces:
+        for _, positions, _, _, state, _ in pieces:
             self._check_state(positions, state)
-        for shard_id, positions, path, primary, state in pieces:
+        for shard_id, positions, path, primary, state, base_lsn in pieces:
             if shard_id == len(self.shards):
-                self.shards.append(Shard(shard_id, positions, primary, path))
+                self.shards.append(Shard(shard_id, positions, primary, path, base_lsn))
             else:
                 shard = self.shards[shard_id]
                 shard.positions, shard.path, shard.primary = positions, path, primary
+                shard.base_lsn = base_lsn
             self._states[shard_id] = state
             self._owner[positions] = shard_id
         for shard_id in named:

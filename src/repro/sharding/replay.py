@@ -5,22 +5,24 @@ into columns goes through this module:
 
 * the :class:`~repro.sharding.executor.ShardedExecutor` failover path
   calls :func:`rebuild` to restore a dead primary's serving state on a
-  surviving node (from LSN 0) before promoting it;
+  surviving node (past the shard file's ``base_lsn``) before promoting
+  it;
 * the :class:`~repro.rebalance.migrator.LiveMigrator` catch-up phase
   calls :func:`replay` to apply updates that committed *after* a
   migration's copy snapshot onto the destination copies, and its
-  journal resume calls :func:`rebuild` past the same snapshot to
-  restore destination copies a coordinator crash lost.
+  journal resume re-reads the destination files a coordinator crash
+  lost with :func:`read_file` and replays the log past the same
+  snapshot onto them.
 
 All of them need exactly the same semantics — only updates belonging
 to committed transactions are applied, in LSN order, restricted to the
 positions the target columns actually hold — and the same charges, so
 the logic lives here once.  The entries come from
 :meth:`~repro.recovery.replicated.ReplicatedLog.read_entries`, the
-shipped log's durable prefix as the reading node sees it, and
-:func:`replay_updates` applies them.  Nothing forces the log first:
-every ``COMMIT`` is forced before its writes apply, so the durable
-prefix already holds every committed transaction.
+shipped log's segments past the replay's start as the reading node
+sees them, and :func:`replay_updates` applies them.  Nothing forces
+the log first: every ``COMMIT`` is forced before its writes apply, so
+the durable prefix already holds every committed transaction.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.sharding.placement import ShardMap, deserialize_columns
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.execution.context import ExecutionContext
 
-__all__ = ["LogEntry", "replay_updates", "replay", "rebuild"]
+__all__ = ["LogEntry", "replay_updates", "replay", "read_file", "rebuild"]
 
 #: One durable log record as a plain tuple, laid out by
 #: :attr:`~repro.recovery.wal.LogRecord.entry` (the tuple the replicated
@@ -89,7 +91,7 @@ def replay(
     positions: np.ndarray,
     columns: dict[str, np.ndarray],
     ctx: "ExecutionContext",
-    since: int = 0,
+    since: int,
 ) -> tuple[int, set[int]]:
     """:func:`replay_updates` past LSN *since*, charging the writes.
 
@@ -104,6 +106,16 @@ def replay(
     return applied, txns
 
 
+def read_file(
+    shard_map: ShardMap, path: str, reader: str, ctx: "ExecutionContext"
+) -> dict[str, np.ndarray]:
+    """Columns of the shard file at *path*, read through the DFS as node
+    *reader* (charging remote transfers) with its parse charged."""
+    payload, _ = shard_map.dfs.read(path, shard_map.cluster.node(reader), ctx.counters)
+    ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
+    return deserialize_columns(payload)
+
+
 def rebuild(
     shard_map: ShardMap,
     path: str,
@@ -111,22 +123,21 @@ def rebuild(
     reader: str,
     replicated: ReplicatedLog | None,
     ctx: "ExecutionContext",
-    since: int = 0,
+    since: int,
 ) -> tuple[dict[str, np.ndarray], int, set[int]]:
     """Columns of the shard file at *path*, with the committed log replayed.
 
-    Reads the file through the DFS as node *reader* (charging remote
-    transfers), charges its parse, reads the shipped log as *reader*
-    and replays the committed updates past LSN *since* onto the rows
-    *positions* lists (:func:`replay`).  Without a *replicated* log the
-    file is the whole state.  Returns (columns, applied, txns).
+    Reads the file as node *reader* (:func:`read_file`), reads the
+    shipped log's segments past LSN *since* as *reader* and replays
+    the committed updates past *since* onto the rows *positions* lists
+    (:func:`replay`).  *since* is the LSN the file is current to.
+    Without a *replicated* log the file is the whole state.  Returns
+    (columns, applied, txns).
     """
-    node = shard_map.cluster.node(reader)
-    payload, _ = shard_map.dfs.read(path, node, ctx.counters)
-    columns = deserialize_columns(payload)
-    ctx.counters.cycles += ctx.platform.memory_model.sequential(2 * len(payload))
+    columns = read_file(shard_map, path, reader, ctx)
     if replicated is None:
         return columns, 0, set()
-    entries = replicated.read_entries(node, ctx.counters)
+    node = shard_map.cluster.node(reader)
+    entries = replicated.read_entries(node, ctx.counters, since)
     applied, txns = replay(entries, shard_map.name, positions, columns, ctx, since)
     return columns, applied, txns

@@ -108,3 +108,20 @@ class TestRegistry:
         rates = registry.derive_rates(wal=wal)
         # 16 records made durable by 2 group-commit fsyncs.
         assert rates["wal_group_commit_records"] == pytest.approx(8.0)
+
+    def test_wal_group_commit_size_counts_truncated_records(self):
+        from repro.execution.context import ExecutionContext
+        from repro.hardware.platform import Platform
+        from repro.recovery.wal import WriteAheadLog
+
+        platform = Platform.paper_testbed()
+        ctx = ExecutionContext(platform)
+        wal = WriteAheadLog(platform, group_commit=4)
+        for txn in range(1, 9):
+            wal.log_begin(txn, ctx)
+            wal.log_commit(txn, ctx)
+        registry = MetricsRegistry()
+        before = registry.derive_rates(wal=wal)["wal_group_commit_records"]
+        assert wal.truncate(wal.durable_lsn) == 15
+        assert len(wal.durable_records()) == 1
+        assert registry.derive_rates(wal=wal)["wal_group_commit_records"] == before

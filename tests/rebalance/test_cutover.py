@@ -85,6 +85,10 @@ def test_every_operation_keeps_one_ownership_record(ops):
         assert_one_ownership_record(shard_map, built.columns)
 
 
+#: The base LSN :func:`split_pieces` gives both halves.
+SPLIT_BASE = 3
+
+
 def split_pieces(shard_map):
     """A valid cutover splitting shard 0 into itself and the next id."""
     shard = shard_map.shards[0]
@@ -92,18 +96,19 @@ def split_pieces(shard_map):
     half = shard.row_count // 2
     return [
         (0, shard.positions[:half], "left", shard.primary,
-         {attr: column[:half] for attr, column in state.items()}),
+         {attr: column[:half] for attr, column in state.items()}, SPLIT_BASE),
         (len(shard_map.shards), shard.positions[half:], "right", shard.primary,
-         {attr: column[half:] for attr, column in state.items()}),
+         {attr: column[half:] for attr, column in state.items()}, SPLIT_BASE),
     ]
 
 
 def with_rows(piece, positions):
     """*piece* over *positions*, its state cut to match their count."""
-    shard_id, _, path, primary, state = piece
+    shard_id, _, path, primary, state, base_lsn = piece
     count = positions.size
     return (shard_id, positions, path, primary,
-            {attr: np.resize(column, count) for attr, column in state.items()})
+            {attr: np.resize(column, count) for attr, column in state.items()},
+            base_lsn)
 
 
 def missing_row(pieces):
@@ -119,13 +124,13 @@ def duplicated_row(pieces):
 def short_state(pieces):
     left, right = pieces
     state = {attr: column[:-1] for attr, column in left[4].items()}
-    return (0,), [left[:4] + (state,), right]
+    return (0,), [left[:4] + (state,) + left[5:], right]
 
 
 def wrong_attributes(pieces):
     left, right = pieces
     state = {"k": left[4]["k"], "w": left[4]["v"]}
-    return (0,), [left[:4] + (state,), right]
+    return (0,), [left[:4] + (state,) + left[5:], right]
 
 
 def named_twice(pieces):
@@ -165,7 +170,7 @@ def unnamed_existing_id(pieces):
 def test_a_malformed_cutover_is_refused_and_changes_nothing(stack, malform):
     shard_map = stack(rows=ROWS).shard_map
     before = [
-        (shard.positions.copy(), shard.path, shard.primary)
+        (shard.positions.copy(), shard.path, shard.primary, shard.base_lsn)
         for shard in shard_map.shards
     ]
     shard_ids, pieces = malform(split_pieces(shard_map))
@@ -173,9 +178,9 @@ def test_a_malformed_cutover_is_refused_and_changes_nothing(stack, malform):
         shard_map.commit(shard_ids, pieces)
     assert shard_map.epoch == 0
     assert len(shard_map.shards) == len(before)
-    for shard, (positions, path, primary) in zip(shard_map.shards, before):
+    for shard, (positions, *fields) in zip(shard_map.shards, before):
         assert np.array_equal(shard.positions, positions)
-        assert (shard.path, shard.primary) == (path, primary)
+        assert [shard.path, shard.primary, shard.base_lsn] == fields
     assert [shard_map.shard_of(p) for p in range(ROWS)] == np.repeat(
         np.arange(4), ROWS // 4
     ).tolist()
@@ -187,6 +192,8 @@ def test_a_well_formed_split_commits(stack):
     assert shard_map.commit((0,), pieces) == 1
     assert [shard.row_count for shard in shard_map.shards] == [8, 16, 16, 16, 8]
     assert shard_map.shard_of(int(pieces[1][1][0])) == 4
+    bases = [shard.base_lsn for shard in shard_map.shards]
+    assert bases == [SPLIT_BASE, 0, 0, 0, SPLIT_BASE]
 
 
 def test_an_uncovered_named_shard_is_left_empty(stack):
@@ -197,6 +204,6 @@ def test_an_uncovered_named_shard_is_left_empty(stack):
         attr: np.concatenate([shard_map.state(1)[attr], shard_map.state(2)[attr]])
         for attr in shard_map.attributes
     }
-    shard_map.commit((1, 2), [(1, rows, "merged", winner.primary, state)])
+    shard_map.commit((1, 2), [(1, rows, "merged", winner.primary, state, 0)])
     assert loser.row_count == 0 and shard_map.live_shard_count == 3
     assert shard_map.prune(tuple(int(p) for p in rows)).keys() == {1}

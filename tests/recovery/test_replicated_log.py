@@ -64,6 +64,43 @@ class TestShipping:
         assert all(payloads)
 
 
+class TestSuffix:
+    """Six two-record transactions at group commit 2: segments 0, 1
+    and 2 hold LSNs 1–4, 5–8 and 9–12."""
+
+    def test_read_entries_reads_only_the_segments_past_since(self, platform, ctx, dfs):
+        wal, replicated = replicated_wal(platform, dfs)
+        commit_txns(wal, ctx, 6)
+        reads = []
+        read = dfs.read
+        dfs.read = lambda path, *args: reads.append(path) or read(path, *args)
+        lsns = lambda since: [
+            entry[0]
+            for entry in replicated.read_entries(dfs.cluster.nodes[0], None, since)
+        ]
+        assert lsns(0) == list(range(1, 13)) and len(reads) == 3
+        reads.clear()
+        assert lsns(4) == list(range(5, 13))
+        assert reads == ["wal/item/00000001", "wal/item/00000002"]
+        assert lsns(5) == list(range(5, 13))  # a straddled segment comes whole
+        assert lsns(12) == []
+
+    def test_truncate_deletes_the_segments_below(self, platform, ctx, dfs):
+        wal, replicated = replicated_wal(platform, dfs)
+        commit_txns(wal, ctx, 6)
+        disk = lambda: sum(node.disk.used for node in dfs.cluster.nodes)
+        held = disk()
+        assert replicated.truncate(8) == 1  # segment 1 ends at LSN 8: kept
+        assert replicated.truncate(9) == 1
+        assert sorted(dfs.paths()) == ["wal/item/00000002"]
+        assert disk() < held
+        assert len(replicated.read_back(dfs.cluster.nodes[0])) == 1
+        assert replicated.segments == 3  # shipped, not held
+        commit_txns(wal, ctx, 2, start=6)
+        entries = replicated.read_entries(dfs.cluster.nodes[0], None, 0)
+        assert [entry[0] for entry in entries] == list(range(9, 17))
+
+
 class TestTornFlush:
     def test_replica_lags_by_at_most_the_torn_segment(self, platform, ctx, dfs):
         """A torn flush dies mid-fsync, before shipping: the replicated
@@ -197,7 +234,9 @@ class TestDecodedEntries:
             for payload in twin.read_back(twin.dfs.cluster.nodes[1], byte_counters)
             for line in payload.split(b"\n")
         ]
-        entries = replicated.read_entries(replicated.dfs.cluster.nodes[1], entry_counters)
+        entries = replicated.read_entries(
+            replicated.dfs.cluster.nodes[1], entry_counters, 0
+        )
         local = [record.entry for record in wal.durable_records()]
         assert entries == decoded == local
         assert repr(entries) == repr(decoded) == repr(local)  # -0.0 stays -0.0
@@ -213,4 +252,4 @@ class TestCorruption:
         block = dfs.file("wal/item/00000001").blocks[0]
         block.payload = block.payload.replace(b"commit", b"abort!")
         with pytest.raises(DistributedError, match="segment 1 corrupt"):
-            replicated.read_entries(dfs.cluster.nodes[0], PerfCounters())
+            replicated.read_entries(dfs.cluster.nodes[0], PerfCounters(), 0)

@@ -151,6 +151,29 @@ class TestCrash:
         assert len(wal.durable_records()) == 1
 
 
+class TestTruncate:
+    def test_truncate_drops_the_records_below_and_their_bytes(self, platform, ctx):
+        wal = WriteAheadLog(platform, group_commit=1)
+        for txn in range(4):
+            wal.log_begin(txn, ctx)
+            wal.log_commit(txn, ctx)
+        assert wal.truncate(5) == 4
+        assert [r.lsn for r in wal.durable_records()] == [5, 6, 7, 8]
+        assert wal.durable_bytes == sum(r.nbytes for r in wal.durable_records())
+        assert wal.truncate(5) == 0
+        assert (wal.durable_lsn, wal.last_lsn) == (8, 8)
+        wal.log_begin(4, ctx)
+        assert wal.log_commit(4, ctx) and wal.durable_lsn == 10
+
+    def test_truncate_keeps_the_durable_lsn(self, platform, ctx):
+        wal = WriteAheadLog(platform, group_commit=1)
+        wal.log_begin(0, ctx)
+        wal.log_commit(0, ctx)
+        with pytest.raises(WalError, match="durable only to 2"):
+            wal.truncate(3)
+        assert wal.truncate(2) == 1 and wal.durable_lsn == 2
+
+
 class TestEncoding:
     def test_encode_roundtrips_payload_fields(self, platform, ctx):
         wal = WriteAheadLog(platform)

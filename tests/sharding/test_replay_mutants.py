@@ -86,6 +86,27 @@ def crash_after_two_writes(seed):
     return chaos.mismatched
 
 
+def checkpoint_then_two_writes(seed):
+    """A first committed update, then a round's checkpoint rewrites every
+    shard file at the durable LSN; two more committed updates rewrite
+    the same rows of a worker-primaried shard, and its primary crashes
+    while they are read back, so failover rebuilds the shard from its
+    checkpointed file and must replay both writes past its nonzero
+    ``base_lsn`` in order."""
+    chaos, shard, rows = fault_free_run(seed)
+    chaos.run_verified(QuerySpec(QueryShape.POINT_UPDATE, "orders", ("v",), rows, 3))
+    migrator = LiveMigrator(
+        chaos.shard_map, chaos.wal, chaos.injector, replicated=chaos.replicated
+    )
+    assert migrator.checkpoint(chaos.ctx) == len(chaos.shard_map.shards)
+    assert shard.base_lsn == chaos.wal.durable_lsn > 0
+    write_twice(chaos, rows)
+    chaos.injector.arm(SITE_SHARD_NODE_CRASH, 1.0, max_faults=1)
+    read_back(chaos, rows)
+    assert chaos.executor.stats.rebuilds == 1
+    return chaos.mismatched
+
+
 def split_around_two_writes(seed, crash_pre_cutover):
     """A worker-primaried shard's split copies it, two committed updates
     rewrite its rows on the source, and the split finishes, so the
@@ -110,11 +131,13 @@ def split_around_two_writes(seed, crash_pre_cutover):
 
 #: One cell per replay consumer, returning its mismatch count.  The
 #: rebuild cell needs no fault schedule, only one crash after two
-#: writes to the same rows; node crashes make the distributed cell
+#: writes to the same rows, and the checkpoint cell is the same rebuild
+#: from a checkpointed file; node crashes make the distributed cell
 #: rebuild shards from the log; the two split cells reach the
 #: migrator's catch-up and its journal resume.
 CELLS = {
     "rebuild": crash_after_two_writes,
+    "checkpoint": checkpoint_then_two_writes,
     "distributed": lambda seed: run_chaos(
         seed=seed, sites=(SITE_SHARD_NODE_CRASH,), query_count=48, row_count=512
     ).mismatched,
