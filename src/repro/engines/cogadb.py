@@ -18,7 +18,9 @@ cache by :meth:`place_columns` (all-or-nothing per column), and
 :class:`HypeScheduler`, which predicts CPU and GPU cost per operator
 from the platform's analytic models, corrects each prediction with a
 learned per-device calibration factor, and routes to the cheaper
-device.  Every device operator reads the host columns through
+device.  A pipeline is priced once per operand contents: while its
+operands are clean staged replicas, the replicas remember its route
+costs.  Every device operator reads the host columns through
 ``platform.staging``, so a placed column serves from its pinned
 replica and a write to it is patched there on the next device read.
 """
@@ -72,7 +74,9 @@ class HypeScheduler:
     keeps an exponentially-smoothed calibration factor
     (observed / predicted) so systematic model error is learned away —
     the "learns cost models" half of HyPE, with the analytic model as
-    the feature extractor.
+    the feature extractor.  Calibration applies on top of the raw
+    predictions, so a remembered raw pricing
+    (:meth:`raw_predict_pipeline`) serves whatever the factors are.
     """
 
     platform: Platform
@@ -137,12 +141,42 @@ class HypeScheduler:
     ) -> dict[str, float]:
         """Uncalibrated predicted cycles per pipeline route (pure).
 
-        Delegates to :func:`repro.fusion.costs.predicted_route_costs`,
+        The pricing is :func:`repro.fusion.costs.predicted_route_costs`,
         so the features HyPE learns from are the same expressions the
         fused and unfused executors charge — cache-aware transfer
-        terms included.
+        terms included.  When every operand (each fragment of each
+        attribute the plan reads) is a staged replica with no pending
+        cells, the pricing depends only on those replicas' contents, so
+        it is the first replica's remembered answer
+        (:meth:`~repro.staging.cache.StagedColumn.remembered_answer`),
+        keyed like the fused answer on the plan's stages and the other
+        replicas' content stamps, plus *selectivity*.  Otherwise — an
+        operand unstaged, or a write pending whose patch the transfer
+        term prices — the plan is priced afresh.  Probing uses
+        ``peek``: no cache stats, no LRU movement.  The mapping
+        returned may be shared with later calls; callers must not
+        mutate it.
         """
-        return predicted_route_costs(plan, layout, self.platform, selectivity)
+        cache = self.platform.staging.cache
+        replicas = [
+            cache.peek(fragment, attribute)
+            for attribute in plan.attributes
+            for fragment in layout.fragments_for_attribute(attribute)
+        ]
+
+        def price() -> dict[str, float]:
+            return predicted_route_costs(plan, layout, self.platform, selectivity)
+
+        if not replicas or any(
+            replica is None or replica.pending for replica in replicas
+        ):
+            return price()
+        return replicas[0].remembered_answer(
+            ("routes", plan.scan_attribute, plan.op, plan.aggregate_attribute, selectivity),
+            price,
+            anchors=plan.stages,
+            stamps=tuple(replica.stamp for replica in replicas[1:]),
+        )
 
     def predict_pipeline(self, raw: dict[str, float]) -> dict[str, float]:
         """Calibrated predictions: each route's *raw* price scaled by its device's factor.

@@ -59,6 +59,15 @@ class FusedPipeline:
         return (self.scan_attribute, self.aggregate_attribute)
 
     @property
+    def stages(self) -> tuple[FilterStage | ProjectStage, ...]:
+        """The filter (when there is one) and the projections, in order.
+
+        These are the functions the plan closes over, so a remembered
+        answer or pricing of the plan is anchored on them by identity.
+        """
+        return self.projects if self.filter is None else (self.filter, *self.projects)
+
+    @property
     def identity(self) -> float | int | None:
         """The aggregate's empty-input answer (the zero-size contract)."""
         return aggregate_reducer(self.op)[1]

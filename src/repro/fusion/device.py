@@ -132,9 +132,7 @@ def run_fused_device(
             result = replicas[0].remembered_answer(
                 ("fused", plan.scan_attribute, plan.op, plan.aggregate_attribute),
                 compute,
-                anchors=tuple(
-                    stage for stage in (plan.filter, *plan.projects) if stage is not None
-                ),
+                anchors=plan.stages,
                 stamps=tuple(replica.stamp for replica in replicas[1:]),
             )
         else:

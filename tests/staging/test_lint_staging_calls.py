@@ -20,7 +20,9 @@ never cross.
 No oracle names the answers a replica remembers
 (``StagedColumn.remembered_sum`` / ``remembered_answer``, its
 ``remembered`` map or its content ``stamp``): an oracle that reused
-them would share the state it checks.
+them would share the state it checks.  Nor does the fresh route
+pricing (``fusion/costs.py`` and the A10 sweep) that HyPE's
+remembered pricings are compared with.
 
 Finally, memory pressure is ``stage``'s alone to answer: no device
 operator names ``CapacityError``, ``device_memory`` or
@@ -179,6 +181,9 @@ ORACLES = (
     ("repro/fusion/oracle.py", None),
     ("repro/sharding/verifier.py", "SingleNodeOracle"),
     ("repro/execution/operators.py", "sum_column"),
+    # The fresh pricing HyPE's remembered route costs are checked against.
+    ("repro/fusion/costs.py", None),
+    ("repro/bench/ablations.py", "fusion_sweep"),
 )
 
 
